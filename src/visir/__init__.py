@@ -12,7 +12,7 @@ Subpackages:
 from .autodiff import Tensor, backward, no_grad
 from .data import DataConfig, DatasetManifest, SRPair, build_dataset, load_manifest, load_pairs
 from .metrics import MetricsReport, evaluate_pair, mse, psnr, ssim
-from .model import ModelConfig, VisirModel, forward, init_parameters, predict, vit_mlp_forward
+from .model import ModelConfig, VisirModel, init_parameters, predict
 from .training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, sweep, train
 
 __version__ = "0.1.0"
@@ -34,10 +34,8 @@ __all__ = [
     "ssim",
     "ModelConfig",
     "VisirModel",
-    "forward",
     "init_parameters",
     "predict",
-    "vit_mlp_forward",
     "TrainConfig",
     "evaluate",
     "load_checkpoint",

@@ -14,6 +14,7 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,33 +58,22 @@ def _parse_optional_int(text: str):
     return None if text.strip().lower() in ("", "none") else int(text)
 
 
+# Field type hint (a string under postponed annotations) -> CLI value parser.
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "int | None": _parse_optional_int}
+
+
+def _field_keys(section: str, cls) -> dict[str, tuple]:
+    """`section.name` keys for the fields of `cls` that carry help text."""
+    return {f"{section}.{f.name}": (_CONVERTERS[f.type], f.default, f.metadata["help"])
+            for f in fields(cls) if "help" in f.metadata}
+
+
 # key -> (converter, default, help)
 KEYS: dict[str, tuple] = {
-    "model.patch_size": (int, 6, "LR patch edge in pixels"),
-    "model.num_layers": (int, 2, "transformer blocks"),
-    "model.num_heads": (int, 4, "attention heads"),
-    "model.embed_dim": (int, 64, "token dimension"),
-    "model.omega0": (float, 20.0, "sine activation frequency"),
-    "model.siren_hidden_layers": (int, 2, "hidden layers per sine stack (1-6)"),
-    "model.siren_hidden_dim": (int, 64, "hidden width of the sine stacks"),
-    "model.scale": (int, 4, "upscaling factor"),
-    "model.decoder_mode": (str, "per_token", "per_token | global_pooled"),
-    "model.channels": (int, 3, "image channels"),
-    "model.lr_height": (int, 60, "LR input height"),
-    "model.lr_width": (int, 60, "LR input width"),
-    "model.variant": (str, "visir", "visir | vit_mlp"),
-    "model.post_norm": (_parse_bool, False, "literal residual-then-norm block ordering"),
-    "model.decoder_hidden_layers": (_parse_optional_int, None, "decoder depth override (default: same as stacks)"),
-    "train.learning_rate": (float, 1e-4, "Adam learning rate"),
-    "train.steps": (int, 500, "optimization steps"),
-    "train.batch_size": (int, 1, "images per step"),
-    "train.eval_interval": (int, 0, "steps between test-split PSNR probes (0 = never)"),
-    "data.sources": (int, 10, "number of synthetic source grids"),
-    "data.source_height": (int, 720, "source grid height"),
-    "data.source_width": (int, 1440, "source grid width"),
-    "data.tile": (int, 240, "HR tile edge"),
-    "data.scale": (int, 4, "downsampling factor"),
-    "data.train_fraction": (float, 0.8, "train share of the tile split"),
+    **_field_keys("model", ModelConfig),
+    **_field_keys("train", TrainConfig),
+    **_field_keys("data", DataConfig),
+    # SpectrumSpec as text; its default is DEFAULT_SPECTRUM in whole degrees (deriving it changes build-data's bytes).
     "data.components": (str, "1.0:2:17,0.6:7:69,0.35:23:0,0.25:31:52",
                         "sinusoid components amp:cycles:angle_deg, comma separated"),
     "data.background": (float, 0.4, "smooth background amplitude"),
@@ -93,10 +83,6 @@ KEYS: dict[str, tuple] = {
     "run.seed": (int, 0, "global seed"),
     "run.out": (str, "out", "output directory"),
 }
-
-
-def _flag_for(key: str) -> str:
-    return "--" + key
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="shorthand for --run.seed")
         p.add_argument("--out", type=str, default=None, help="shorthand for --run.out")
         for key, (_, default, help_text) in KEYS.items():
-            p.add_argument(_flag_for(key), dest=key, type=str, default=None,
+            p.add_argument("--" + key, dest=key, type=str, default=None,
                            help=f"{help_text} (default {default})")
 
     p_build = sub.add_parser("build-data", help="generate synthetic SR pairs and a manifest")
@@ -170,40 +156,24 @@ def load_settings(ns: argparse.Namespace) -> dict:
     return settings
 
 
-def _model_config(settings: dict, **overrides) -> ModelConfig:
-    kwargs = {
-        "patch_size": settings["model.patch_size"],
-        "num_layers": settings["model.num_layers"],
-        "num_heads": settings["model.num_heads"],
-        "embed_dim": settings["model.embed_dim"],
-        "lr_height": settings["model.lr_height"],
-        "lr_width": settings["model.lr_width"],
-        "omega0": settings["model.omega0"],
-        "siren_hidden_layers": settings["model.siren_hidden_layers"],
-        "siren_hidden_dim": settings["model.siren_hidden_dim"],
-        "scale": settings["model.scale"],
-        "decoder_mode": settings["model.decoder_mode"],
-        "channels": settings["model.channels"],
-        "variant": settings["model.variant"],
-        "post_norm": settings["model.post_norm"],
-        "decoder_hidden_layers": settings["model.decoder_hidden_layers"],
-    }
-    kwargs.update(overrides)
+def _section(settings: dict, name: str) -> dict:
+    """The `name.*` settings, keyed by field name."""
+    prefix = name + "."
+    return {key[len(prefix):]: value for key, value in settings.items() if key.startswith(prefix)}
+
+
+def _model_config(settings: dict, manifest) -> ModelConfig:
+    """The `model.*` settings plus the geometry of the manifest's tiles."""
     try:
-        return ModelConfig(**kwargs)
+        return ModelConfig(**_section(settings, "model"), lr_height=manifest.tile_height // manifest.scale,
+                           lr_width=manifest.tile_width // manifest.scale, scale=manifest.scale, channels=3)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _train_config(settings: dict) -> TrainConfig:
     try:
-        return TrainConfig(
-            learning_rate=settings["train.learning_rate"],
-            steps=settings["train.steps"],
-            batch_size=settings["train.batch_size"],
-            seed=settings["run.seed"],
-            eval_interval=settings["train.eval_interval"],
-        )
+        return TrainConfig(**_section(settings, "train"), seed=settings["run.seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -223,43 +193,25 @@ def _parse_components(text: str) -> tuple[tuple[float, float, float], ...]:
 
 
 def _data_config(settings: dict) -> DataConfig:
-    if settings["data.tile"] <= 0 or settings["data.source_height"] % settings["data.tile"] != 0 \
-            or settings["data.source_width"] % settings["data.tile"] != 0:
-        raise ConfigError(
-            f"'data.tile' = {settings['data.tile']} does not tile the "
-            f"{settings['data.source_height']}x{settings['data.source_width']} source grid")
-    if settings["data.tile"] % settings["data.scale"] != 0:
-        raise ConfigError(f"'data.scale' = {settings['data.scale']} does not divide 'data.tile'")
+    section = _section(settings, "data")
     spectrum = SpectrumSpec(
-        components=_parse_components(settings["data.components"]),
-        background_amplitude=settings["data.background"],
-        background_max_cycles=settings["data.background_cycles"],
+        components=_parse_components(section.pop("components")),
+        background_amplitude=section.pop("background"),
+        background_max_cycles=section.pop("background_cycles"),
     )
-    return DataConfig(
-        sources=settings["data.sources"],
-        source_height=settings["data.source_height"],
-        source_width=settings["data.source_width"],
-        tile=settings["data.tile"],
-        scale=settings["data.scale"],
-        seed=settings["run.seed"],
-        train_fraction=settings["data.train_fraction"],
-        spectrum=spectrum,
-    )
+    tile, scale = section["tile"], section["scale"]
+    if tile <= 0 or section["source_height"] % tile != 0 or section["source_width"] % tile != 0:
+        raise ConfigError(f"'data.tile' = {tile} does not tile the "
+                          f"{section['source_height']}x{section['source_width']} source grid")
+    if scale < 1 or tile % scale != 0:
+        raise ConfigError(f"'data.scale' = {scale} is not a positive divisor of 'data.tile' = {tile}")
+    return DataConfig(**section, seed=settings["run.seed"], spectrum=spectrum)
 
 
 def _out_dir(settings: dict) -> Path:
     out = Path(settings["run.out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _geometry_from_manifest(settings: dict, manifest) -> dict:
-    return {
-        "lr_height": manifest.tile_height // manifest.scale,
-        "lr_width": manifest.tile_width // manifest.scale,
-        "scale": manifest.scale,
-        "channels": 3,
-    }
 
 
 def cmd_build_data(ns: argparse.Namespace) -> int:
@@ -277,7 +229,7 @@ def cmd_build_data(ns: argparse.Namespace) -> int:
 def cmd_train(ns: argparse.Namespace) -> int:
     settings = load_settings(ns)
     manifest = datamod.load_manifest(ns.manifest)
-    model_cfg = _model_config(settings, **_geometry_from_manifest(settings, manifest))
+    model_cfg = _model_config(settings, manifest)
     train_cfg = _train_config(settings)
     out = _out_dir(settings)
     model = init_parameters(model_cfg, settings["run.seed"])
@@ -293,16 +245,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 def _check_explicit_model_keys(ns: argparse.Namespace, settings: dict, config: ModelConfig) -> None:
     """Explicit --model.* flags must agree with the loaded checkpoint."""
-    geometry = {"model.lr_height", "model.lr_width", "model.scale", "model.channels"}
-    for key in KEYS:
-        if not key.startswith("model.") or key in geometry:
-            continue
-        if getattr(ns, key, None) is None:
-            continue
-        attr = key.split(".", 1)[1]
-        if getattr(config, attr) != settings[key]:
+    for name, value in _section(settings, "model").items():
+        if getattr(ns, "model." + name) is not None and getattr(config, name) != value:
             raise CheckpointMismatchError(
-                f"'{key}' = {settings[key]} conflicts with checkpoint value {getattr(config, attr)}")
+                f"'model.{name}' = {value} conflicts with checkpoint value {getattr(config, name)}")
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -331,7 +277,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     settings = load_settings(ns)
     manifest = datamod.load_manifest(ns.manifest)
-    model_cfg = _model_config(settings, **_geometry_from_manifest(settings, manifest))
+    model_cfg = _model_config(settings, manifest)
     train_cfg = _train_config(settings)
     out = _out_dir(settings)
     try:

@@ -366,9 +366,7 @@ def read_png(path) -> np.ndarray:
             left = cur[i - channels] if i >= channels else 0
             up = prev[i]
             ul = prev[i - channels] if i >= channels else 0
-            if ftype == 0:
-                val = line[i]
-            elif ftype == 1:
+            if ftype == 1:
                 val = line[i] + left
             elif ftype == 2:
                 val = line[i] + up
@@ -397,13 +395,13 @@ DEFAULT_SPECTRUM = SpectrumSpec(
 
 @dataclass(frozen=True)
 class DataConfig:
-    sources: int = 10
-    source_height: int = 720
-    source_width: int = 1440
-    tile: int = 240
-    scale: int = 4
+    sources: int = field(default=10, metadata={"help": "number of synthetic source grids"})
+    source_height: int = field(default=720, metadata={"help": "source grid height"})
+    source_width: int = field(default=1440, metadata={"help": "source grid width"})
+    tile: int = field(default=240, metadata={"help": "HR tile edge"})
+    scale: int = field(default=4, metadata={"help": "downsampling factor"})
     seed: int = 0
-    train_fraction: float = 0.8
+    train_fraction: float = field(default=0.8, metadata={"help": "train share of the tile split"})
     spectrum: SpectrumSpec = DEFAULT_SPECTRUM
 
 

@@ -11,7 +11,7 @@ per-image coordinate network fitted directly to pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
     "encode",
     "pool_tokens",
     "decode_hr",
-    "forward",
-    "vit_mlp_forward",
     "siren_inr_forward",
     "predict",
     "coordinate_grid",
@@ -62,43 +60,50 @@ DECODER_MODES = ("per_token", "global_pooled")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; parameter count is a pure function of this."""
+    """Architecture hyperparameters; parameter count is a pure function of this.
 
-    patch_size: int
-    num_layers: int
-    num_heads: int
-    embed_dim: int
-    lr_height: int
-    lr_width: int
-    omega0: float = 20.0
-    siren_hidden_layers: int = 2
-    siren_hidden_dim: int = 64
+    Each field with "help" metadata is the CLI key ``model.<name>``.  The geometry
+    (LR size, scale, channels) is not a key: the manifest or checkpoint sets it.
+    """
+
+    patch_size: int = field(default=6, metadata={"help": "LR patch edge in pixels"})
+    num_layers: int = field(default=2, metadata={"help": "transformer blocks"})
+    num_heads: int = field(default=4, metadata={"help": "attention heads"})
+    embed_dim: int = field(default=64, metadata={"help": "token dimension"})
+    lr_height: int = 60
+    lr_width: int = 60
+    omega0: float = field(default=20.0, metadata={"help": "sine activation frequency"})
+    siren_hidden_layers: int = field(default=2, metadata={"help": "hidden layers per sine stack (1-6)"})
+    siren_hidden_dim: int = field(default=64, metadata={"help": "hidden width of the sine stacks"})
     scale: int = 4
-    decoder_mode: str = "per_token"
+    decoder_mode: str = field(default="per_token", metadata={"help": "per_token | global_pooled"})
     channels: int = 3
-    variant: str = "visir"
-    post_norm: bool = False
-    decoder_hidden_layers: int | None = None
+    variant: str = field(default="visir", metadata={"help": "visir | vit_mlp"})
+    post_norm: bool = field(default=False, metadata={"help": "literal residual-then-norm block ordering"})
+    decoder_hidden_layers: int | None = field(
+        default=None, metadata={"help": "decoder depth override (default: same as stacks)"})
 
     def __post_init__(self):
+        for name in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim",
+                     "lr_height", "lr_width", "scale", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         if self.lr_height % self.patch_size != 0 or self.lr_width % self.patch_size != 0:
             raise ValueError(f"patch size {self.patch_size} does not tile {self.lr_height}x{self.lr_width}")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
         if not 1 <= self.siren_hidden_layers <= 6:
             raise ValueError("siren_hidden_layers must lie in [1, 6]")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        if not 0 < self.omega0 < math.inf:
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
+        if self.decoder_hidden_layers is not None and self.decoder_hidden_layers < 0:
+            raise ValueError("decoder_hidden_layers must be >= 0")
         if self.decoder_mode not in DECODER_MODES:
             raise ValueError(f"decoder_mode must be one of {DECODER_MODES}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
 
     @property
     def grid_rows(self) -> int:
@@ -358,23 +363,10 @@ def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     return reshape(out, (cfg.hr_height, cfg.hr_width, cfg.channels))
 
 
-def forward(img, model: VisirModel) -> Tensor:
-    """End-to-end sine-variant reconstruction; differentiable throughout."""
-    if model.config.variant != "visir":
-        raise ValueError("forward() runs the sine variant; use vit_mlp_forward for the MLP baseline")
-    return decode_hr(encode(img, model), model)
-
-
-def vit_mlp_forward(img, model: VisirModel) -> Tensor:
-    """Equal-parameter baseline: GELU feed-forward stacks, sigmoid output."""
-    if model.config.variant != "vit_mlp":
-        raise ValueError("vit_mlp_forward() needs a model initialized with variant='vit_mlp'")
-    return decode_hr(encode(img, model), model)
-
-
 def predict(img, model: VisirModel) -> Tensor:
-    """Variant-dispatching forward pass (training and evaluation entry)."""
-    return forward(img, model) if model.config.variant == "visir" else vit_mlp_forward(img, model)
+    """LR image -> HR image in [0, 1], differentiable; the forward pass of both variants
+    (sine stacks and output, or the MLP baseline's GELU stacks and sigmoid output)."""
+    return decode_hr(encode(img, model), model)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -86,11 +86,11 @@ class CheckpointMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    steps: int = 500
-    batch_size: int = 1
+    learning_rate: float = field(default=1e-4, metadata={"help": "Adam learning rate"})
+    steps: int = field(default=500, metadata={"help": "optimization steps"})
+    batch_size: int = field(default=1, metadata={"help": "images per step"})
     seed: int = 0
-    eval_interval: int = 0
+    eval_interval: int = field(default=0, metadata={"help": "steps between test-split PSNR probes (0 = never)"})
 
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
@@ -125,6 +125,23 @@ def _mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
     return mean(mul(diff, diff))
 
 
+def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[dict[str, Tensor], float]:
+    """One Adam step on `loss_fn()`, recorded on a fresh tape: (new params, loss value).
+
+    A non-finite value in the forward or backward pass is a DivergenceError at `step`."""
+    clear_tape()
+    try:
+        loss = loss_fn()
+        value = loss.item()
+        backward(loss)
+        grads = {name: (p.grad if p.grad is not None else np.zeros(p.shape))
+                 for name, p in params.items()}
+        return adam_step(params, opt, grads), value
+    except NonFiniteError as exc:
+        clear_tape()
+        raise DivergenceError(step, str(exc)) from exc
+
+
 def train(model: VisirModel, data, cfg: TrainConfig, eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
     """Adam on the MSE reconstruction loss over the training split."""
     pairs = _resolve_pairs(data, "train")
@@ -136,23 +153,15 @@ def train(model: VisirModel, data, cfg: TrainConfig, eval_pairs: Sequence[SRPair
     eval_curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, len(pairs), size=cfg.batch_size)
-        clear_tape()
-        try:
+
+        def batch_loss() -> Tensor:
             total = None
             for i in idx:
                 term = _mse_loss(predict(pairs[i].lr, model), pairs[i].hr)
                 total = term if total is None else add(total, term)
-            loss = scale(total, 1.0 / cfg.batch_size)
-            value = loss.item()
-            backward(loss)
-            grads = {name: (p.grad if p.grad is not None else np.zeros(p.shape))
-                     for name, p in model.params.items()}
-            model.params = adam_step(model.params, opt, grads)
-        except NonFiniteError as exc:
-            clear_tape()
-            raise DivergenceError(step, str(exc)) from exc
-        if not math.isfinite(value):
-            raise DivergenceError(step)
+            return scale(total, 1.0 / cfg.batch_size)
+
+        model.params, value = _adam_update(model.params, opt, batch_loss, step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
             _, summary = evaluate(model, eval_pairs)
@@ -282,19 +291,16 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
         params[f"b{j}"] = b
     opt = init_adam(params, lr=learning_rate)
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
+
+    def current_stack() -> SirenStack:
+        return SirenStack([(params[f"w{j}"], params[f"b{j}"]) for j in range(hidden_layers + 1)], omega0)
+
+    def loss() -> Tensor:
+        return _mse_loss(siren_inr_forward(lr_coords, current_stack()), pair.lr)
+
     for step in range(1, steps + 1):
-        clear_tape()
-        stack = SirenStack([(params[f"w{j}"], params[f"b{j}"]) for j in range(hidden_layers + 1)], omega0)
-        try:
-            loss = _mse_loss(siren_inr_forward(lr_coords, stack), pair.lr)
-            backward(loss)
-            grads = {name: (p.grad if p.grad is not None else np.zeros(p.shape))
-                     for name, p in params.items()}
-            params = adam_step(params, opt, grads)
-        except NonFiniteError as exc:
-            clear_tape()
-            raise DivergenceError(step, str(exc)) from exc
-    stack = SirenStack([(params[f"w{j}"], params[f"b{j}"]) for j in range(hidden_layers + 1)], omega0)
+        params, _ = _adam_update(params, opt, loss, step)
+    stack = current_stack()
     with no_grad():
         hr_coords = coordinate_grid(pair.hr.shape[0], pair.hr.shape[1])
         recon = siren_inr_forward(hr_coords, stack).data
@@ -356,7 +362,12 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> VisirMo
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     config_bytes = reader.take(reader.u32())
     try:
-        config = ModelConfig(**json.loads(config_bytes.decode("utf-8")))
+        doc = json.loads(config_bytes.decode("utf-8"))
+        # Every field must be stored: a missing one would silently take its default.
+        names = {f.name for f in fields(ModelConfig)}
+        if set(doc) != names:
+            raise ValueError(f"missing fields {sorted(names - set(doc))}, unknown fields {sorted(set(doc) - names)}")
+        config = ModelConfig(**doc)
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
     if expected_config is not None and config != expected_config:

@@ -28,7 +28,6 @@ from visir.metrics import mse, psnr, psnr_from_mse, ssim
 from visir.model import (
     ModelConfig,
     as_mlp_baseline,
-    forward,
     init_parameters,
     parameter_count,
     predict,
@@ -81,7 +80,7 @@ def test_criterion_1_gradient_oracle():
         pair = synthetic_pair(0, lr_size=8, scale=2)
 
         ad.clear_tape()
-        out = forward(pair.lr, model)
+        out = predict(pair.lr, model)
         diff = ad.sub(out, Tensor(pair.hr))
         ad.backward(ad.mean(ad.mul(diff, diff)))
         analytic = {name: p.grad.copy() for name, p in model.params.items()}
@@ -95,7 +94,7 @@ def test_criterion_1_gradient_oracle():
                 saved = model.params[name]
                 model.params[name] = Tensor(a[name])
                 with no_grad():
-                    d = forward(pair.lr, model).data - pair.hr
+                    d = predict(pair.lr, model).data - pair.hr
                     value = float((d * d).mean())
                 model.params[name] = saved
                 return value

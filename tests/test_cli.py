@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from visir.cli import EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from visir.data import load_manifest, read_png, write_grid
@@ -67,6 +68,43 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "model.not_a_key" in capsys.readouterr().err
+
+
+def test_geometry_is_not_a_key(tmp_path, capsys):
+    # LR size, scale and channels come from the manifest or the checkpoint.
+    with pytest.raises(SystemExit) as exc:
+        main(["build-data", *SMALL_DATA_FLAGS, "--model.scale", "3", "--out", str(tmp_path / "x")])
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text("[model]\nlr_height = 60\n")
+    code = main(["build-data", "--config", str(cfg), *SMALL_DATA_FLAGS, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "model.lr_height" in capsys.readouterr().err
+
+
+def test_key_defaults_are_the_config_defaults():
+    from visir.cli import build_parser, load_settings
+    from visir.model import ModelConfig
+    from visir.training import TrainConfig
+
+    settings = load_settings(build_parser().parse_args(["build-data"]))
+    for section, config in (("model", ModelConfig()), ("train", TrainConfig())):
+        keys = [key for key in settings if key.startswith(section + ".")]
+        assert keys
+        for key in keys:
+            assert settings[key] == getattr(config, key.split(".", 1)[1]), key
+
+
+@pytest.mark.parametrize("flag", ["--model.patch_size", "--model.num_heads", "--model.embed_dim",
+                                  "--model.siren_hidden_dim", "--data.scale"])
+def test_zero_size_exits_2(tmp_path, capsys, flag):
+    if flag.startswith("--data."):
+        command = ["build-data", *SMALL_DATA_FLAGS]
+    else:
+        command = ["train", "--manifest", str(build_small_dataset(tmp_path)), "--train.steps", "1"]
+    code = main([*command, flag, "0", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert flag.split(".")[1] in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path):

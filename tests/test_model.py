@@ -15,7 +15,6 @@ from visir.model import (
     embed_patches,
     encode,
     extract_patches,
-    forward,
     init_parameters,
     init_siren_stack,
     mhsa,
@@ -25,7 +24,6 @@ from visir.model import (
     predict,
     siren_ffn,
     siren_inr_forward,
-    vit_mlp_forward,
 )
 
 from oracles import attention_single_head, finite_difference_grads, grads_close
@@ -55,6 +53,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, lr_height=8, lr_width=8,
                     omega0=0.0)
+    # A zero size is rejected by name, before anything is divided by it.
+    for size in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim"):
+        with pytest.raises(ValueError, match=size):
+            ModelConfig(**{**dict(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
+                                  lr_height=8, lr_width=8), size: 0})
+    for omega0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega0"):
+            ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, lr_height=8, lr_width=8,
+                        omega0=omega0)
+    with pytest.raises(ValueError, match="decoder_hidden_layers"):
+        ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, lr_height=8, lr_width=8,
+                    decoder_hidden_layers=-1)
 
 
 def test_config_token_arithmetic():
@@ -303,7 +313,7 @@ def test_decode_zero_weights_gives_half():
     for j in range(depth + 1):
         model.params[f"decoder.w{j}"] = Tensor(np.zeros(model.params[f"decoder.w{j}"].shape), requires_grad=True)
         model.params[f"decoder.b{j}"] = Tensor(np.zeros(model.params[f"decoder.b{j}"].shape), requires_grad=True)
-    out = forward(tiny_image(3), model)
+    out = predict(tiny_image(3), model)
     assert np.array_equal(out.data, np.full(out.shape, 0.5))
 
 
@@ -312,10 +322,10 @@ def test_decode_per_token_locality_without_attention():
                       lr_height=4, lr_width=4, scale=2, channels=1)
     model = init_parameters(cfg, seed=5)
     img = tiny_image(6, cfg)
-    base = forward(img, model).data
+    base = predict(img, model).data
     changed = img.copy()
     changed[0:2, 0:2, 0] = 1.0 - changed[0:2, 0:2, 0]  # flip patch 0 only
-    out = forward(changed, model).data
+    out = predict(changed, model).data
     diff = np.abs(out - base)
     assert diff[0:4, 0:4].max() > 0  # its own output patch moved
     assert np.array_equal(out[0:4, 4:8], base[0:4, 4:8])  # every other patch untouched
@@ -327,7 +337,7 @@ def test_decode_global_pooled_shape():
                       lr_height=4, lr_width=4, scale=2, channels=1,
                       decoder_mode="global_pooled", siren_hidden_dim=8)
     model = init_parameters(cfg, seed=0)
-    out = forward(tiny_image(7, cfg), model)
+    out = predict(tiny_image(7, cfg), model)
     assert out.shape == (8, 8, 1)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
@@ -348,7 +358,7 @@ def test_decode_global_pooled_shape():
 def test_forward_shape_and_bounds(cfg):
     model = init_parameters(cfg, seed=3)
     img = np.random.default_rng(4).uniform(0, 1, (cfg.lr_height, cfg.lr_width, cfg.channels))
-    out = forward(img, model)
+    out = predict(img, model)
     assert out.shape == (cfg.lr_height * cfg.scale, cfg.lr_width * cfg.scale, cfg.channels)
     assert out.data.min() >= 0.0
     assert out.data.max() <= 1.0
@@ -357,7 +367,7 @@ def test_forward_shape_and_bounds(cfg):
 def test_forward_deterministic_bit_identical():
     model = init_parameters(TINY, seed=9)
     img = tiny_image(10)
-    assert np.array_equal(forward(img, model).data, forward(img, model).data)
+    assert np.array_equal(predict(img, model).data, predict(img, model).data)
 
 
 def test_forward_gradients_spot_check():
@@ -368,7 +378,7 @@ def test_forward_gradients_spot_check():
     target = np.random.default_rng(15).uniform(0, 1, (16, 16, 1))
 
     ad.clear_tape()
-    out = forward(img, model)
+    out = predict(img, model)
     diff = ad.sub(out, Tensor(target))
     ad.backward(ad.mean(ad.mul(diff, diff)))
     analytic = {name: model.params[name].grad.copy()
@@ -398,7 +408,7 @@ def test_forward_gradients_spot_check():
 def test_vit_mlp_shape_contract():
     cfg = as_mlp_baseline(TINY)
     model = init_parameters(cfg, seed=0)
-    out = vit_mlp_forward(tiny_image(0), model)
+    out = predict(tiny_image(0), model)
     assert out.shape == (16, 16, 1)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
@@ -415,16 +425,12 @@ def test_vit_mlp_parameter_parity():
 def test_vit_mlp_deterministic():
     model = init_parameters(as_mlp_baseline(TINY), seed=2)
     img = tiny_image(3)
-    assert np.array_equal(vit_mlp_forward(img, model).data, vit_mlp_forward(img, model).data)
+    assert np.array_equal(predict(img, model).data, predict(img, model).data)
 
 
 def test_variant_dispatch_is_strict():
     sine = init_parameters(TINY, seed=0)
     mlp = init_parameters(as_mlp_baseline(TINY), seed=0)
-    with pytest.raises(ValueError):
-        vit_mlp_forward(tiny_image(0), sine)
-    with pytest.raises(ValueError):
-        forward(tiny_image(0), mlp)
     assert predict(tiny_image(0), sine).shape == predict(tiny_image(0), mlp).shape
 
 

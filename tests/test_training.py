@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -265,6 +268,21 @@ def test_checkpoint_truncated(tmp_path):
     (tmp_path / "cut.vsck").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(tmp_path / "cut.vsck")
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+def test_checkpoint_config_missing_field(tmp_path, name):
+    # Every field has a default, so a dropped one must be an error, not a silent fill.
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    blob = (tmp_path / "m.vsck").read_bytes()
+    version, size = struct.unpack("<II", blob[4:12])
+    config = json.loads(blob[12:12 + size])
+    del config[name]
+    short = json.dumps(config, sort_keys=True).encode("utf-8")
+    (tmp_path / "short.vsck").write_bytes(blob[:4] + struct.pack("<II", version, len(short)) + short
+                                          + blob[12 + size:])
+    with pytest.raises(CheckpointFormatError, match=name):
+        load_checkpoint(tmp_path / "short.vsck")
 
 
 def test_checkpoint_trailing_garbage(tmp_path):
