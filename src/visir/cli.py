@@ -205,6 +205,8 @@ def _data_config(settings: dict) -> DataConfig:
                           f"{section['source_height']}x{section['source_width']} source grid")
     if scale < 1 or tile % scale != 0:
         raise ConfigError(f"'data.scale' = {scale} is not a positive divisor of 'data.tile' = {tile}")
+    if not 0.0 <= section["train_fraction"] <= 1.0:
+        raise ConfigError(f"'data.train_fraction' = {section['train_fraction']} is outside [0, 1]")
     return DataConfig(**section, seed=settings["run.seed"], spectrum=spectrum)
 
 
@@ -234,7 +236,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out = _out_dir(settings)
     model = init_parameters(model_cfg, settings["run.seed"])
     eval_pairs = datamod.load_pairs(manifest, "test") if train_cfg.eval_interval > 0 else None
-    result = training.train(model, manifest, train_cfg, eval_pairs=eval_pairs)
+    result = training.train(model, datamod.load_pairs(manifest, "train"), train_cfg, eval_pairs=eval_pairs)
     save_checkpoint(result.model, out / "model.vsck")
     training.write_loss_curve(result.curve, out / "loss_curve.csv")
     final = result.final_loss
@@ -263,7 +265,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             f"does not match manifest tiles {manifest.tile_height}x{manifest.tile_width}")
     out = _out_dir(settings)
     entries = manifest.split(ns.split)
-    reports, summary = training.evaluate(model, manifest, split=ns.split)
+    reports, summary = training.evaluate(model, datamod.load_pairs(manifest, ns.split))
     training.write_eval_csv([e.pair_id for e in entries], reports, out / "eval.csv")
     print(f"{ns.split} split: {summary.count} images")
     for name, stat in (("MSE", summary.mse), ("PSNR", summary.psnr), ("SSIM", summary.ssim)):
@@ -285,7 +287,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         layer_counts = tuple(int(c) for c in settings["sweep.layers"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
-    result = training.sweep(model_cfg, manifest, train_cfg, frequencies, layer_counts)
+    split = {name: datamod.load_pairs(manifest, name) for name in ("train", "test")}
+    result = training.sweep(model_cfg, split, train_cfg, frequencies, layer_counts)
     training.write_sweep_csv(result, out / "sweep.csv")
     for layers, freq, message in result.failures:
         print(f"cell (layers={layers}, omega0={freq}) failed: {message}", file=sys.stderr)

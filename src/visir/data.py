@@ -107,7 +107,7 @@ class SRPair:
         if hr.shape[0] != lr.shape[0] * s or hr.shape[1] != lr.shape[1] * s or hr.shape[2] != lr.shape[2]:
             raise ValueError(f"hr {hr.shape} is not {s}x the lr {lr.shape}")
         for name, img in (("hr", hr), ("lr", lr)):
-            if img.min() < 0.0 or img.max() > 1.0:
+            if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails this too
                 raise ValueError(f"{name} image leaves the unit interval")
         object.__setattr__(self, "hr", hr)
         object.__setattr__(self, "lr", lr)
@@ -275,7 +275,11 @@ def read_grid(path) -> tuple[np.ndarray, str]:
         raw = fh.read(8 * h * w * c)
         if len(raw) != 8 * h * w * c:
             raise ValueError("truncated grid payload")
-        values = np.frombuffer(raw, dtype="<f8").reshape(h, w, c).astype(np.float64)
+        if fh.read(1):
+            raise ValueError("trailing bytes after grid payload")
+    values = np.frombuffer(raw, dtype="<f8").reshape(h, w, c).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("grid contains non-finite values")
     return values, units
 
 
@@ -315,14 +319,6 @@ def write_png(path, img: np.ndarray) -> None:
         fh.write(_png_chunk(b"IEND", b""))
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def read_png(path) -> np.ndarray:
     """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1]."""
     with open(path, "rb") as fh:
@@ -332,54 +328,54 @@ def read_png(path) -> np.ndarray:
     pos = 8
     idat = bytearray()
     width = height = channels = None
-    while pos < len(blob):
-        length, = struct.unpack(">I", blob[pos:pos + 4])
-        tag = blob[pos + 4:pos + 8]
-        payload = blob[pos + 8:pos + 8 + length]
-        pos += 12 + length
-        if tag == b"IHDR":
-            width, height, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
-            if depth != 8 or color_type not in (0, 2) or comp != 0 or filt != 0 or interlace != 0:
-                raise ValueError("unsupported PNG flavor (need 8-bit gray/RGB, non-interlaced)")
-            channels = 1 if color_type == 0 else 3
-        elif tag == b"IDAT":
-            idat.extend(payload)
-        elif tag == b"IEND":
-            break
-    if width is None:
-        raise ValueError("PNG missing IHDR")
-    data = zlib.decompress(bytes(idat))
+    try:
+        while pos < len(blob):
+            length, = struct.unpack(">I", blob[pos:pos + 4])
+            tag = blob[pos + 4:pos + 8]
+            payload = blob[pos + 8:pos + 8 + length]
+            pos += 12 + length
+            if tag == b"IHDR":
+                width, height, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
+                if depth != 8 or color_type not in (0, 2) or comp != 0 or filt != 0 or interlace != 0:
+                    raise ValueError("unsupported PNG flavor (need 8-bit gray/RGB, non-interlaced)")
+                channels = 1 if color_type == 0 else 3
+            elif tag == b"IDAT":
+                idat.extend(payload)
+            elif tag == b"IEND":
+                break
+        if width is None:
+            raise ValueError("PNG missing IHDR")
+        data = zlib.decompress(bytes(idat))
+    except (struct.error, zlib.error) as exc:
+        raise ValueError(f"malformed PNG: {exc}") from exc
     stride = width * channels
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int64)
-    pos = 0
+    if len(data) != height * (stride + 1):
+        raise ValueError(f"PNG image data has {len(data)} bytes, {width}x{height} needs {height * (stride + 1)}")
+    out = bytearray()
+    prev = bytearray(stride)
     for row in range(height):
+        pos = row * (stride + 1)
         ftype = data[pos]
-        line = np.frombuffer(data, dtype=np.uint8, count=stride, offset=pos + 1).astype(np.int64)
-        pos += 1 + stride
-        if ftype == 0:
-            out[row] = line.astype(np.uint8)
-            prev = line
-            continue
-        cur = np.zeros(stride, dtype=np.int64)
-        for i in range(stride):
+        cur = bytearray(data[pos + 1:pos + 1 + stride])
+        if ftype > 4:
+            raise ValueError(f"bad PNG filter type {ftype}")
+        for i in range(stride if ftype else 0):  # type 0 (None) stores the bytes as they are
             left = cur[i - channels] if i >= channels else 0
             up = prev[i]
-            ul = prev[i - channels] if i >= channels else 0
             if ftype == 1:
-                val = line[i] + left
+                cur[i] = (cur[i] + left) & 0xFF
             elif ftype == 2:
-                val = line[i] + up
+                cur[i] = (cur[i] + up) & 0xFF
             elif ftype == 3:
-                val = line[i] + (left + up) // 2
-            elif ftype == 4:
-                val = line[i] + _paeth(int(left), int(up), int(ul))
+                cur[i] = (cur[i] + (left + up) // 2) & 0xFF
             else:
-                raise ValueError(f"bad PNG filter type {ftype}")
-            cur[i] = val & 0xFF
-        out[row] = cur.astype(np.uint8)
+                ul = prev[i - channels] if i >= channels else 0
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
+        out += cur
         prev = cur
-    return out.reshape(height, width, channels).astype(np.float64) / 255.0
+    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(height, width, channels).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,18 +39,16 @@ __all__ = [
     "SirenStack",
     "VisirModel",
     "extract_patches",
-    "embed_patches",
-    "add_positional_encoding",
     "mhsa",
-    "siren_ffn",
+    "apply_stack",
     "encode",
-    "pool_tokens",
     "decode_hr",
     "siren_inr_forward",
     "predict",
     "coordinate_grid",
     "init_parameters",
     "init_siren_stack",
+    "parameter_layout",
     "parameter_count",
 ]
 
@@ -216,18 +214,6 @@ def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int,
     return reshape(x, (grid_rows * p_out, grid_cols * p_out, channels))
 
 
-def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    if weight.shape[1] != patches.shape[1]:
-        raise ShapeError(f"embedding expects patch dim {weight.shape[1]}, got {patches.shape[1]}")
-    return affine(patches, weight, bias)
-
-
-def add_positional_encoding(tokens: Tensor, pos: Tensor) -> Tensor:
-    if tokens.shape != pos.shape:
-        raise ShapeError(f"positional encoding {pos.shape} does not match tokens {tokens.shape}")
-    return add(tokens, pos)
-
-
 # ---------------------------------------------------------------------------
 # Attention and sine stacks
 # ---------------------------------------------------------------------------
@@ -256,7 +242,8 @@ def apply_stack(x: Tensor, stack: SirenStack, hidden: str = "sine", final: str =
     """Run a stack of affine layers with the chosen activations.
 
     hidden: "sine" or "gelu", applied after every layer but the last.
-    final: "affine" (unbounded), "sine", or "sigmoid".
+    final: "affine" (unbounded, residual-friendly), "sine" mapped onto [0, 1]
+    as (sin + 1) / 2, or "sigmoid".
     """
     for w, b in stack.layers[:-1]:
         x = affine(x, w, b)
@@ -265,20 +252,10 @@ def apply_stack(x: Tensor, stack: SirenStack, hidden: str = "sine", final: str =
     x = affine(x, w, b)
     if final == "sine":
         x = sine_activation(x, stack.omega0)
+        x = scale(add(x, Tensor(np.ones(x.shape))), 0.5)
     elif final == "sigmoid":
         x = sigmoid(x)
     return x
-
-
-def siren_ffn(x: Tensor, stack: SirenStack) -> Tensor:
-    """Sine hidden layers, affine output (unbounded, residual-friendly)."""
-    return apply_stack(x, stack, hidden="sine", final="affine")
-
-
-def pool_tokens(tokens: Tensor) -> Tensor:
-    if tokens.shape[0] < 1:
-        raise ShapeError("cannot pool an empty token sequence")
-    return mean(tokens, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +307,7 @@ def encode(img, model: VisirModel) -> Tensor:
     t = _as_image_tensor(img)
     _check_input(cfg, t)
     p = model.params
-    tokens = embed_patches(extract_patches(t, cfg.patch_size), p["embed.weight"], p["embed.bias"])
-    tokens = add_positional_encoding(tokens, p["pos"])
+    tokens = add(affine(extract_patches(t, cfg.patch_size), p["embed.weight"], p["embed.bias"]), p["pos"])
     act = _hidden_act(cfg)
     for i in range(cfg.num_layers):
         tokens = _encoder_block(tokens, model, i, act)
@@ -348,18 +324,12 @@ def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     cfg = model.config
     if tokens.shape != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
-    stack = model.decoder_stack()
-    act = _hidden_act(cfg)
-    final = "sine" if cfg.variant == "visir" else "sigmoid"
+    if cfg.decoder_mode == "global_pooled":
+        tokens = reshape(mean(tokens, axis=0), (1, cfg.embed_dim))
+    out = apply_stack(tokens, model.decoder_stack(), hidden=_hidden_act(cfg),
+                      final="sine" if cfg.variant == "visir" else "sigmoid")
     if cfg.decoder_mode == "per_token":
-        out = apply_stack(tokens, stack, hidden=act, final=final)
-        if final == "sine":
-            out = scale(add(out, Tensor(np.ones(out.shape))), 0.5)
         return patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
-    pooled = reshape(pool_tokens(tokens), (1, cfg.embed_dim))
-    out = apply_stack(pooled, stack, hidden=act, final=final)
-    if final == "sine":
-        out = scale(add(out, Tensor(np.ones(out.shape))), 0.5)
     return reshape(out, (cfg.hr_height, cfg.hr_width, cfg.channels))
 
 
@@ -389,7 +359,6 @@ def siren_inr_forward(coords, stack: SirenStack) -> Tensor:
         raise ShapeError(f"coordinates have dim {t.shape[-1]}, stack expects {stack.in_dim}")
     flat = reshape(t, (int(np.prod(lead)) if lead else 1, stack.in_dim))
     out = apply_stack(flat, stack, hidden="sine", final="sine")
-    out = scale(add(out, Tensor(np.ones(out.shape))), 0.5)
     return reshape(out, lead + (stack.out_dim,))
 
 
@@ -397,68 +366,62 @@ def siren_inr_forward(coords, stack: SirenStack) -> Tensor:
 # Initialization
 # ---------------------------------------------------------------------------
 
-def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _stack_params(rng: np.random.Generator, dims: list[int], omega0: float, sine_init: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
+def _stack_layout(prefix: str, dims: list[int], omega0: float, sine_init: bool) -> dict[str, tuple]:
+    layout = {}
     for j, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         if sine_init:
             bound = 1.0 / fan_in if j == 0 else math.sqrt(6.0 / fan_in) / omega0
         else:
             bound = 1.0 / math.sqrt(fan_in)
-        w = _uniform(rng, (fan_out, fan_in), bound)
-        b = _uniform(rng, (fan_out,), 1.0 / math.sqrt(fan_in))
-        out.append((w, b))
-    return out
+        layout[f"{prefix}w{j}"] = ((fan_out, fan_in), bound)
+        layout[f"{prefix}b{j}"] = ((fan_out,), 1.0 / math.sqrt(fan_in))
+    return layout
 
 
-def init_siren_stack(dims: list[int], omega0: float, seed: int) -> SirenStack:
-    """Standalone sine stack (used by the coordinate-network baseline)."""
-    rng = np.random.default_rng(seed)
-    layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-              for w, b in _stack_params(rng, dims, omega0, sine_init=True)]
-    return SirenStack(layers, omega0)
+def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], float | None]]:
+    """Name -> (shape, init bound) of every parameter, in the order init_parameters draws them.
 
-
-def init_parameters(config: ModelConfig, seed: int) -> VisirModel:
-    """Fresh model, reproducible bit-for-bit from the seed.
-
+    A bound b means uniform in +-b; None marks a layer-norm tensor (gain 1, shift 0).
     Sine stacks follow the coordinate-network scheme: first layer uniform in
     +-1/fan_in, deeper layers +-sqrt(6/fan_in)/omega0.  Attention, embedding
     and MLP-variant stacks use uniform +-1/sqrt(fan_in).
     """
-    rng = np.random.default_rng(seed)
     cfg = config
+    d = cfg.embed_dim
     sine_init = cfg.variant == "visir"
-    raw: dict[str, np.ndarray] = {}
-
-    raw["embed.weight"] = _uniform(rng, (cfg.embed_dim, cfg.patch_dim), 1.0 / math.sqrt(cfg.patch_dim))
-    raw["embed.bias"] = _uniform(rng, (cfg.embed_dim,), 1.0 / math.sqrt(cfg.patch_dim))
-    raw["pos"] = _uniform(rng, (cfg.num_tokens, cfg.embed_dim), 1.0 / math.sqrt(cfg.embed_dim))
-
-    attn_bound = 1.0 / math.sqrt(cfg.embed_dim)
+    layout = {"embed.weight": ((d, cfg.patch_dim), 1.0 / math.sqrt(cfg.patch_dim)),
+              "embed.bias": ((d,), 1.0 / math.sqrt(cfg.patch_dim)),
+              "pos": ((cfg.num_tokens, d), 1.0 / math.sqrt(d))}
     for i in range(cfg.num_layers):
-        for name in ("wq", "wk", "wv", "wo"):
-            raw[f"block{i}.attn.{name}"] = _uniform(rng, (cfg.embed_dim, cfg.embed_dim), attn_bound)
-            raw[f"block{i}.attn.{name.replace('w', 'b')}"] = _uniform(rng, (cfg.embed_dim,), attn_bound)
-        raw[f"block{i}.ln1.gain"] = np.ones(cfg.embed_dim)
-        raw[f"block{i}.ln1.shift"] = np.zeros(cfg.embed_dim)
-        raw[f"block{i}.ln2.gain"] = np.ones(cfg.embed_dim)
-        raw[f"block{i}.ln2.shift"] = np.zeros(cfg.embed_dim)
-        ffn_dims = [cfg.embed_dim] + [cfg.siren_hidden_dim] * cfg.siren_hidden_layers + [cfg.embed_dim]
-        for j, (w, b) in enumerate(_stack_params(rng, ffn_dims, cfg.omega0, sine_init)):
-            raw[f"block{i}.ffn.w{j}"] = w
-            raw[f"block{i}.ffn.b{j}"] = b
+        for name in ("q", "k", "v", "o"):
+            layout[f"block{i}.attn.w{name}"] = ((d, d), 1.0 / math.sqrt(d))
+            layout[f"block{i}.attn.b{name}"] = ((d,), 1.0 / math.sqrt(d))
+        for name in ("ln1.gain", "ln1.shift", "ln2.gain", "ln2.shift"):
+            layout[f"block{i}.{name}"] = ((d,), None)
+        ffn_dims = [d] + [cfg.siren_hidden_dim] * cfg.siren_hidden_layers + [d]
+        layout.update(_stack_layout(f"block{i}.ffn.", ffn_dims, cfg.omega0, sine_init))
+    dec_dims = [d] + [cfg.siren_hidden_dim] * cfg.decoder_depth + [cfg.decoder_out_dim]
+    layout.update(_stack_layout("decoder.", dec_dims, cfg.omega0, sine_init))
+    return layout
 
-    dec_dims = [cfg.embed_dim] + [cfg.siren_hidden_dim] * cfg.decoder_depth + [cfg.decoder_out_dim]
-    for j, (w, b) in enumerate(_stack_params(rng, dec_dims, cfg.omega0, sine_init)):
-        raw[f"decoder.w{j}"] = w
-        raw[f"decoder.b{j}"] = b
 
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in raw.items()}
-    return VisirModel(config=cfg, params=params)
+def _draw(layout: dict[str, tuple], seed: int) -> dict[str, Tensor]:
+    """Trainable tensors for `layout`, reproducible bit-for-bit from the seed."""
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.uniform(-bound, bound, size=shape) if bound is not None
+                         else np.full(shape, 1.0 if name.endswith(".gain") else 0.0), requires_grad=True)
+            for name, (shape, bound) in layout.items()}
+
+
+def init_siren_stack(dims: list[int], omega0: float, seed: int) -> SirenStack:
+    """Standalone sine stack (used by the coordinate-network baseline)."""
+    params = list(_draw(_stack_layout("", dims, omega0, sine_init=True), seed).values())
+    return SirenStack(list(zip(params[::2], params[1::2])), omega0)
+
+
+def init_parameters(config: ModelConfig, seed: int) -> VisirModel:
+    """Fresh model, reproducible bit-for-bit from the seed; see parameter_layout."""
+    return VisirModel(config=config, params=_draw(parameter_layout(config), seed))
 
 
 def as_mlp_baseline(config: ModelConfig) -> ModelConfig:

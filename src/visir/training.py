@@ -31,7 +31,7 @@ from .autodiff import (
     scale,
     sub,
 )
-from .data import DatasetManifest, SRPair, load_pairs
+from .data import SRPair
 from .metrics import MetricsReport, evaluate_pair
 from .model import (
     ModelConfig,
@@ -40,6 +40,7 @@ from .model import (
     coordinate_grid,
     init_parameters,
     init_siren_stack,
+    parameter_layout,
     predict,
     siren_inr_forward,
 )
@@ -95,6 +96,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.eval_interval < 0:
+            raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
 
 
 @dataclass
@@ -106,18 +111,6 @@ class TrainResult:
     @property
     def final_loss(self) -> float | None:
         return self.curve[-1][1] if self.curve else None
-
-
-def _resolve_pairs(data, split: str | None) -> list[SRPair]:
-    """Accepts a DatasetManifest, a {"train": [...], "test": [...]} dict, or a
-    plain pair sequence (used verbatim regardless of the requested split)."""
-    if isinstance(data, DatasetManifest):
-        return load_pairs(data, split)
-    if isinstance(data, dict):
-        if split is None:
-            return [p for pairs in data.values() for p in pairs]
-        return list(data.get(split, ()))
-    return list(data)
 
 
 def _mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
@@ -142,9 +135,10 @@ def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[di
         raise DivergenceError(step, str(exc)) from exc
 
 
-def train(model: VisirModel, data, cfg: TrainConfig, eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
-    """Adam on the MSE reconstruction loss over the training split."""
-    pairs = _resolve_pairs(data, "train")
+def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
+          eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
+    """Adam on the MSE reconstruction loss over `pairs`; mean PSNR on `eval_pairs`
+    every `cfg.eval_interval` steps."""
     if not pairs:
         raise ValueError("no training pairs")
     rng = np.random.default_rng(cfg.seed)
@@ -204,13 +198,12 @@ def _summarize(reports: Sequence[MetricsReport]) -> EvalSummary:
     )
 
 
-def evaluate(model: VisirModel, data, split: str = "test") -> tuple[list[MetricsReport], EvalSummary]:
-    """Per-image metric reports plus their Max/Mean/Min summary.
+def evaluate(model: VisirModel, pairs: Sequence[SRPair]) -> tuple[list[MetricsReport], EvalSummary]:
+    """Per-image metric reports for `pairs` plus their Max/Mean/Min summary.
 
     Infinite PSNR values (perfect reconstructions) are excluded from the
     mean; psnr_inf_count says how many were dropped.
     """
-    pairs = _resolve_pairs(data, split)
     if not pairs:
         raise ValueError("empty evaluation split")
     reports = []
@@ -244,18 +237,18 @@ class SweepResult:
         return key, finite[key]
 
 
-def sweep(base_config: ModelConfig, data, train_cfg: TrainConfig,
+def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cfg: TrainConfig,
           frequencies: Sequence[float] = DEFAULT_FREQUENCIES,
           layer_counts: Sequence[int] = DEFAULT_LAYER_COUNTS) -> SweepResult:
-    """Train one model per (hidden layers, omega0) cell under one budget.
+    """Train one model per (hidden layers, omega0) cell on split["train"] under
+    one budget, and score it on split["test"].
 
     Every requested cell appears in the result exactly once: either a finite
     mean test PSNR or NaN with an entry in `failures`.
     """
     if not frequencies or not layer_counts:
         raise ValueError("sweep grid must be non-empty")
-    train_pairs = _resolve_pairs(data, "train")
-    test_pairs = _resolve_pairs(data, "test")
+    train_pairs, test_pairs = split["train"], split["test"]
     cells: dict[tuple[int, float], float] = {}
     failures: list[tuple[int, float, str]] = []
     for layers in layer_counts:
@@ -382,6 +375,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> VisirMo
         params[name] = Tensor(values, requires_grad=True)
     if reader.pos != len(reader.blob):
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
+    # The tensors must be exactly those init_parameters(config) builds: the layers trust this.
+    stored = {name: p.shape for name, p in params.items()}
+    expected = {name: shape for name, (shape, _) in parameter_layout(config).items()}
+    if stored != expected:
+        wrong = [f"{name}: stored {stored.get(name)}, expected {expected.get(name)}"
+                 for name in sorted(stored.keys() | expected.keys()) if stored.get(name) != expected.get(name)]
+        raise CheckpointFormatError("checkpoint tensors do not match its config: " + "; ".join(wrong))
     return VisirModel(config=config, params=params)
 
 

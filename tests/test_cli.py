@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from visir.cli import EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
-from visir.data import load_manifest, read_png, write_grid
+from visir.data import load_manifest, load_pairs, read_png, write_grid, write_png
 from visir.training import load_checkpoint
 
 TINY_MODEL_FLAGS = [
@@ -107,6 +107,19 @@ def test_zero_size_exits_2(tmp_path, capsys, flag):
     assert flag.split(".")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--train.learning_rate", "nan"), ("--train.learning_rate", "-1e-3"),
+                                        ("--train.eval_interval", "-1"), ("--data.train_fraction", "1.5"),
+                                        ("--data.train_fraction", "-0.1")])
+def test_bad_value_exits_2(tmp_path, capsys, flag, value):
+    if flag.startswith("--data."):
+        command = ["build-data", *SMALL_DATA_FLAGS]
+    else:
+        command = ["train", "--manifest", str(build_small_dataset(tmp_path)), "--train.steps", "1"]
+    code = main([*command, f"{flag}={value}", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert flag.split(".")[1] in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[data]\nsources = 1\nsource_height = 24\nsource_width = 48\ntile = 12\nscale = 2\n")
@@ -191,7 +204,7 @@ def test_eval_matches_library(tmp_path):
 
     model = load_checkpoint(ckpt)
     manifest = load_manifest(manifest_path)
-    reports, _ = evaluate(model, manifest, split="test")
+    reports, _ = evaluate(model, load_pairs(manifest, "test"))
     rows = (out / "eval.csv").read_text().strip().split("\n")[1:]
     for row, report in zip(rows, reports):
         _, mse_s, psnr_s, ssim_s = row.split(",")
@@ -301,6 +314,64 @@ def test_reconstruct_wrong_input_shape_exits_5(tmp_path):
     code = main(["reconstruct", "--checkpoint", str(ckpt),
                  "--input", str(tmp_path / "wrong.vsgr"), "--out", str(tmp_path / "r")])
     assert code == EXIT_MISMATCH
+
+
+def _small_checkpoint(path, edit=None):
+    from visir.model import ModelConfig, init_parameters
+    from visir.training import save_checkpoint
+
+    cfg = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
+                      lr_height=4, lr_width=4, siren_hidden_dim=8, scale=2, channels=3)
+    model = init_parameters(cfg, seed=0)
+    if edit is not None:
+        edit(model.params)
+    save_checkpoint(model, path)
+    return path
+
+
+def _truncated_png(path):
+    write_png(path, np.full((4, 4, 3), 0.5))
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def _corrupt_idat_png(path):
+    write_png(path, np.full((4, 4, 3), 0.5))
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"IDAT") + 4
+    blob[at:at + 4] = b"\xff\xff\xff\xff"  # zlib header check fails
+    path.write_bytes(bytes(blob))
+
+
+def _nan_grid(path):
+    grid = np.full((4, 4, 3), 0.5)
+    grid[1, 2, 0] = np.nan
+    write_grid(path, grid)
+
+
+def _grid_with_trailing_bytes(path):
+    write_grid(path, np.full((4, 4, 3), 0.5))
+    path.write_bytes(path.read_bytes() + b"\x00\x00")
+
+
+@pytest.mark.parametrize("name,make", [("truncated.png", _truncated_png), ("idat.png", _corrupt_idat_png),
+                                       ("nan.vsgr", _nan_grid), ("trailing.vsgr", _grid_with_trailing_bytes)])
+def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    make(tmp_path / name)
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / name),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_CONFIG
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "reconstruction.png").exists()
+
+
+def test_reconstruct_checkpoint_missing_tensor_exits_5(tmp_path, capsys):
+    ckpt = _small_checkpoint(tmp_path / "m.vsck", edit=lambda params: params.pop("pos"))
+    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_MISMATCH
+    assert "pos" in capsys.readouterr().err
 
 
 def test_reconstruct_accepts_png_input(tmp_path):

@@ -338,6 +338,10 @@ def test_srpair_unit_interval_contract():
     hr = np.full((4, 4, 1), 1.5)
     with pytest.raises(ValueError):
         SRPair(hr=hr, lr=np.zeros((2, 2, 1)), scale=2)
+    nan_lr = np.zeros((2, 2, 1))
+    nan_lr[0, 1, 0] = np.nan  # NaN is outside the interval too, not a divergence later
+    with pytest.raises(ValueError, match="lr"):
+        SRPair(hr=np.zeros((4, 4, 1)), lr=nan_lr, scale=2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ from visir.autodiff import ShapeError, Tensor
 from visir.model import (
     ModelConfig,
     SirenStack,
-    add_positional_encoding,
+    apply_stack,
     as_mlp_baseline,
     coordinate_grid,
     decode_hr,
-    embed_patches,
     encode,
     extract_patches,
     init_parameters,
@@ -20,9 +19,7 @@ from visir.model import (
     mhsa,
     parameter_count,
     patches_to_image,
-    pool_tokens,
     predict,
-    siren_ffn,
     siren_inr_forward,
 )
 
@@ -116,7 +113,7 @@ def test_patches_are_row_major():
 def test_embed_zero_weight_gives_bias():
     patches = Tensor(np.random.default_rng(2).uniform(size=(5, 12)))
     v = np.arange(4, dtype=np.float64)
-    tokens = embed_patches(patches, Tensor(np.zeros((4, 12))), Tensor(v))
+    tokens = ad.affine(patches, Tensor(np.zeros((4, 12))), Tensor(v))
     assert np.array_equal(tokens.data, np.tile(v, (5, 1)))
 
 
@@ -126,8 +123,8 @@ def test_embed_is_affine():
     b = rng.normal(size=(4, 6))
     w = Tensor(rng.normal(size=(3, 6)))
     bias = Tensor(rng.normal(size=3))
-    both = embed_patches(Tensor(a + b), w, bias).data
-    separate = embed_patches(Tensor(a), w, bias).data + embed_patches(Tensor(b), w, bias).data - bias.data
+    both = ad.affine(Tensor(a + b), w, bias).data
+    separate = ad.affine(Tensor(a), w, bias).data + ad.affine(Tensor(b), w, bias).data - bias.data
     assert np.allclose(both, separate, atol=1e-12)
 
 
@@ -136,7 +133,7 @@ def test_embed_matches_plain_product():
     patches = rng.normal(size=(7, 10))
     w = rng.normal(size=(5, 10))
     b = rng.normal(size=5)
-    tokens = embed_patches(Tensor(patches), Tensor(w), Tensor(b))
+    tokens = ad.affine(Tensor(patches), Tensor(w), Tensor(b))
     assert np.allclose(tokens.data, patches @ w.T + b, atol=1e-12)
 
 
@@ -144,10 +141,10 @@ def test_positional_encoding():
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(6, 4))
     pos = rng.normal(size=(6, 4))
-    assert np.array_equal(add_positional_encoding(Tensor(tokens), Tensor(np.zeros((6, 4)))).data, tokens)
-    assert np.array_equal(add_positional_encoding(Tensor(np.zeros((6, 4))), Tensor(pos)).data, pos)
+    assert np.array_equal(ad.add(Tensor(tokens), Tensor(np.zeros((6, 4)))).data, tokens)
+    assert np.array_equal(ad.add(Tensor(np.zeros((6, 4))), Tensor(pos)).data, pos)
     with pytest.raises(ShapeError):
-        add_positional_encoding(Tensor(tokens), Tensor(np.zeros((5, 4))))
+        ad.add(Tensor(tokens), Tensor(np.zeros((5, 4))))
 
 
 def test_positional_encoding_breaks_permutation_symmetry():
@@ -155,9 +152,9 @@ def test_positional_encoding_breaks_permutation_symmetry():
     tokens = rng.normal(size=(4, 3))
     pos = rng.normal(size=(4, 3))
     perm = [2, 0, 3, 1]
-    permuted_only_tokens = add_positional_encoding(Tensor(tokens[perm]), Tensor(pos)).data
-    both_permuted = add_positional_encoding(Tensor(tokens[perm]), Tensor(pos[perm])).data
-    original = add_positional_encoding(Tensor(tokens), Tensor(pos)).data
+    permuted_only_tokens = ad.add(Tensor(tokens[perm]), Tensor(pos)).data
+    both_permuted = ad.add(Tensor(tokens[perm]), Tensor(pos[perm])).data
+    original = ad.add(Tensor(tokens), Tensor(pos)).data
     assert not np.array_equal(permuted_only_tokens, original[perm])
     assert np.array_equal(both_permuted, original[perm])
 
@@ -214,14 +211,14 @@ def test_mhsa_matches_hand_rolled_single_head():
 def test_siren_ffn_zero_stack():
     stack = SirenStack([(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))),
                         (Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))], omega0=20.0)
-    out = siren_ffn(Tensor(np.random.default_rng(10).normal(size=(3, 4))), stack)
+    out = apply_stack(Tensor(np.random.default_rng(10).normal(size=(3, 4))), stack)
     assert np.array_equal(out.data, np.zeros((3, 4)))
 
 
 def test_siren_ffn_scalar_analytic():
     stack = SirenStack([(Tensor([[1.0]]), Tensor([0.0])),
                         (Tensor([[1.0]]), Tensor([0.0]))], omega0=20.0)
-    out = siren_ffn(Tensor([[math.pi / 40.0]]), stack)
+    out = apply_stack(Tensor([[math.pi / 40.0]]), stack)
     assert out.data[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -238,7 +235,7 @@ def test_siren_ffn_gradients_two_hidden_layers():
         stack = SirenStack([(Tensor(arrs["w0"], track), Tensor(arrs["b0"], track)),
                             (Tensor(arrs["w1"], track), Tensor(arrs["b1"], track)),
                             (Tensor(arrs["w2"], track), Tensor(arrs["b2"], track))], omega0=20.0)
-        out = siren_ffn(Tensor(x), stack)
+        out = apply_stack(Tensor(x), stack)
         return ad.mean(ad.mul(out, out)), stack
 
     ad.clear_tape()
@@ -267,8 +264,8 @@ def test_encode_no_layers_is_embedding_plus_pos():
     img = tiny_image(0, cfg)
     tokens = encode(img, model)
     patches = extract_patches(img, 2)
-    expected = add_positional_encoding(
-        embed_patches(patches, model.params["embed.weight"], model.params["embed.bias"]),
+    expected = ad.add(
+        ad.affine(patches, model.params["embed.weight"], model.params["embed.bias"]),
         model.params["pos"])
     assert np.array_equal(tokens.data, expected.data)
 
@@ -297,14 +294,14 @@ def test_encode_rejects_wrong_geometry():
 
 def test_pool_tokens():
     t = Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))
-    pooled = pool_tokens(t)
+    pooled = ad.mean(t, axis=0)
     assert np.array_equal(pooled.data, [2.0, 4.0])
     single = Tensor(np.array([[7.0, 1.0]]))
-    assert np.array_equal(pool_tokens(single).data, [7.0, 1.0])
+    assert np.array_equal(ad.mean(single, axis=0).data, [7.0, 1.0])
     rng = np.random.default_rng(12)
     tokens = rng.normal(size=(6, 3))
-    assert np.allclose(pool_tokens(Tensor(tokens)).data,
-                       pool_tokens(Tensor(tokens[::-1].copy())).data, atol=1e-12)
+    assert np.allclose(ad.mean(Tensor(tokens), axis=0).data,
+                       ad.mean(Tensor(tokens[::-1].copy()), axis=0).data, atol=1e-12)
 
 
 def test_decode_zero_weights_gives_half():

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from visir.autodiff import no_grad
+from visir.autodiff import Tensor, no_grad
 from visir.data import SRPair, SpectrumSpec, bicubic_downsample, normalize_field, synth_field
 from visir.metrics import evaluate_pair
 from visir.model import ModelConfig, coordinate_grid, init_parameters, predict, siren_inr_forward
@@ -100,6 +100,11 @@ def test_train_config_validation():
         TrainConfig(steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for lr in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+    with pytest.raises(ValueError, match="eval_interval"):
+        TrainConfig(eval_interval=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,7 @@ def test_evaluate_empty_split_errors():
 def test_sweep_single_cell_equals_single_run(tmp_path):
     pairs = make_pairs(3)
     tc = TrainConfig(learning_rate=1e-3, steps=30, seed=0)
-    result = sweep(TINY, pairs, tc, frequencies=(20.0,), layer_counts=(2,))
+    result = sweep(TINY, {"train": pairs, "test": pairs}, tc, frequencies=(20.0,), layer_counts=(2,))
     assert set(result.cells) == {(2, 20.0)}
 
     model = init_parameters(TINY, seed=0)
@@ -179,7 +184,7 @@ def test_sweep_single_cell_equals_single_run(tmp_path):
 def test_sweep_grid_complete(tmp_path):
     pairs = make_pairs(2)
     tc = TrainConfig(learning_rate=1e-3, steps=5, seed=0)
-    result = sweep(TINY, pairs, tc, frequencies=(10.0, 20.0, 30.0), layer_counts=(1, 2))
+    result = sweep(TINY, {"train": pairs, "test": pairs}, tc, frequencies=(10.0, 20.0, 30.0), layer_counts=(1, 2))
     assert len(result.cells) == 6
     csv_path = tmp_path / "sweep.csv"
     write_sweep_csv(result, csv_path)
@@ -197,7 +202,7 @@ def test_sweep_grid_complete(tmp_path):
 def test_sweep_records_failures(tmp_path):
     pairs = make_pairs(1)
     tc = TrainConfig(learning_rate=1e200, steps=5, seed=0)
-    result = sweep(TINY, pairs, tc, frequencies=(20.0,), layer_counts=(1, 2))
+    result = sweep(TINY, {"train": pairs, "test": pairs}, tc, frequencies=(20.0,), layer_counts=(1, 2))
     assert len(result.failures) == 2
     assert all(math.isnan(v) for v in result.cells.values())
     write_sweep_csv(result, tmp_path / "sweep.csv")
@@ -283,6 +288,21 @@ def test_checkpoint_config_missing_field(tmp_path, name):
                                           + blob[12 + size:])
     with pytest.raises(CheckpointFormatError, match=name):
         load_checkpoint(tmp_path / "short.vsck")
+
+
+@pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
+def test_checkpoint_tensors_must_match_config(tmp_path, edit):
+    # A (1, D) `pos` would broadcast silently in encode; a missing one used to end in KeyError.
+    model = init_parameters(TINY, seed=0)
+    if edit == "missing":
+        del model.params["pos"]
+    elif edit == "extra":
+        model.params["pos2"] = model.params["pos"]
+    else:
+        model.params["pos"] = Tensor(np.zeros((1, TINY.embed_dim)))
+    save_checkpoint(model, tmp_path / "m.vsck")
+    with pytest.raises(CheckpointFormatError, match="pos"):
+        load_checkpoint(tmp_path / "m.vsck")
 
 
 def test_checkpoint_trailing_garbage(tmp_path):
