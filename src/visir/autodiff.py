@@ -2,14 +2,17 @@
 
 The tape is define-by-run: every primitive that touches a tensor with
 ``requires_grad`` appends one entry, ``backward`` replays the tape once in
-reverse and then discards it.  Tensors are immutable after construction
-(the ``grad`` slot is the only mutable field), so a model can be shared
-read-only across threads while a single trainer owns the tape.
+reverse and then discards it.  Each thread has its own tape and its own
+``no_grad`` flag.  Tensors are immutable after construction except for the
+``grad`` slot, which ``backward`` writes on every tracked tensor feeding the
+loss: threads may share a model for inference, but two trainers must not
+share parameter tensors.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -99,9 +102,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -124,35 +124,39 @@ class _TapeEntry:
     pull: Callable[[np.ndarray], tuple]
 
 
-_tape: list[_TapeEntry] = []
-_grad_enabled: bool = True
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.tape: list[_TapeEntry] = []
+        self.grad_enabled = True
+
+
+_state = _ThreadState()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation / init paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording in this thread inside the block (evaluation / init paths)."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 def clear_tape() -> None:
-    _tape.clear()
+    _state.tape.clear()
 
 
 def tape_length() -> int:
-    return len(_tape)
+    return len(_state.tape)
 
 
 def _make(arr: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
-    tracked = _grad_enabled and any(p.requires_grad for p in parents)
+    tracked = _state.grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor._wrap(arr, requires_grad=tracked)
     if tracked:
-        _tape.append(_TapeEntry(out, tuple(parents), pull))
+        _state.tape.append(_TapeEntry(out, tuple(parents), pull))
     return out
 
 
@@ -167,7 +171,7 @@ def backward(loss: Tensor) -> None:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
-        for entry in reversed(_tape):
+        for entry in reversed(_state.tape):
             g = grads.get(id(entry.out))
             if g is None:
                 continue
@@ -376,12 +380,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), pull)
 
 
-def layer_norm(a: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+def layer_norm(a: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance (+1e-6), then affine."""
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv
     out = gain.data * xhat + shift.data
 
@@ -405,22 +409,23 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Bias-corrected first/second moment accumulators, one pair per parameter."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adam(params: dict[str, Tensor], lr: float = 1e-4,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
-    state = OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: dict[str, Tensor], lr: float = 1e-4) -> OptimizerState:
+    state = OptimizerState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros(p.shape)
         state.v[name] = np.zeros(p.shape)
@@ -437,10 +442,10 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        mhat = m / (1.0 - state.beta1 ** t)
-        vhat = v / (1.0 - state.beta2 ** t)
-        stepped = p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        stepped = p.data - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         out[name] = Tensor._wrap(stepped, requires_grad=True)
     return out

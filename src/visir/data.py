@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FieldGrid",
     "SpectrumSpec",
     "SRPair",
     "DataConfig",
@@ -43,34 +42,9 @@ __all__ = [
 ]
 
 CHANNEL_NAMES = ("surface_temperature", "shortwave_heat_flux", "longwave_heat_flux")
-CHANNEL_UNITS = ("K", "W m-2", "W m-2")
 
 GRID_MAGIC = b"VSGR"
 GRID_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """One real value per grid point; physical units carried as metadata."""
-
-    values: np.ndarray
-    units: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"field grid must be 2-d, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("field grid contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -117,8 +91,8 @@ class SRPair:
 # Synthetic source fields
 # ---------------------------------------------------------------------------
 
-def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec, units: str = "synthetic") -> FieldGrid:
-    """Deterministic sum of 2-d sinusoids plus an optional smooth background."""
+def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
+    """Deterministic h x w sum of 2-d sinusoids plus an optional smooth background."""
     if not spec.components and spec.background_amplitude == 0.0:
         raise ValueError("empty spectrum: no components and no background")
     rng = np.random.default_rng(seed)
@@ -140,12 +114,14 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec, units: str = "syn
                 out += spec.background_amplitude * coeff * np.cos(
                     2.0 * np.pi * (kx * xx + ky * yy) + phase
                 )
-    return FieldGrid(out, units=units)
+    if not np.isfinite(out).all():
+        raise ValueError("synthetic field contains non-finite values: check the spectrum")
+    return out
 
 
-def normalize_field(f: FieldGrid | np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+def normalize_field(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """Affine map to [0, 1]; returns the channel and the (min, max) range."""
-    v = f.values if isinstance(f, FieldGrid) else np.asarray(f, dtype=np.float64)
+    v = np.asarray(f, dtype=np.float64)
     lo = float(v.min())
     hi = float(v.max())
     if hi <= lo:
@@ -482,12 +458,9 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
         source_id = f"s{s:03d}"
         channels = []
         ranges = []
-        for k, (name, units) in enumerate(zip(CHANNEL_NAMES, CHANNEL_UNITS)):
-            fieldgrid = synth_field(
-                _subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width,
-                cfg.spectrum, units=units,
-            )
-            channel, rng = normalize_field(fieldgrid)
+        for k in range(len(CHANNEL_NAMES)):
+            channel, rng = normalize_field(synth_field(
+                _subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum))
             channels.append(channel)
             ranges.append(rng)
         normalization[source_id] = ranges
@@ -523,32 +496,35 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
     return manifest
 
 
+def _key(doc, key: str, kind: type, prefix: str = ""):
+    """doc[key] of a manifest, which must be a `kind` (a bool is not an int)."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"manifest key '{prefix}{key}' must be of type {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != "visir-manifest" or doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("format") != "visir-manifest" or doc.get("version") != 1:
         raise ValueError("not a recognized dataset manifest")
-    entries = [
-        ManifestEntry(
-            pair_id=p["id"],
-            source_id=p["source"],
-            tile_index=p["tile"],
-            split=p["split"],
-            hr_path=p["hr"],
-            lr_path=p["lr"],
-        )
-        for p in doc["pairs"]
-    ]
-    normalization = {k: [tuple(r) for r in v] for k, v in doc["normalization"].items()}
-    return DatasetManifest(
-        seed=doc["seed"],
-        scale=doc["scale"],
-        tile_height=doc["tile_height"],
-        tile_width=doc["tile_width"],
-        entries=entries,
-        normalization=normalization,
-        root=path.parent,
-    )
+    seed = _key(doc, "seed", int)
+    sizes = {key: _key(doc, key, int) for key in ("scale", "tile_height", "tile_width")}
+    for key, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"manifest key '{key}' must be >= 1, got {size}")
+    # The pair keys in the order of ManifestEntry's fields.
+    entries = [ManifestEntry(*(_key(p, key, int if key == "tile" else str, f"pairs[{i}].")
+                               for key in ("id", "source", "tile", "split", "hr", "lr")))
+               for i, p in enumerate(_key(doc, "pairs", list))]
+    normalization = {}
+    for source, ranges in _key(doc, "normalization", dict).items():
+        if not (isinstance(ranges, list) and all(isinstance(r, list) and len(r) == 2 for r in ranges)):
+            raise ValueError(f"manifest key 'normalization.{source}' must be a list of [min, max] pairs")
+        normalization[source] = [tuple(r) for r in ranges]
+    return DatasetManifest(seed=seed, **sizes, entries=entries,
+                           normalization=normalization, root=path.parent)
 
 
 def load_pairs(manifest: DatasetManifest, split: str | None = None) -> list[SRPair]:

@@ -1,9 +1,10 @@
 """Image-quality measures for unit-interval images: MSE, PSNR and global SSIM.
 
 All three are pure functions of (original, reconstruction) pixel arrays and
-are safe for unrestricted parallel use.  PSNR of a perfect reconstruction is
-the +inf sentinel, never an exception; SSIM uses whole-image statistics
-(no sliding window) and is averaged over channels.
+are safe for unrestricted parallel use.  The peak value is 1 (SRPair keeps
+every image in [0, 1]).  PSNR of a perfect reconstruction is the +inf
+sentinel, never an exception; SSIM uses whole-image statistics (no sliding
+window) and is averaged over channels.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "MetricsReport",
-    "SsimParams",
     "mse",
     "psnr",
     "psnr_from_mse",
@@ -24,21 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Stabilization constants; the usual (k1*MAX)^2 / (k2*MAX)^2 defaults."""
-
-    max_val: float = 1.0
-    c1: float = (0.01 * 1.0) ** 2
-    c2: float = (0.03 * 1.0) ** 2
-
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("stabilization constants must be positive")
-
-    @classmethod
-    def for_range(cls, max_val: float) -> "SsimParams":
-        return cls(max_val=max_val, c1=(0.01 * max_val) ** 2, c2=(0.03 * max_val) ** 2)
+# SSIM stabilization constants, the usual (k1 * MAX)^2 and (k2 * MAX)^2 with MAX = 1.
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 @dataclass(frozen=True)
@@ -68,30 +56,26 @@ def mse(i_o, i_r) -> float:
     return float((d * d).mean())
 
 
-def psnr_from_mse(err: float, max_val: float = 1.0) -> float:
-    """10*log10(MAX^2 / MSE) in dB; +inf when the error is zero."""
-    if max_val <= 0:
-        raise ValueError("max_val must be positive")
+def psnr_from_mse(err: float) -> float:
+    """10*log10(1 / MSE) in dB; +inf when the error is zero."""
     if err < 0:
         raise ValueError("mse cannot be negative")
     if err == 0.0:
         return math.inf
-    return 20.0 * math.log10(max_val) - 10.0 * math.log10(err)
+    return 0.0 - 10.0 * math.log10(err)  # 0.0 - x: an MSE of 1 gives +0.0, not -0.0
 
 
-def psnr(i_o, i_r, max_val: float = 1.0) -> float:
-    return psnr_from_mse(mse(i_o, i_r), max_val)
+def psnr(i_o, i_r) -> float:
+    return psnr_from_mse(mse(i_o, i_r))
 
 
-def ssim(i_o, i_r, params: SsimParams | None = None) -> float:
+def ssim(i_o, i_r) -> float:
     """Luminance/contrast/structure similarity from whole-image statistics.
 
     Per channel: (2*mu_o*mu_r + C1)(2*cov + C2) /
                  ((mu_o^2 + mu_r^2 + C1)(var_o + var_r + C2)),
     then the channel values are averaged.  Result lies in [-1, 1].
     """
-    if params is None:
-        params = SsimParams()
     a = np.asarray(i_o, dtype=np.float64)
     b = np.asarray(i_r, dtype=np.float64)
     _check_shapes(a, b)
@@ -107,17 +91,13 @@ def ssim(i_o, i_r, params: SsimParams | None = None) -> float:
         var_x = ((x - mu_x) ** 2).mean()
         var_y = ((y - mu_y) ** 2).mean()
         cov = ((x - mu_x) * (y - mu_y)).mean()
-        num = (2.0 * mu_x * mu_y + params.c1) * (2.0 * cov + params.c2)
-        den = (mu_x * mu_x + mu_y * mu_y + params.c1) * (var_x + var_y + params.c2)
+        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
         values.append(num / den)
     return float(np.mean(values))
 
 
-def evaluate_pair(i_o, i_r, max_val: float = 1.0) -> MetricsReport:
+def evaluate_pair(i_o, i_r) -> MetricsReport:
     """Bundle the three measures for one (original, reconstruction) pair."""
     e = mse(i_o, i_r)
-    return MetricsReport(
-        mse=e,
-        psnr=psnr_from_mse(e, max_val),
-        ssim=ssim(i_o, i_r, SsimParams.for_range(max_val)),
-    )
+    return MetricsReport(mse=e, psnr=psnr_from_mse(e), ssim=ssim(i_o, i_r))

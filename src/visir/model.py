@@ -36,7 +36,6 @@ from .autodiff import (
 
 __all__ = [
     "ModelConfig",
-    "SirenStack",
     "VisirModel",
     "extract_patches",
     "mhsa",
@@ -140,41 +139,11 @@ class ModelConfig:
 
 
 @dataclass
-class SirenStack:
-    """Ordered (weight, bias) pairs sharing one frequency; weights are out x in."""
-
-    layers: list[tuple[Tensor, Tensor]]
-    omega0: float
-
-    def __post_init__(self):
-        for (w_a, _), (w_b, _) in zip(self.layers, self.layers[1:]):
-            if w_b.shape[1] != w_a.shape[0]:
-                raise ShapeError(f"stack dimensions do not chain: {w_a.shape} -> {w_b.shape}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-
-@dataclass
 class VisirModel:
+    """A config and its parameters, named as parameter_layout(config) names them."""
+
     config: ModelConfig
     params: dict[str, Tensor]
-
-    def ffn_stack(self, block: int) -> SirenStack:
-        return self._stack(f"block{block}.ffn", self.config.siren_hidden_layers)
-
-    def decoder_stack(self) -> SirenStack:
-        return self._stack("decoder", self.config.decoder_depth)
-
-    def _stack(self, prefix: str, hidden_layers: int) -> SirenStack:
-        layers = [(self.params[f"{prefix}.w{j}"], self.params[f"{prefix}.b{j}"])
-                  for j in range(hidden_layers + 1)]
-        return SirenStack(layers, self.config.omega0)
 
 
 def parameter_count(model: VisirModel) -> int:
@@ -218,16 +187,16 @@ def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int,
 # Attention and sine stacks
 # ---------------------------------------------------------------------------
 
-def mhsa(tokens: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-         wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, num_heads: int) -> Tensor:
-    """Scaled dot-product attention per head, heads concatenated, projected."""
+def mhsa(tokens: Tensor, params: dict[str, Tensor], prefix: str, num_heads: int) -> Tensor:
+    """Scaled dot-product attention per head, heads concatenated, projected.
+
+    The projections are params[prefix + "wq"], params[prefix + "bq"], ... "wo", "bo".
+    """
     d = tokens.shape[1]
     if d % num_heads != 0:
         raise ShapeError(f"token dim {d} not divisible by {num_heads} heads")
     dh = d // num_heads
-    q = affine(tokens, wq, bq)
-    k = affine(tokens, wk, bk)
-    v = affine(tokens, wv, bv)
+    q, k, v = (affine(tokens, params[f"{prefix}w{n}"], params[f"{prefix}b{n}"]) for n in "qkv")
     heads = []
     for h in range(num_heads):
         qh = narrow(q, 1, h * dh, dh)
@@ -235,23 +204,27 @@ def mhsa(tokens: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         vh = narrow(v, 1, h * dh, dh)
         scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
         heads.append(matmul(softmax(scores, axis=-1), vh))
-    return affine(concat(heads, axis=1), wo, bo)
+    return affine(concat(heads, axis=1), params[f"{prefix}wo"], params[f"{prefix}bo"])
 
 
-def apply_stack(x: Tensor, stack: SirenStack, hidden: str = "sine", final: str = "affine") -> Tensor:
-    """Run a stack of affine layers with the chosen activations.
+def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
+                hidden: str = "sine", final: str = "affine") -> Tensor:
+    """Run the affine layers params[prefix + "w0"], params[prefix + "b0"], ... in order.
 
-    hidden: "sine" or "gelu", applied after every layer but the last.
+    The stack is as deep as the "w{j}" keys under `prefix` reach; weights are out x in.
+    hidden: "sine" (at frequency omega0) or "gelu", applied after every layer but the last.
     final: "affine" (unbounded, residual-friendly), "sine" mapped onto [0, 1]
     as (sin + 1) / 2, or "sigmoid".
     """
-    for w, b in stack.layers[:-1]:
-        x = affine(x, w, b)
-        x = sine_activation(x, stack.omega0) if hidden == "sine" else gelu(x)
-    w, b = stack.layers[-1]
-    x = affine(x, w, b)
+    depth = 0
+    while f"{prefix}w{depth + 1}" in params:
+        depth += 1
+    for j in range(depth + 1):
+        x = affine(x, params[f"{prefix}w{j}"], params[f"{prefix}b{j}"])
+        if j < depth:
+            x = sine_activation(x, omega0) if hidden == "sine" else gelu(x)
     if final == "sine":
-        x = sine_activation(x, stack.omega0)
+        x = sine_activation(x, omega0)
         x = scale(add(x, Tensor(np.ones(x.shape))), 0.5)
     elif final == "sigmoid":
         x = sigmoid(x)
@@ -275,29 +248,17 @@ def _check_input(cfg: ModelConfig, img: Tensor) -> None:
 def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tensor:
     cfg = model.config
     p = model.params
-
-    def att(x):
-        return mhsa(
-            x,
-            p[f"block{i}.attn.wq"], p[f"block{i}.attn.bq"],
-            p[f"block{i}.attn.wk"], p[f"block{i}.attn.bk"],
-            p[f"block{i}.attn.wv"], p[f"block{i}.attn.bv"],
-            p[f"block{i}.attn.wo"], p[f"block{i}.attn.bo"],
-            cfg.num_heads,
-        )
-
-    def ffn(x):
-        return apply_stack(x, model.ffn_stack(i), hidden=act, final="affine")
+    attn, ffn = f"block{i}.attn.", f"block{i}.ffn."
 
     def ln(which, x):
         return layer_norm(x, p[f"block{i}.{which}.gain"], p[f"block{i}.{which}.shift"])
 
     if cfg.post_norm:
-        tokens = ln("ln1", add(tokens, att(tokens)))
-        tokens = ln("ln2", add(tokens, ffn(tokens)))
+        tokens = ln("ln1", add(tokens, mhsa(tokens, p, attn, cfg.num_heads)))
+        tokens = ln("ln2", add(tokens, apply_stack(tokens, p, ffn, cfg.omega0, act)))
     else:
-        tokens = add(tokens, att(ln("ln1", tokens)))
-        tokens = add(tokens, ffn(ln("ln2", tokens)))
+        tokens = add(tokens, mhsa(ln("ln1", tokens), p, attn, cfg.num_heads))
+        tokens = add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, act))
     return tokens
 
 
@@ -326,7 +287,7 @@ def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
     if cfg.decoder_mode == "global_pooled":
         tokens = reshape(mean(tokens, axis=0), (1, cfg.embed_dim))
-    out = apply_stack(tokens, model.decoder_stack(), hidden=_hidden_act(cfg),
+    out = apply_stack(tokens, model.params, "decoder.", cfg.omega0, hidden=_hidden_act(cfg),
                       final="sine" if cfg.variant == "visir" else "sigmoid")
     if cfg.decoder_mode == "per_token":
         return patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
@@ -351,15 +312,19 @@ def coordinate_grid(h: int, w: int) -> np.ndarray:
     return np.stack([yy, xx], axis=-1)
 
 
-def siren_inr_forward(coords, stack: SirenStack) -> Tensor:
-    """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1]."""
+def siren_inr_forward(coords, params: dict[str, Tensor], omega0: float) -> Tensor:
+    """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1].
+
+    `params` is a sine stack as init_siren_stack draws it ("w0", "b0", ...).
+    """
     t = coords if isinstance(coords, Tensor) else Tensor(coords)
     lead = t.shape[:-1]
-    if t.shape[-1] != stack.in_dim:
-        raise ShapeError(f"coordinates have dim {t.shape[-1]}, stack expects {stack.in_dim}")
-    flat = reshape(t, (int(np.prod(lead)) if lead else 1, stack.in_dim))
-    out = apply_stack(flat, stack, hidden="sine", final="sine")
-    return reshape(out, lead + (stack.out_dim,))
+    in_dim = params["w0"].shape[1]
+    if t.shape[-1] != in_dim:
+        raise ShapeError(f"coordinates have dim {t.shape[-1]}, stack expects {in_dim}")
+    flat = reshape(t, (int(np.prod(lead)) if lead else 1, in_dim))
+    out = apply_stack(flat, params, "", omega0, hidden="sine", final="sine")
+    return reshape(out, lead + (out.shape[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +378,9 @@ def _draw(layout: dict[str, tuple], seed: int) -> dict[str, Tensor]:
             for name, (shape, bound) in layout.items()}
 
 
-def init_siren_stack(dims: list[int], omega0: float, seed: int) -> SirenStack:
-    """Standalone sine stack (used by the coordinate-network baseline)."""
-    params = list(_draw(_stack_layout("", dims, omega0, sine_init=True), seed).values())
-    return SirenStack(list(zip(params[::2], params[1::2])), omega0)
+def init_siren_stack(dims: list[int], omega0: float, seed: int) -> dict[str, Tensor]:
+    """Standalone sine stack "w0", "b0", ... (the coordinate-network baseline's parameters)."""
+    return _draw(_stack_layout("", dims, omega0, sine_init=True), seed)
 
 
 def init_parameters(config: ModelConfig, seed: int) -> VisirModel:

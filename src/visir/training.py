@@ -35,7 +35,6 @@ from .data import SRPair
 from .metrics import MetricsReport, evaluate_pair
 from .model import (
     ModelConfig,
-    SirenStack,
     VisirModel,
     coordinate_grid,
     init_parameters,
@@ -82,7 +81,7 @@ class CheckpointFormatError(ValueError):
 
 
 class CheckpointMismatchError(ValueError):
-    """Checkpoint holds a different configuration than the caller expects."""
+    """Checkpoint does not fit the command's other inputs (flags, manifest, image)."""
 
 
 @dataclass(frozen=True)
@@ -271,33 +270,25 @@ def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cf
 
 def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
                   omega0: float = 20.0, steps: int = 1000, learning_rate: float = 1e-4,
-                  seed: int = 0) -> tuple[SirenStack, np.ndarray]:
+                  seed: int = 0) -> tuple[dict[str, Tensor], np.ndarray]:
     """Fit a coordinate network to one image's LR pixels, decode the HR grid.
 
-    Returns the fitted stack and the HR-grid reconstruction.
+    Returns the fitted parameters (for siren_inr_forward) and the HR-grid reconstruction.
     """
     channels = pair.lr.shape[2]
-    stack = init_siren_stack([2] + [hidden_dim] * hidden_layers + [channels], omega0, seed)
-    params = {}
-    for j, (w, b) in enumerate(stack.layers):
-        params[f"w{j}"] = w
-        params[f"b{j}"] = b
+    params = init_siren_stack([2] + [hidden_dim] * hidden_layers + [channels], omega0, seed)
     opt = init_adam(params, lr=learning_rate)
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
 
-    def current_stack() -> SirenStack:
-        return SirenStack([(params[f"w{j}"], params[f"b{j}"]) for j in range(hidden_layers + 1)], omega0)
-
     def loss() -> Tensor:
-        return _mse_loss(siren_inr_forward(lr_coords, current_stack()), pair.lr)
+        return _mse_loss(siren_inr_forward(lr_coords, params, omega0), pair.lr)
 
     for step in range(1, steps + 1):
         params, _ = _adam_update(params, opt, loss, step)
-    stack = current_stack()
     with no_grad():
         hr_coords = coordinate_grid(pair.hr.shape[0], pair.hr.shape[1])
-        recon = siren_inr_forward(hr_coords, stack).data
-    return stack, recon
+        recon = siren_inr_forward(hr_coords, params, omega0).data
+    return params, recon
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +337,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None) -> VisirModel:
+def load_checkpoint(path) -> VisirModel:
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad checkpoint magic")
@@ -363,8 +354,6 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> VisirMo
         config = ModelConfig(**doc)
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
-    if expected_config is not None and config != expected_config:
-        raise CheckpointMismatchError(f"checkpoint config {config} != expected {expected_config}")
     params: dict[str, Tensor] = {}
     for _ in range(reader.u32()):
         name = reader.take(reader.u32()).decode("utf-8")
@@ -372,7 +361,10 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> VisirMo
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = int(np.prod(shape)) if shape else 1
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
-        params[name] = Tensor(values, requires_grad=True)
+        try:
+            params[name] = Tensor(values, requires_grad=True)
+        except NonFiniteError as exc:
+            raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value") from exc
     if reader.pos != len(reader.blob):
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
     # The tensors must be exactly those init_parameters(config) builds: the layers trust this.

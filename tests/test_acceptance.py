@@ -110,7 +110,7 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_metric_oracles():
     with criterion(2, "metric oracles: exact PSNR, SSIM identity, MSE hand case, monotonicity", 60.0):
         # 10*log10(1/0.01) written as -10*log10(mse): exact at double precision.
-        assert psnr_from_mse(0.01, 1.0) == 20.0
+        assert psnr_from_mse(0.01) == 20.0
 
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -123,7 +123,7 @@ def test_criterion_2_metric_oracles():
         assert abs(mse(hand_o, hand_r) - 0.0125) < 1e-16
 
         grid = np.linspace(1e-4, 4.0, 300)
-        values = [psnr_from_mse(m, 1.0) for m in grid]
+        values = [psnr_from_mse(m) for m in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

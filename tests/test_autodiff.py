@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -218,6 +220,64 @@ def test_no_grad_suppresses_tape():
         y = ad.mul(x, x)
     assert not y.requires_grad
     assert ad.tape_length() == 0
+
+
+def test_no_grad_and_tape_are_per_thread():
+    # One thread holds no_grad() open while this one records; each has its own tape.
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_no_grad():
+        with ad.no_grad():
+            inside.set()
+            release.wait(timeout=10)
+            seen["tracked"] = ad.scale(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+        seen["tape"] = ad.tape_length()
+
+    ad.clear_tape()
+    other = threading.Thread(target=hold_no_grad)
+    other.start()
+    try:
+        assert inside.wait(timeout=10)
+        out = ad.scale(Tensor(np.ones(3), requires_grad=True), 2.0)
+        assert out.requires_grad
+        assert ad.tape_length() == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert seen == {"tracked": False, "tape": 0}
+    ad.clear_tape()
+
+
+def test_concurrent_trainers_keep_their_own_tapes():
+    # More threads than cores, switching often; half of them also enter no_grad().
+    # A shared tape or flag loses or steals entries, and a gradient comes out wrong or None.
+    wrong, finished = [], []
+
+    def work(k):
+        for i in range(50):
+            x = Tensor(np.full(3, float(k + i)), requires_grad=True)
+            if k % 2:
+                with ad.no_grad():
+                    ad.scale(x, 2.0)
+            ad.backward(ad.tensor_sum(ad.mul(x, x)))
+            if x.grad is None or not np.array_equal(x.grad, 2.0 * x.data):
+                wrong.append((k, i))
+        finished.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == list(range(6))
+    assert wrong == []
 
 
 # ---------------------------------------------------------------------------

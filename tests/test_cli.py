@@ -1,3 +1,6 @@
+import json
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +63,14 @@ def test_build_data_invalid_tile_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "data.tile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--data.components", "1e999:2:0"], ["--data.background", "nan"]])
+def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
+    code = main(["build-data", *SMALL_DATA_FLAGS, *flags, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -173,6 +184,27 @@ def test_train_writes_loss_curve(tmp_path):
 def test_train_missing_manifest_exits_3(tmp_path):
     code = main(["train", "--manifest", str(tmp_path / "no.json"), "--out", str(tmp_path / "x")])
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("key,edit", [
+    pytest.param("pairs", lambda doc: doc.pop("pairs"), id="no-pairs"),
+    pytest.param("pairs", lambda doc: doc.update(pairs="s000_t00"), id="pairs-string"),
+    pytest.param("lr", lambda doc: doc["pairs"][0].pop("lr"), id="entry-without-lr"),
+    pytest.param("normalization", lambda doc: doc.pop("normalization"), id="no-normalization"),
+    pytest.param("scale", lambda doc: doc.update(scale="4"), id="scale-string"),
+    pytest.param("tile_height", lambda doc: doc.update(tile_height=None), id="tile-height-null"),
+])
+def test_train_malformed_manifest_exits_2(tmp_path, capsys, key, edit):
+    manifest = build_small_dataset(tmp_path)
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +404,18 @@ def test_reconstruct_checkpoint_missing_tensor_exits_5(tmp_path, capsys):
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_MISMATCH
     assert "pos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_reconstruct_checkpoint_non_finite_exits_5(tmp_path, capsys, value):
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", value))  # last float of `pos`
+    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "pos" in err and "non-finite" in err
 
 
 def test_reconstruct_accepts_png_input(tmp_path):

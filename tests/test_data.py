@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from visir.data import (
     DataConfig,
-    FieldGrid,
     SpectrumSpec,
     SRPair,
     assemble_rgb,
@@ -31,7 +32,7 @@ from oracles import bicubic_ramp_reference, dft_peak_bin
 # ---------------------------------------------------------------------------
 
 def test_normalize_affine_map():
-    field = FieldGrid(np.array([[250.0, 310.0], [280.0, 260.0]]), units="K")
+    field = np.array([[250.0, 310.0], [280.0, 260.0]])
     out, (lo, hi) = normalize_field(field)
     assert (lo, hi) == (250.0, 310.0)
     assert out[0, 0] == 0.0
@@ -41,14 +42,14 @@ def test_normalize_affine_map():
 
 def test_normalize_unit_field_is_identity():
     v = np.array([[0.0, 0.25], [0.75, 1.0]])
-    out, rng = normalize_field(FieldGrid(v))
+    out, rng = normalize_field(v)
     assert np.array_equal(out, v)
     assert rng == (0.0, 1.0)
 
 
 def test_normalize_constant_field_errors():
     with pytest.raises(ValueError):
-        normalize_field(FieldGrid(np.full((3, 3), 7.0)))
+        normalize_field(np.full((3, 3), 7.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,7 +58,7 @@ def test_normalize_extremes_are_exact(values):
     v = np.array(values).reshape(-1, 2) if len(values) % 2 == 0 else np.array(values[:-1]).reshape(-1, 2)
     if v.max() <= v.min():
         return
-    out, _ = normalize_field(FieldGrid(v))
+    out, _ = normalize_field(v)
     assert out.min() == 0.0
     assert out.max() == 1.0
 
@@ -194,28 +195,36 @@ def test_bicubic_odd_factor_decimates():
 def test_synth_zero_frequency_is_constant():
     spec = SpectrumSpec(components=((1.0, 0.0, 0.0),))
     field = synth_field(0, 8, 8, spec)
-    assert np.allclose(field.values, field.values[0, 0])
+    assert field.shape == (8, 8)
+    assert np.allclose(field, field[0, 0])
 
 
 def test_synth_deterministic_from_seed():
     spec = SpectrumSpec(components=((1.0, 3.0, 0.4), (0.5, 9.0, 1.0)), background_amplitude=0.2)
     a = synth_field(42, 16, 16, spec)
     b = synth_field(42, 16, 16, spec)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = synth_field(43, 16, 16, spec)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_synth_spectral_peak_at_requested_bin():
     for cycles in (3, 7, 12):
         spec = SpectrumSpec(components=((1.0, float(cycles), 0.0),))
         field = synth_field(1, 32, 64, spec)
-        assert dft_peak_bin(field.values, axis=1) == cycles
+        assert dft_peak_bin(field, axis=1) == cycles
 
 
 def test_synth_empty_spec_errors():
     with pytest.raises(ValueError):
         synth_field(0, 8, 8, SpectrumSpec())
+
+
+@pytest.mark.parametrize("spec", [SpectrumSpec(components=((1e999, 2.0, 0.0),)),
+                                  SpectrumSpec(components=((1.0, 2.0, 0.0),), background_amplitude=math.nan)])
+def test_synth_non_finite_spec_errors(spec):
+    with pytest.raises(ValueError, match="non-finite"):
+        synth_field(0, 8, 8, spec)
 
 
 # ---------------------------------------------------------------------------

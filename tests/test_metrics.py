@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from visir.metrics import MetricsReport, SsimParams, evaluate_pair, mse, psnr, psnr_from_mse, ssim
+from visir.metrics import MetricsReport, evaluate_pair, mse, psnr, psnr_from_mse, ssim
 
 unit_pixels = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -70,11 +70,12 @@ def test_mse_symmetric_and_nonnegative(a, b):
 # ---------------------------------------------------------------------------
 
 def test_psnr_twenty_db():
-    assert psnr_from_mse(0.01, 1.0) == 20.0
+    assert psnr_from_mse(0.01) == 20.0
 
 
 def test_psnr_zero_db():
-    assert psnr_from_mse(1.0, 1.0) == 0.0
+    assert psnr_from_mse(1.0) == 0.0
+    assert math.copysign(1.0, psnr_from_mse(1.0)) == 1.0  # +0.0: eval.csv prints "0.0", not "-0.0"
 
 
 def test_psnr_identical_is_infinite():
@@ -83,17 +84,12 @@ def test_psnr_identical_is_infinite():
 
 
 def test_psnr_monotone_decreasing_in_mse():
-    values = [psnr_from_mse(m, 1.0) for m in np.linspace(1e-6, 2.0, 200)]
+    values = [psnr_from_mse(m) for m in np.linspace(1e-6, 2.0, 200)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_psnr_infinite_greater_than_any_finite():
-    assert psnr_from_mse(0.0, 1.0) > psnr_from_mse(1e-300, 1.0)
-
-
-def test_psnr_rejects_bad_max():
-    with pytest.raises(ValueError):
-        psnr_from_mse(0.1, 0.0)
+    assert psnr_from_mse(0.0) > psnr_from_mse(1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +119,9 @@ def test_ssim_anticorrelated_pair_negative():
     mu_x, mu_y = x.mean(), y.mean()
     cov = ((x - mu_x) * (y - mu_y)).mean()
     var_x, var_y = x.var(), y.var()
-    p = SsimParams()
-    expected = ((2 * mu_x * mu_y + p.c1) * (2 * cov + p.c2)
-                / ((mu_x ** 2 + mu_y ** 2 + p.c1) * (var_x + var_y + p.c2)))
+    c1, c2 = 0.01 ** 2, 0.03 ** 2  # (k1 * MAX)^2 and (k2 * MAX)^2 with MAX = 1
+    expected = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)
+                / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
     got = ssim(x, y)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got < 0.0
@@ -144,9 +140,8 @@ def test_ssim_shift_invariance_of_both_images():
     a = rng.uniform(0.1, 0.5, (6, 6))
     b = rng.uniform(0.1, 0.5, (6, 6))
     b = b - b.mean() + a.mean()
-    p = SsimParams()
     for c in (0.1, 0.25, 0.4):
-        assert ssim(a + c, b + c, p) == pytest.approx(ssim(a, b, p), abs=1e-9)
+        assert ssim(a + c, b + c) == pytest.approx(ssim(a, b), abs=1e-9)
 
 
 def test_ssim_range():

@@ -7,7 +7,6 @@ from visir import autodiff as ad
 from visir.autodiff import ShapeError, Tensor
 from visir.model import (
     ModelConfig,
-    SirenStack,
     apply_stack,
     as_mlp_baseline,
     coordinate_grid,
@@ -168,13 +167,16 @@ def _attn_params(rng, d):
            {name: rng.normal(size=d) for name in ("bq", "bk", "bv", "bo")}
 
 
+def _attn_tensors(ws, bs, prefix="blk.attn."):
+    return {prefix + name: Tensor(arr) for name, arr in {**ws, **bs}.items()}
+
+
 def test_mhsa_single_token():
     rng = np.random.default_rng(7)
     d = 4
     ws, bs = _attn_params(rng, d)
     token = rng.normal(size=(1, d))
-    out = mhsa(Tensor(token), Tensor(ws["wq"]), Tensor(bs["bq"]), Tensor(ws["wk"]), Tensor(bs["bk"]),
-               Tensor(ws["wv"]), Tensor(bs["bv"]), Tensor(ws["wo"]), Tensor(bs["bo"]), num_heads=2)
+    out = mhsa(Tensor(token), _attn_tensors(ws, bs), "blk.attn.", num_heads=2)
     # Softmax over a singleton is exactly 1: output is just the projected value.
     value = token @ ws["wv"].T + bs["bv"]
     expected = value @ ws["wo"].T + bs["bo"]
@@ -187,8 +189,7 @@ def test_mhsa_identical_tokens_give_identical_rows():
     ws, bs = _attn_params(rng, d)
     row = rng.normal(size=d)
     tokens = np.tile(row, (5, 1))
-    out = mhsa(Tensor(tokens), Tensor(ws["wq"]), Tensor(bs["bq"]), Tensor(ws["wk"]), Tensor(bs["bk"]),
-               Tensor(ws["wv"]), Tensor(bs["bv"]), Tensor(ws["wo"]), Tensor(bs["bo"]), num_heads=3)
+    out = mhsa(Tensor(tokens), _attn_tensors(ws, bs), "blk.attn.", num_heads=3)
     assert np.allclose(out.data, out.data[0], atol=1e-12)
 
 
@@ -197,8 +198,7 @@ def test_mhsa_matches_hand_rolled_single_head():
     d = 2
     ws, bs = _attn_params(rng, d)
     tokens = rng.normal(size=(2, d))
-    out = mhsa(Tensor(tokens), Tensor(ws["wq"]), Tensor(bs["bq"]), Tensor(ws["wk"]), Tensor(bs["bk"]),
-               Tensor(ws["wv"]), Tensor(bs["bv"]), Tensor(ws["wo"]), Tensor(bs["bo"]), num_heads=1)
+    out = mhsa(Tensor(tokens), _attn_tensors(ws, bs, prefix=""), "", num_heads=1)
     expected = attention_single_head(tokens, ws["wq"], bs["bq"], ws["wk"], bs["bk"],
                                      ws["wv"], bs["bv"], ws["wo"], bs["bo"])
     assert np.allclose(out.data, expected, atol=1e-10)
@@ -209,17 +209,24 @@ def test_mhsa_matches_hand_rolled_single_head():
 # ---------------------------------------------------------------------------
 
 def test_siren_ffn_zero_stack():
-    stack = SirenStack([(Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))),
-                        (Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))], omega0=20.0)
-    out = apply_stack(Tensor(np.random.default_rng(10).normal(size=(3, 4))), stack)
+    stack = {"ffn.w0": Tensor(np.zeros((4, 4))), "ffn.b0": Tensor(np.zeros(4)),
+             "ffn.w1": Tensor(np.zeros((4, 4))), "ffn.b1": Tensor(np.zeros(4))}
+    out = apply_stack(Tensor(np.random.default_rng(10).normal(size=(3, 4))), stack, "ffn.", omega0=20.0)
     assert np.array_equal(out.data, np.zeros((3, 4)))
 
 
 def test_siren_ffn_scalar_analytic():
-    stack = SirenStack([(Tensor([[1.0]]), Tensor([0.0])),
-                        (Tensor([[1.0]]), Tensor([0.0]))], omega0=20.0)
-    out = apply_stack(Tensor([[math.pi / 40.0]]), stack)
+    stack = {"w0": Tensor([[1.0]]), "b0": Tensor([0.0]), "w1": Tensor([[1.0]]), "b1": Tensor([0.0])}
+    out = apply_stack(Tensor([[math.pi / 40.0]]), stack, "", omega0=20.0)
     assert out.data[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_apply_stack_depth_follows_prefix_keys():
+    # Other keys in the dict, even "w{j}" under a longer prefix, are not layers of the stack.
+    params = {"a.w0": Tensor([[2.0]]), "a.b0": Tensor([1.0]),
+              "a.x.w1": Tensor([[5.0]]), "a.x.b1": Tensor([5.0]), "b.w1": Tensor([[5.0]])}
+    out = apply_stack(Tensor([[3.0]]), params, "a.", omega0=20.0)
+    assert out.data[0, 0] == 7.0  # one affine layer, no activation
 
 
 def test_siren_ffn_gradients_two_hidden_layers():
@@ -232,10 +239,8 @@ def test_siren_ffn_gradients_two_hidden_layers():
     x = rng.uniform(-1, 1, (4, 3))
 
     def run(arrs, track=False):
-        stack = SirenStack([(Tensor(arrs["w0"], track), Tensor(arrs["b0"], track)),
-                            (Tensor(arrs["w1"], track), Tensor(arrs["b1"], track)),
-                            (Tensor(arrs["w2"], track), Tensor(arrs["b2"], track))], omega0=20.0)
-        out = apply_stack(Tensor(x), stack)
+        stack = {name: Tensor(arr, track) for name, arr in arrs.items()}
+        out = apply_stack(Tensor(x), stack, "", omega0=20.0)
         return ad.mean(ad.mul(out, out)), stack
 
     ad.clear_tape()
@@ -247,10 +252,8 @@ def test_siren_ffn_gradients_two_hidden_layers():
             return run(arrs)[0].item()
 
     numeric = finite_difference_grads(eval_loss, arrays)
-    tensors = dict(zip(["w0", "b0", "w1", "b1", "w2", "b2"],
-                       [t for pair in stack.layers for t in pair]))
     for name in arrays:
-        assert grads_close(tensors[name].grad, numeric[name]), name
+        assert grads_close(stack[name].grad, numeric[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +447,16 @@ def test_coordinate_grid_range():
 
 def test_siren_inr_output_shape():
     stack = init_siren_stack([2, 16, 16, 3], omega0=20.0, seed=0)
-    out = siren_inr_forward(coordinate_grid(5, 7), stack)
+    assert list(stack) == ["w0", "b0", "w1", "b1", "w2", "b2"]
+    out = siren_inr_forward(coordinate_grid(5, 7), stack, omega0=20.0)
     assert out.shape == (5, 7, 3)
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
 def test_siren_inr_zero_weights_give_half():
-    stack = SirenStack([(Tensor(np.zeros((8, 2))), Tensor(np.zeros(8))),
-                        (Tensor(np.zeros((1, 8))), Tensor(np.zeros(1)))], omega0=20.0)
-    out = siren_inr_forward(coordinate_grid(3, 3), stack)
+    stack = {"w0": Tensor(np.zeros((8, 2))), "b0": Tensor(np.zeros(8)),
+             "w1": Tensor(np.zeros((1, 8))), "b1": Tensor(np.zeros(1))}
+    out = siren_inr_forward(coordinate_grid(3, 3), stack, omega0=20.0)
     assert np.array_equal(out.data, np.full((3, 3, 1), 0.5))
 
 
