@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Compare the CLI's output bytes at this checkout with those at another git revision.
+
+    python scripts/bytecheck.py <rev>
+
+Runs one matrix of visir commands (build-data, train, eval, sweep and
+reconstruct, on small sizes) twice: once on this checkout's src/, uncommitted
+edits included, and once on <rev>'s src/, exported with `git archive` into a
+temporary directory.  Then it prints "identical" or "different" for every
+output file, including a log per command with its exit code, stdout and
+stderr.  It exits 1 if any file differs or any command ends with an exit code
+other than the one the matrix expects.
+
+Each side runs in its own interpreter with one BLAS thread, and calls
+`visir.cli.main` for every command, with relative paths, in a fresh directory.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import struct
+import subprocess
+import sys
+import tarfile
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DATA = ["--data.sources", "2", "--data.source_height", "48", "--data.source_width", "96",
+        "--data.tile", "24", "--data.scale", "2", "--data.train_fraction", "0.5"]
+SMALL_MODEL = ["--model.embed_dim", "16", "--model.num_heads", "2", "--model.siren_hidden_dim", "16"]
+TRAIN = ["train", "--manifest", "data/manifest.json", "--train.learning_rate", "1e-3"]
+
+# (name, argv, expected exit code), run in order: later commands read earlier outputs.
+MATRIX = [
+    ("build_default", ["build-data", *DATA, "--out", "data"], 0),
+    ("build_custom", ["build-data", *DATA, "--data.components", "0.5:3:10,0.3:11:60", "--data.background", "0.2",
+                      "--data.background_cycles", "2", "--seed", "3", "--out", "data_custom"], 0),
+    ("train_visir", [*TRAIN, *SMALL_MODEL, "--train.steps", "4", "--train.eval_interval", "2",
+                     "--out", "train_visir"], 0),
+    ("train_vit_mlp", [*TRAIN, *SMALL_MODEL, "--model.variant", "vit_mlp", "--train.batch_size", "2",
+                       "--train.steps", "3", "--out", "train_vit_mlp"], 0),
+    ("train_post_norm_pooled", [*TRAIN, *SMALL_MODEL, "--model.post_norm", "true",
+                                "--model.decoder_mode", "global_pooled", "--train.steps", "3",
+                                "--out", "train_post_norm_pooled"], 0),
+    ("train_default", [*TRAIN, "--train.batch_size", "4", "--train.steps", "2", "--out", "train_default"], 0),
+    ("eval_test", ["eval", "--manifest", "data/manifest.json", "--checkpoint", "train_visir/model.vsck",
+                   "--split", "test", "--out", "eval_test"], 0),
+    ("eval_train", ["eval", "--manifest", "data/manifest.json", "--checkpoint", "train_visir/model.vsck",
+                    "--split", "train", "--out", "eval_train"], 0),
+    ("sweep", ["sweep", "--manifest", "data/manifest.json", *SMALL_MODEL, "--train.steps", "2",
+               "--sweep.frequencies", "10,30", "--sweep.layers", "1,2", "--out", "sweep"], 0),
+    ("reconstruct_vsgr", ["reconstruct", "--checkpoint", "train_visir/model.vsck",
+                          "--input", "data/s000_t00_lr.vsgr", "--hr", "data/s000_t00_hr.vsgr",
+                          "--out", "reconstruct_vsgr"], 0),
+    ("reconstruct_png", ["reconstruct", "--checkpoint", "train_default/model.vsck",
+                         "--input", "inputs/lr.png", "--out", "reconstruct_png"], 0),
+    ("reconstruct_mismatch", ["reconstruct", "--checkpoint", "train_visir/model.vsck",
+                              "--input", "inputs/wrong.vsgr", "--out", "reconstruct_mismatch"], 5),
+]
+
+
+def _png_chunk(tag: bytes, payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", zlib.crc32(tag + payload))
+
+
+def write_inputs(work: Path) -> None:
+    """The LR inputs no command makes: a 12x12 RGB PNG whose rows cycle through
+    the five PNG filter types, and a VSGR grid of the wrong shape."""
+    inputs = work / "inputs"
+    inputs.mkdir(parents=True)
+    pixels = np.random.default_rng(0).integers(0, 256, (12, 12 * 3)).astype(np.int64)
+    rows = b""
+    for y, cur in enumerate(pixels):
+        up = pixels[y - 1] if y else np.zeros_like(cur)
+        left = np.concatenate([np.zeros(3, np.int64), cur[:-3]])
+        up_left = np.concatenate([np.zeros(3, np.int64), up[:-3]])
+        p = left + up - up_left
+        pa, pb, pc = abs(p - left), abs(p - up), abs(p - up_left)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, up_left))
+        predictor = (0, left, up, (left + up) // 2, paeth)[y % 5]
+        rows += bytes([y % 5]) + ((cur - predictor) % 256).astype(np.uint8).tobytes()
+    header = _png_chunk(b"IHDR", struct.pack(">IIBBBBB", 12, 12, 8, 2, 0, 0, 0))
+    (inputs / "lr.png").write_bytes(b"\x89PNG\r\n\x1a\n" + header + _png_chunk(b"IDAT", zlib.compress(rows))
+                                    + _png_chunk(b"IEND", b""))
+    (inputs / "wrong.vsgr").write_bytes(b"VSGR" + struct.pack("<IIIII", 1, 5, 5, 3, 0) + bytes(8 * 75))
+
+
+def _run_commands(src: Path, work: Path) -> None:
+    """Child side: run MATRIX in `work` with the visir package under `src`."""
+    import visir.cli
+
+    if Path(visir.__file__).resolve().parent != (src / "visir").resolve():
+        raise SystemExit(f"imported visir from {visir.__file__}, not from {src}")
+    os.chdir(work)
+    (work / "logs").mkdir()
+    for name, argv, _ in MATRIX:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = visir.cli.main(argv)
+        (work / "logs" / f"{name}.txt").write_text(
+            f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}", encoding="utf-8")
+
+
+def run_matrix(src: Path, work: Path) -> list[str]:
+    """Run MATRIX on the package under `src` in the new directory `work`;
+    returns one line per command whose exit code is not the expected one."""
+    write_inputs(work)
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, __file__, "--run-commands", str(src), str(work)], env=env, check=True)
+    wrong = []
+    for name, _, expected in MATRIX:
+        first = (work / "logs" / f"{name}.txt").read_text(encoding="utf-8").split("\n", 1)[0]
+        if first != f"exit {expected}":
+            wrong.append(f"{name}: {first}, expected exit {expected}")
+    return wrong
+
+
+def compare(a: Path, b: Path) -> list[tuple[str, str]]:
+    """(relative path, "identical" | "different" | "only in <side>") for every file under a or b."""
+    files = {str(p.relative_to(root)) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    result = []
+    for rel in sorted(files):
+        pa, pb = a / rel, b / rel
+        if not pa.exists() or not pb.exists():
+            result.append((rel, f"only in {a.name if pa.exists() else b.name}"))
+        else:
+            result.append((rel, "identical" if pa.read_bytes() == pb.read_bytes() else "different"))
+    return result
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """src/ of git revision `rev`, extracted under `dest`."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest / "src"
+
+
+def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--run-commands":
+        _run_commands(Path(sys.argv[2]), Path(sys.argv[3]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("rev", help="git revision to compare with, e.g. HEAD~1")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+        tmp = Path(tmp)
+        sides = {"checkout": ROOT / "src", "rev": export_src(args.rev, tmp / "export")}
+        wrong = []
+        for side, src in sides.items():
+            wrong += [f"{side} {line}" for line in run_matrix(src, tmp / side)]
+        result = compare(tmp / "checkout", tmp / "rev")
+    for rel, status in result:
+        print(f"{status:10s} {rel}")
+    for line in wrong:
+        print(f"unexpected exit: {line}")
+    differ = sum(status != "identical" for _, status in result)
+    print(f"{len(result)} files compared with {args.rev}: {len(result) - differ} identical, {differ} not")
+    return 1 if differ or wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,8 @@ except ImportError:
 
 from visir.data import SpectrumSpec, SRPair, bicubic_downsample, normalize_field, synth_field
 from visir.model import ModelConfig
-from visir.training import TrainConfig, sweep, write_sweep_csv
+from visir.training import (DEFAULT_FREQUENCIES, DEFAULT_LAYER_COUNTS, SweepResult, TrainConfig, sweep,
+                            write_sweep_csv)
 
 
 def make_pairs(n: int, lr_size: int, scale: int):
@@ -30,6 +31,18 @@ def make_pairs(n: int, lr_size: int, scale: int):
     return pairs
 
 
+def run(steps: int = 200, learning_rate: float = 1e-3, n_pairs: int = 8,
+        frequencies=DEFAULT_FREQUENCIES, layer_counts=DEFAULT_LAYER_COUNTS) -> SweepResult:
+    """The sweep on 8x8 -> 16x16 pairs, the first three quarters for training."""
+    pairs = make_pairs(n_pairs, lr_size=8, scale=2)
+    split = {"train": pairs[: 3 * len(pairs) // 4], "test": pairs[3 * len(pairs) // 4:]}
+    base = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=16,
+                       lr_height=8, lr_width=8, omega0=20.0, siren_hidden_layers=2,
+                       siren_hidden_dim=16, scale=2, channels=1)
+    budget = TrainConfig(learning_rate=learning_rate, steps=steps, batch_size=2, seed=0)
+    return sweep(base, split, budget, frequencies, layer_counts)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=200)
@@ -40,16 +53,9 @@ def main() -> int:
     parser.add_argument("--out", type=str, default="out/sweep.csv")
     args = parser.parse_args()
 
-    pairs = make_pairs(args.pairs, lr_size=8, scale=2)
-    split = {"train": pairs[: 3 * len(pairs) // 4], "test": pairs[3 * len(pairs) // 4:]}
-    base = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=16,
-                       lr_height=8, lr_width=8, omega0=20.0, siren_hidden_layers=2,
-                       siren_hidden_dim=16, scale=2, channels=1)
-    budget = TrainConfig(learning_rate=args.learning_rate, steps=args.steps, batch_size=2, seed=0)
-
     frequencies = tuple(float(f) for f in args.frequencies.split(","))
     layer_counts = tuple(int(c) for c in args.layers.split(","))
-    result = sweep(base, split, budget, frequencies, layer_counts)
+    result = run(args.steps, args.learning_rate, args.pairs, frequencies, layer_counts)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The tape is define-by-run: every primitive that touches a tensor with
-``requires_grad`` appends one entry, ``backward`` replays the tape once in
-reverse and then discards it.  Each thread has its own tape and its own
-``no_grad`` flag.  Tensors are immutable after construction except for the
-``grad`` slot, which ``backward`` writes on every tracked tensor feeding the
-loss: threads may share a model for inference, but two trainers must not
-share parameter tensors.
+``requires_grad`` appends one entry.  ``backward(loss, params)`` pops the
+entries in reverse, dropping each one and its output gradient as it passes,
+and returns the gradients of ``params``.  Each thread has its own tape and
+its own ``no_grad`` flag, and tensors are immutable, so threads may share
+parameter tensors for training as well as for inference.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class NonFiniteError(ArithmeticError):
 class Tensor:
     """Immutable dense array of float64 values, optionally tracked for grads."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -70,7 +69,6 @@ class Tensor:
         arr.setflags(write=False)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -78,11 +76,9 @@ class Tensor:
         _check_finite(arr)
         out = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.flags.writeable:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
         out.data = arr
         out.requires_grad = requires_grad
-        out.grad = None
         return out
 
     @property
@@ -120,7 +116,7 @@ def _check_finite(arr: np.ndarray) -> None:
 class _TapeEntry:
     out: Tensor
     parents: tuple[Tensor, ...]
-    # Maps the gradient at `out` to gradients at each parent (None = no flow).
+    # Maps the gradient at `out` to the gradient at each parent.
     pull: Callable[[np.ndarray], tuple]
 
 
@@ -128,6 +124,7 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.tape: list[_TapeEntry] = []
         self.grad_enabled = True
+        self.last_grads: dict[int, np.ndarray] = {}
 
 
 _state = _ThreadState()
@@ -160,33 +157,40 @@ def _make(arr: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor feeding ``loss``.
+def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entry: _TapeEntry) -> None:
+    g = grads.pop(id(entry.out), None)
+    if g is None:
+        return
+    for parent, pg in zip(entry.parents, entry.pull(g)):
+        if parent.requires_grad:
+            key = id(parent)
+            if key in leaves:
+                leaves[key] += pg
+            elif key in grads:  # never in place: a pull may hand one array to two parents
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
 
-    The tape is consumed: it is cleared whether or not the sweep succeeds,
-    matching the rebuild-per-forward-pass contract.
+
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Gradient of the scalar ``loss`` with respect to each tensor in ``params``, keyed
+    as given; zeros for a tensor that does not feed the loss.  The tensors in
+    ``params`` must be leaves, made by no primitive on the tape.
+
+    The tape is popped one entry at a time, so an intermediate and its gradient are
+    freed once the sweep has passed the entries that use and make it; the rest of
+    the tape is cleared whether or not the sweep succeeds.
     """
     try:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        # Made before the sweep frees the forward's memory, and kept until the next call, so that
+        # malloc keeps that memory for the next step instead of returning it and faulting it in again.
+        leaves = _state.last_grads = {id(p): np.zeros(p.shape) for p in params.values()}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
-        for entry in reversed(_state.tape):
-            g = grads.get(id(entry.out))
-            if g is None:
-                continue
-            for parent, pg in zip(entry.parents, entry.pull(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                tensors[key] = parent
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-        for key, t in tensors.items():
-            if t.requires_grad:
-                t.grad = grads[key]
+        while _state.tape:
+            _pull_into(grads, leaves, _state.tape.pop())
+        return {name: leaves[id(p)] for name, p in params.items()}
     finally:
         clear_tape()
 
@@ -320,13 +324,12 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make(out, (a,), pull)
 
 
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    out = a.data.mean(axis=axis)
     count = a.size if axis is None else a.shape[axis]
 
     def pull(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
@@ -366,15 +369,13 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), pull)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def pull(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _make(out, (a,), pull)

@@ -58,6 +58,10 @@ def _parse_optional_int(text: str):
     return None if text.strip().lower() in ("", "none") else int(text)
 
 
+def _parse_grid(conv):
+    return lambda text: tuple(conv(item) for item in text.split(","))
+
+
 # Field type hint (a string under postponed annotations) -> CLI value parser.
 _CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "int | None": _parse_optional_int}
 
@@ -78,8 +82,8 @@ KEYS: dict[str, tuple] = {
                         "sinusoid components amp:cycles:angle_deg, comma separated"),
     "data.background": (float, 0.4, "smooth background amplitude"),
     "data.background_cycles": (int, 3, "max integer frequency of the background"),
-    "sweep.frequencies": (str, "10,20,30,40,50,60", "omega0 grid"),
-    "sweep.layers": (str, "1,2,3,4,5,6", "hidden-layer grid"),
+    "sweep.frequencies": (_parse_grid(float), training.DEFAULT_FREQUENCIES, "omega0 grid, comma separated"),
+    "sweep.layers": (_parse_grid(int), training.DEFAULT_LAYER_COUNTS, "hidden-layer grid, comma separated"),
     "run.seed": (int, 0, "global seed"),
     "run.out": (str, "out", "output directory"),
 }
@@ -282,13 +286,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     model_cfg = _model_config(settings, manifest)
     train_cfg = _train_config(settings)
     out = _out_dir(settings)
-    try:
-        frequencies = tuple(float(f) for f in settings["sweep.frequencies"].split(","))
-        layer_counts = tuple(int(c) for c in settings["sweep.layers"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep grid: {exc}") from exc
     split = {name: datamod.load_pairs(manifest, name) for name in ("train", "test")}
-    result = training.sweep(model_cfg, split, train_cfg, frequencies, layer_counts)
+    result = training.sweep(model_cfg, split, train_cfg, settings["sweep.frequencies"], settings["sweep.layers"])
     training.write_sweep_csv(result, out / "sweep.csv")
     for layers, freq, message in result.failures:
         print(f"cell (layers={layers}, omega0={freq}) failed: {message}", file=sys.stderr)

@@ -70,7 +70,6 @@ class SRPair:
     lr: np.ndarray
     scale: int
     tile_index: int = 0
-    source_id: str = ""
 
     def __post_init__(self):
         hr = np.asarray(self.hr, dtype=np.float64)
@@ -221,18 +220,16 @@ def bicubic_downsample(img: np.ndarray, s: int) -> np.ndarray:
 # Raw grid files ("VSGR")
 # ---------------------------------------------------------------------------
 
-def write_grid(path, values: np.ndarray, units: str = "") -> None:
-    """Raw grid file: magic, version, h, w, c, unit string, f64-LE row-major."""
+def write_grid(path, values: np.ndarray) -> None:
+    """Raw grid file: magic, version, h, w, c, unit string (written empty), f64-LE row-major."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 2:
         v = v[:, :, None]
     if v.ndim != 3:
         raise ValueError(f"grid must be 2-d or 3-d, got shape {v.shape}")
-    unit_bytes = units.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<IIIII", GRID_VERSION, v.shape[0], v.shape[1], v.shape[2], len(unit_bytes)))
-        fh.write(unit_bytes)
+        fh.write(struct.pack("<IIIII", GRID_VERSION, v.shape[0], v.shape[1], v.shape[2], 0))
         fh.write(v.astype("<f8").tobytes(order="C"))
 
 
@@ -395,7 +392,7 @@ class DatasetManifest:
     tile_width: int
     entries: list[ManifestEntry]
     normalization: dict[str, list[tuple[float, float]]]
-    root: Path | None = None
+    root: Path  # the directory the pair paths are relative to
 
     def split(self, name: str) -> list[ManifestEntry]:
         return [e for e in self.entries if e.split == name]
@@ -451,8 +448,6 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
 
     entries: list[ManifestEntry] = []
     normalization: dict[str, list[tuple[float, float]]] = {}
-    grid_rows = cfg.source_height // cfg.tile
-    grid_cols = cfg.source_width // cfg.tile
 
     for s in range(cfg.sources):
         source_id = f"s{s:03d}"
@@ -466,7 +461,6 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
         normalization[source_id] = ranges
         rgb = assemble_rgb(*channels)
         tiles = tile_image(rgb, cfg.tile, cfg.tile)
-        assert len(tiles) == grid_rows * grid_cols
         for i, hr in enumerate(tiles):
             lr = bicubic_downsample(hr, cfg.scale)
             pair_id = f"{source_id}_t{i:02d}"
@@ -527,16 +521,13 @@ def load_manifest(path) -> DatasetManifest:
                            normalization=normalization, root=path.parent)
 
 
-def load_pairs(manifest: DatasetManifest, split: str | None = None) -> list[SRPair]:
-    if manifest.root is None:
-        raise ValueError("manifest has no root directory; load it from disk or build it first")
-    wanted = manifest.entries if split is None else manifest.split(split)
-    if split is not None and not wanted:
+def load_pairs(manifest: DatasetManifest, split: str) -> list[SRPair]:
+    wanted = manifest.split(split)
+    if not wanted:
         raise ValueError(f"split '{split}' is empty")
     pairs = []
     for e in wanted:
         hr, _ = read_grid(manifest.root / e.hr_path)
         lr, _ = read_grid(manifest.root / e.lr_path)
-        pairs.append(SRPair(hr=hr, lr=lr, scale=manifest.scale,
-                            tile_index=e.tile_index, source_id=e.source_id))
+        pairs.append(SRPair(hr=hr, lr=lr, scale=manifest.scale, tile_index=e.tile_index))
     return pairs

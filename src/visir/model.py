@@ -203,7 +203,7 @@ def mhsa(tokens: Tensor, params: dict[str, Tensor], prefix: str, num_heads: int)
         kh = narrow(k, 1, h * dh, dh)
         vh = narrow(v, 1, h * dh, dh)
         scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        heads.append(matmul(softmax(scores, axis=-1), vh))
+        heads.append(matmul(softmax(scores), vh))
     return affine(concat(heads, axis=1), params[f"{prefix}wo"], params[f"{prefix}bo"])
 
 

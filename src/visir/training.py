@@ -118,17 +118,13 @@ def _mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
 
 
 def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[dict[str, Tensor], float]:
-    """One Adam step on `loss_fn()`, recorded on a fresh tape: (new params, loss value).
+    """One Adam step on `loss_fn()`: (new params, loss value).
 
     A non-finite value in the forward or backward pass is a DivergenceError at `step`."""
-    clear_tape()
     try:
         loss = loss_fn()
         value = loss.item()
-        backward(loss)
-        grads = {name: (p.grad if p.grad is not None else np.zeros(p.shape))
-                 for name, p in params.items()}
-        return adam_step(params, opt, grads), value
+        return adam_step(params, opt, backward(loss, params)), value
     except NonFiniteError as exc:
         clear_tape()
         raise DivergenceError(step, str(exc)) from exc
@@ -356,13 +352,16 @@ def load_checkpoint(path) -> VisirModel:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
     params: dict[str, Tensor] = {}
     for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        raw_name = reader.take(reader.u32())
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = int(np.prod(shape)) if shape else 1
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         try:
+            name = raw_name.decode("utf-8")
             params[name] = Tensor(values, requires_grad=True)
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"tensor name {raw_name!r:.60} is not UTF-8") from exc
         except NonFiniteError as exc:
             raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value") from exc
     if reader.pos != len(reader.blob):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -92,14 +93,14 @@ def test_matmul_associativity(a, b, c):
 # ---------------------------------------------------------------------------
 
 def test_softmax_uniform_on_zeros():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
+    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=arrays(np.float64, (3, 5), elements=finite_elements))
 def test_softmax_rows_sum_to_one(x):
-    out = ad.softmax(Tensor(x), axis=1)
+    out = ad.softmax(Tensor(x))
     assert np.all(out.data > 0)
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -108,14 +109,9 @@ def test_softmax_rows_sum_to_one(x):
 @given(x=arrays(np.float64, (4,), elements=finite_elements),
        c=st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_softmax_shift_invariance(x, c):
-    base = ad.softmax(Tensor(x), axis=0).data
-    shifted = ad.softmax(Tensor(x + c), axis=0).data
+    base = ad.softmax(Tensor(x)).data
+    shifted = ad.softmax(Tensor(x + c)).data
     assert np.allclose(base, shifted, atol=1e-12)
-
-
-def test_softmax_bad_axis():
-    with pytest.raises(ShapeError):
-        ad.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +158,8 @@ def test_sine_quarter_period():
 def test_sine_gradient_at_zero_is_omega0():
     x = Tensor([0.0], requires_grad=True)
     out = ad.sine_activation(x, 20.0)
-    ad.backward(ad.tensor_sum(out))
-    assert x.grad[0] == pytest.approx(20.0, abs=1e-12)
+    grads = ad.backward(ad.tensor_sum(out), {"x": x})
+    assert grads["x"][0] == pytest.approx(20.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,28 +177,28 @@ def test_sine_output_bounded(x, omega0):
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
     loss = ad.tensor_sum(ad.mul(x, x))
-    ad.backward(loss)
-    assert x.grad[0] == pytest.approx(6.0, abs=1e-12)
+    grads = ad.backward(loss, {"x": x})
+    assert grads["x"][0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_sine_chain():
     x = Tensor([0.0], requires_grad=True)
     loss = ad.tensor_sum(ad.sine_activation(x, 20.0))
-    ad.backward(loss)
-    assert x.grad[0] == pytest.approx(20.0)
+    grads = ad.backward(loss, {"x": x})
+    assert grads["x"][0] == pytest.approx(20.0)
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(x, x)
     with pytest.raises(ShapeError):
-        ad.backward(y)
+        ad.backward(y, {"x": x})
     assert ad.tape_length() == 0  # consumed even on failure
 
 
 def test_backward_clears_tape():
     x = Tensor([2.0], requires_grad=True)
-    ad.backward(ad.tensor_sum(ad.mul(x, x)))
+    ad.backward(ad.tensor_sum(ad.mul(x, x)), {"x": x})
     assert ad.tape_length() == 0
 
 
@@ -210,8 +206,51 @@ def test_backward_accumulates_shared_leaf():
     x = Tensor([2.0], requires_grad=True)
     # f = x*x + 3x -> f' = 2x + 3 = 7
     loss = ad.tensor_sum(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
-    ad.backward(loss)
-    assert x.grad[0] == pytest.approx(7.0)
+    grads = ad.backward(loss, {"x": x})
+    assert grads["x"][0] == pytest.approx(7.0)
+
+
+def test_tensor_has_no_gradient_slot():
+    assert Tensor.__slots__ == ("data", "requires_grad")
+    with pytest.raises(AttributeError):
+        Tensor([1.0]).grad = np.ones(1)
+
+
+def test_backward_returns_grads_keyed_as_given():
+    # Zeros for a tensor that does not feed the loss, and for one not tracked;
+    # the same tensor under two names gets its gradient under both.
+    x = Tensor([3.0, -1.0], requires_grad=True)
+    unused = Tensor(np.ones((2, 2)), requires_grad=True)
+    frozen = Tensor([5.0])
+    loss = ad.tensor_sum(ad.mul(ad.mul(x, x), frozen))
+    grads = ad.backward(loss, {"a": x, "unused": unused, "frozen": frozen, "b": x})
+    assert list(grads) == ["a", "unused", "frozen", "b"]
+    assert np.array_equal(grads["a"], [30.0, -10.0])
+    assert np.array_equal(grads["b"], grads["a"])
+    assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+    assert np.array_equal(grads["frozen"], [0.0])
+
+
+def test_backward_frees_an_intermediate_before_reaching_its_inputs():
+    # Tape: [u = 3x, v = sin(u), t = 2v, loss = sum(t)].  Once the sweep has passed
+    # the entries that use and make t, nothing holds t: it is freed while the
+    # entries that made its input v (and u) are still on the tape, unreached.
+    # Tensor has no __weakref__ slot, so the reference is to t's value array,
+    # which only t holds.
+    ad.clear_tape()
+    x = Tensor(np.linspace(0.0, 1.0, 4), requires_grad=True)
+    v = ad.sine_activation(ad.scale(x, 3.0), 1.0)
+    t = ad.scale(v, 2.0)
+    loss = ad.tensor_sum(t)
+    del v
+    tape_when_freed = []
+    ref = weakref.ref(t.data, lambda _: tape_when_freed.append(ad.tape_length()))
+    del t
+    assert ad.tape_length() == 4
+    grads = ad.backward(loss, {"x": x})
+    assert ref() is None
+    assert tape_when_freed == [2]
+    assert np.allclose(grads["x"], 6.0 * np.cos(3.0 * x.data), rtol=0, atol=1e-12)
 
 
 def test_no_grad_suppresses_tape():
@@ -260,8 +299,8 @@ def test_concurrent_trainers_keep_their_own_tapes():
             if k % 2:
                 with ad.no_grad():
                     ad.scale(x, 2.0)
-            ad.backward(ad.tensor_sum(ad.mul(x, x)))
-            if x.grad is None or not np.array_equal(x.grad, 2.0 * x.data):
+            grads = ad.backward(ad.tensor_sum(ad.mul(x, x)), {"x": x})
+            if not np.array_equal(grads["x"], 2.0 * x.data):
                 wrong.append((k, i))
         finished.append(k)
 
@@ -280,6 +319,36 @@ def test_concurrent_trainers_keep_their_own_tapes():
     assert wrong == []
 
 
+def test_trainers_share_parameter_tensors():
+    # Each thread takes its own loss k * sum(x * x) over the same tensors; the
+    # gradient is the return value, so each must be exactly 2k * x.
+    params = {"x": Tensor(np.linspace(-2.0, 2.0, 5), requires_grad=True),
+              "y": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
+    wrong, finished = [], []
+
+    def work(k):
+        for i in range(50):
+            terms = [ad.tensor_sum(ad.mul(p, p)) for p in params.values()]
+            grads = ad.backward(ad.scale(ad.add(*terms), float(k)), params)
+            if any(not np.array_equal(grads[n], 2.0 * k * p.data) for n, p in params.items()):
+                wrong.append((k, i))
+        finished.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(1, 5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [1, 2, 3, 4]
+    assert wrong == []
+
+
 # ---------------------------------------------------------------------------
 # per-primitive gradient checks against central finite differences
 # ---------------------------------------------------------------------------
@@ -292,7 +361,7 @@ def _check_op(build, shapes, seed, points=10):
         tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays_.items()}
         ad.clear_tape()
         loss = build(tensors)
-        ad.backward(loss)
+        grads = ad.backward(loss, tensors)
 
         def eval_loss(arrs):
             with ad.no_grad():
@@ -300,7 +369,7 @@ def _check_op(build, shapes, seed, points=10):
 
         numeric = finite_difference_grads(eval_loss, arrays_)
         for name in shapes:
-            assert grads_close(tensors[name].grad, numeric[name]), \
+            assert grads_close(grads[name], numeric[name]), \
                 f"{name} gradient mismatch at point {point}"
 
 
@@ -328,7 +397,7 @@ def _weighted(x):
     ("sine", lambda t: _weighted(ad.sine_activation(t["a"], 20.0)), {"a": (2, 3)}),
     ("gelu", lambda t: _weighted(ad.gelu(t["a"])), {"a": (2, 4)}),
     ("sigmoid", lambda t: _weighted(ad.sigmoid(t["a"])), {"a": (2, 4)}),
-    ("softmax", lambda t: _weighted(ad.softmax(t["a"], axis=1)), {"a": (3, 4)}),
+    ("softmax", lambda t: _weighted(ad.softmax(t["a"])), {"a": (3, 4)}),
     ("layer_norm", lambda t: _weighted(ad.layer_norm(t["a"], t["g"], t["s"])),
      {"a": (3, 6), "g": (6,), "s": (6,)}),
     ("affine", lambda t: _weighted(ad.affine(t["x"], t["w"], t["b"])), {"x": (4, 3), "w": (5, 3), "b": (5,)}),

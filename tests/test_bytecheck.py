@@ -1,0 +1,32 @@
+"""The CLI is deterministic end to end: scripts/bytecheck.py's command matrix,
+run twice on this checkout, writes the same bytes.
+
+This pins the determinism contract without pinning output hashes, which
+depend on the machine.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_bytecheck():
+    spec = importlib.util.spec_from_file_location("bytecheck", ROOT / "scripts" / "bytecheck.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matrix_twice_gives_identical_bytes(tmp_path):
+    bytecheck = _load_bytecheck()
+    for side in ("a", "b"):
+        assert bytecheck.run_matrix(ROOT / "src", tmp_path / side) == []  # every exit code as expected
+    result = dict(bytecheck.compare(tmp_path / "a", tmp_path / "b"))
+    for name, _, _ in bytecheck.MATRIX:
+        assert result[f"logs/{name}.txt"] == "identical"
+    for output in ("data/manifest.json", "data_custom/manifest.json", "train_visir/model.vsck",
+                   "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
+                   "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr"):
+        assert result[output] == "identical"
+    assert set(result.values()) == {"identical"}

@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visir.cli import EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
-from visir.data import load_manifest, load_pairs, read_png, write_grid, write_png
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _data_config, _model_config,
+                       _train_config, build_parser, load_settings, main)
+from visir.data import DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
 from visir.training import load_checkpoint
 
 TINY_MODEL_FLAGS = [
@@ -129,6 +133,35 @@ def test_bad_value_exits_2(tmp_path, capsys, flag, value):
     code = main([*command, f"{flag}={value}", "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert flag.split(".")[1] in capsys.readouterr().err
+
+
+_PARSER = build_parser()
+# A dataset at the CLI's default geometry (240-pixel tiles, 4x), for the model keys.
+_DEFAULT_MANIFEST = DatasetManifest(seed=0, scale=4, tile_height=240, tile_width=240,
+                                    entries=[], normalization={}, root=Path("."))
+_NUMBERS = st.one_of(st.integers(), st.floats())
+_KEY_TEXT = st.one_of(
+    st.text(),
+    _NUMBERS.map(str),
+    st.lists(_NUMBERS, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS), max_size=3).map(
+        lambda parts: ",".join(":".join(map(str, part)) for part in parts)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(KEYS)), text=_KEY_TEXT)
+def test_any_text_for_any_key_is_accepted_or_a_value_error(key, text):
+    # Every step between the flag and a command's configs; a ValueError
+    # (ConfigError included) is exit 2 in main(), anything else would be a traceback.
+    ns = _PARSER.parse_args(["build-data", f"--{key}={text}"])
+    try:
+        loaded = load_settings(ns)
+        _model_config(loaded, _DEFAULT_MANIFEST)
+        _train_config(loaded)
+        _data_config(loaded)
+    except ValueError:
+        pass
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -416,6 +449,20 @@ def test_reconstruct_checkpoint_non_finite_exits_5(tmp_path, capsys, value):
     assert code == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "pos" in err and "non-finite" in err
+
+
+def test_reconstruct_checkpoint_name_not_utf8_exits_5(tmp_path, capsys):
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    blob = bytearray(ckpt.read_bytes())
+    blob[blob.index(b"block0.attn.bk")] = 0xFF
+    ckpt.write_bytes(bytes(blob))
+    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "UTF-8" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_reconstruct_accepts_png_input(tmp_path):

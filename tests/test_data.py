@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -234,8 +235,15 @@ def test_synth_non_finite_spec_errors(spec):
 def test_grid_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     img = rng.uniform(0, 1, (5, 7, 3))
-    write_grid(tmp_path / "g.vsgr", img, units="W m-2")
+    write_grid(tmp_path / "g.vsgr", img)
     back, units = read_grid(tmp_path / "g.vsgr")
+    assert np.array_equal(back, img)
+    assert units == ""
+    # A unit string written by another tool is read back; write_grid always writes it empty.
+    unit = "W m-2".encode("utf-8")
+    blob = b"VSGR" + struct.pack("<IIIII", 1, 5, 7, 3, len(unit)) + unit + img.astype("<f8").tobytes()
+    (tmp_path / "u.vsgr").write_bytes(blob)
+    back, units = read_grid(tmp_path / "u.vsgr")
     assert np.array_equal(back, img)
     assert units == "W m-2"
 
@@ -389,14 +397,12 @@ def test_manifest_round_trip_and_pairs(tmp_path):
     manifest = build_dataset(SMALL_CFG, tmp_path / "d")
     loaded = load_manifest(tmp_path / "d" / "manifest.json")
     assert loaded.to_json() == manifest.to_json()
-    pairs = load_pairs(loaded)
-    assert len(pairs) == len(manifest.entries)
-    for p in pairs:
-        assert p.hr.shape == (24, 24, 3)
-        assert p.lr.shape == (6, 6, 3)
     train = load_pairs(loaded, "train")
     test = load_pairs(loaded, "test")
-    assert len(train) + len(test) == len(pairs)
+    assert len(train) + len(test) == len(manifest.entries)
+    for p in train + test:
+        assert p.hr.shape == (24, 24, 3)
+        assert p.lr.shape == (6, 6, 3)
 
 
 def test_split_is_deterministic(tmp_path):

@@ -325,6 +325,15 @@ def test_checkpoint_non_finite_tensor(tmp_path, value):
         load_checkpoint(tmp_path / "bad.vsck")
 
 
+def test_checkpoint_tensor_name_not_utf8(tmp_path):
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    blob = bytearray((tmp_path / "m.vsck").read_bytes())
+    blob[blob.index(b"block0.attn.bk")] = 0xFF
+    (tmp_path / "bad.vsck").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+        load_checkpoint(tmp_path / "bad.vsck")
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
