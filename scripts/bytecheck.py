@@ -4,12 +4,13 @@
     python scripts/bytecheck.py <rev>
 
 Runs one matrix of visir commands (build-data, train, eval, sweep and
-reconstruct, on small sizes) twice: once on this checkout's src/, uncommitted
-edits included, and once on <rev>'s src/, exported with `git archive` into a
-temporary directory.  Then it prints "identical" or "different" for every
-output file, including a log per command with its exit code, stdout and
-stderr.  It exits 1 if any file differs or any command ends with an exit code
-other than the one the matrix expects.
+reconstruct, on small sizes), then the library paths no command reaches (a
+coordinate-net fit and the single-channel criterion-5 model), twice: once on
+this checkout's src/, uncommitted edits included, and once on <rev>'s src/,
+exported with `git archive` into a temporary directory.  Then it prints
+"identical" or "different" for every output file, including a log per command
+with its exit code, stdout and stderr.  It exits 1 if any file differs or any
+command ends with an exit code other than the one the matrix expects.
 
 Each side runs in its own interpreter with one BLAS thread, and calls
 `visir.cli.main` for every command, with relative paths, in a fresh directory.
@@ -17,6 +18,7 @@ Each side runs in its own interpreter with one BLAS thread, and calls
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import os
 import struct
@@ -105,6 +107,27 @@ def _run_commands(src: Path, work: Path) -> None:
             code = visir.cli.main(argv)
         (work / "logs" / f"{name}.txt").write_text(
             f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}", encoding="utf-8")
+    _run_library(work / "library")
+
+
+def _run_library(out: Path) -> None:
+    """Child side: a 20-step coordinate-net fit of data/s000_t00, and the criterion-5
+    model (one channel) of scripts/spectral_bias_experiment.py trained 10 steps at batch 2."""
+    from visir.data import SRPair, read_grid, write_grid
+    from visir.model import init_parameters
+    from visir.training import TrainConfig, fit_siren_inr, save_checkpoint, train
+
+    spec = importlib.util.spec_from_file_location("spectral_bias_experiment",
+                                                  ROOT / "scripts" / "spectral_bias_experiment.py")
+    experiment = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(experiment)
+    out.mkdir()
+    pair = SRPair(hr=read_grid("data/s000_t00_hr.vsgr")[0], lr=read_grid("data/s000_t00_lr.vsgr")[0], scale=2)
+    _, recon = fit_siren_inr(pair, hidden_dim=16, steps=20, learning_rate=1e-3)
+    write_grid(out / "siren_inr.vsgr", recon)
+    model = init_parameters(experiment.model_config(), seed=0)
+    train(model, experiment.build_split(0)[0], TrainConfig(learning_rate=1e-3, steps=10, batch_size=2))
+    save_checkpoint(model, out / "c5_visir.vsck")
 
 
 def run_matrix(src: Path, work: Path) -> list[str]:

@@ -1,11 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The tape is define-by-run: every primitive that touches a tensor with
-``requires_grad`` appends one entry.  ``backward(loss, params)`` pops the
-entries in reverse, dropping each one and its output gradient as it passes,
-and returns the gradients of ``params``.  Each thread has its own tape and
-its own ``no_grad`` flag, and tensors are immutable, so threads may share
-parameter tensors for training as well as for inference.
+The tape is define-by-run: every primitive called outside ``no_grad``
+appends one entry, so wrap inference in ``no_grad``.  ``backward(loss,
+params)`` pops the entries in reverse, dropping each one and its output
+gradient as it passes, and returns the gradients of ``params``: those
+tensors, and no flag on a tensor, decide what is differentiated.  Each thread
+has its own tape and its own ``no_grad`` flag, and tensors are immutable, so
+threads may share parameter tensors for training as well as for inference.
 """
 
 from __future__ import annotations
@@ -59,26 +60,24 @@ class NonFiniteError(ArithmeticError):
 
 
 class Tensor:
-    """Immutable dense array of float64 values, optionally tracked for grads."""
+    """Immutable dense array of float64 values."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
         _check_finite(arr)
         arr.setflags(write=False)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
         # Internal fast path: arr is a fresh array owned by the caller.
         _check_finite(arr)
         out = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
         arr.setflags(write=False)
         out.data = arr
-        out.requires_grad = requires_grad
         return out
 
     @property
@@ -99,8 +98,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -150,9 +148,8 @@ def tape_length() -> int:
 
 
 def _make(arr: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
-    tracked = _state.grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor._wrap(arr, requires_grad=tracked)
-    if tracked:
+    out = Tensor._wrap(arr)
+    if _state.grad_enabled:
         _state.tape.append(_TapeEntry(out, tuple(parents), pull))
     return out
 
@@ -162,14 +159,13 @@ def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entr
     if g is None:
         return
     for parent, pg in zip(entry.parents, entry.pull(g)):
-        if parent.requires_grad:
-            key = id(parent)
-            if key in leaves:
-                leaves[key] += pg
-            elif key in grads:  # never in place: a pull may hand one array to two parents
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+        key = id(parent)
+        if key in leaves:
+            leaves[key] += pg
+        elif key in grads:  # never in place: a pull may hand one array to two parents
+            grads[key] = grads[key] + pg
+        else:
+            grads[key] = pg
 
 
 def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -448,5 +444,5 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
         mhat = m / (1.0 - ADAM_BETA1 ** t)
         vhat = v / (1.0 - ADAM_BETA2 ** t)
         stepped = p.data - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        out[name] = Tensor._wrap(stepped, requires_grad=True)
+        out[name] = Tensor._wrap(stepped)
     return out

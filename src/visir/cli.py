@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .autodiff import no_grad
+from .autodiff import NonFiniteError, no_grad
 from .data import DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
 from .metrics import evaluate_pair
 from .model import ModelConfig, init_parameters, predict
@@ -267,9 +267,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise CheckpointMismatchError(
             f"checkpoint geometry {model.config.lr_height}x{model.config.lr_width}@{model.config.scale}x "
             f"does not match manifest tiles {manifest.tile_height}x{manifest.tile_width}")
-    out = _out_dir(settings)
     entries = manifest.split(ns.split)
     reports, summary = training.evaluate(model, datamod.load_pairs(manifest, ns.split))
+    out = _out_dir(settings)
     training.write_eval_csv([e.pair_id for e in entries], reports, out / "eval.csv")
     print(f"{ns.split} split: {summary.count} images")
     for name, stat in (("MSE", summary.mse), ("PSNR", summary.psnr), ("SSIM", summary.ssim)):
@@ -313,13 +313,13 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     settings = load_settings(ns)
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(ns, settings, model.config)
-    out = _out_dir(settings)
     lr = _read_image(ns.input)
     expected = (model.config.lr_height, model.config.lr_width, model.config.channels)
     if lr.shape != expected:
         raise CheckpointMismatchError(f"input shape {lr.shape} does not match checkpoint LR shape {expected}")
     with no_grad():
         recon = predict(lr, model).data
+    out = _out_dir(settings)
     write_png(out / "reconstruction.png", recon)
     write_grid(out / "reconstruction.vsgr", recon)
     print(f"reconstruction: {out / 'reconstruction.png'} ({recon.shape[0]}x{recon.shape[1]})")
@@ -352,7 +352,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return COMMANDS[ns.command](ns)
+        # A NaN or infinity is reported once, by the check that finds it, not by numpy's warnings.
+        with np.errstate(all="ignore"):
+            return COMMANDS[ns.command](ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -362,8 +364,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ValueError) as exc:
-        # ValueError here means malformed input data (grids, manifests).
+    except (OSError, ValueError, NonFiniteError) as exc:
+        # ValueError here means malformed input data (grids, manifests); NonFiniteError a
+        # forward pass outside training (eval, reconstruct) that met a NaN or infinity.
         is_io = isinstance(exc, OSError)
         print(f"{'i/o' if is_io else 'data'} error: {exc}", file=sys.stderr)
         return EXIT_IO if is_io else EXIT_CONFIG

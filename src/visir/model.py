@@ -154,26 +154,14 @@ def parameter_count(model: VisirModel) -> int:
 # Patch plumbing
 # ---------------------------------------------------------------------------
 
-def _as_image_tensor(img) -> Tensor:
-    t = img if isinstance(img, Tensor) else Tensor(img)
-    if t.ndim == 2:
-        t = reshape(t, (t.shape[0], t.shape[1], 1))
-    if t.ndim != 3:
-        raise ShapeError(f"image must be HxWxC, got shape {t.shape}")
-    return t
-
-
-def extract_patches(img, patch_size: int) -> Tensor:
-    """Row-major non-overlapping patches, each flattened to length P*P*C."""
-    t = _as_image_tensor(img)
-    h, w, c = t.shape
+def extract_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
+    """Row-major non-overlapping patches of an H x W x C image, each flattened to length P*P*C."""
     p = patch_size
-    if h % p != 0 or w % p != 0:
-        raise ShapeError(f"patch size {p} does not tile a {h}x{w} image")
-    gh, gw = h // p, w // p
-    x = reshape(t, (gh, p, gw, p, c))
-    x = transpose(x, (0, 2, 1, 3, 4))
-    return reshape(x, (gh * gw, p * p * c))
+    if img.ndim != 3 or img.shape[0] % p != 0 or img.shape[1] % p != 0:
+        raise ShapeError(f"patch size {p} does not tile an H x W x C image of shape {img.shape}")
+    h, w, c = img.shape
+    x = img.reshape(h // p, p, w // p, p, c).transpose(0, 2, 1, 3, 4)
+    return x.reshape(h * w // (p * p), p * p * c)
 
 
 def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int, channels: int) -> Tensor:
@@ -239,12 +227,6 @@ def _hidden_act(cfg: ModelConfig) -> str:
     return "sine" if cfg.variant == "visir" else "gelu"
 
 
-def _check_input(cfg: ModelConfig, img: Tensor) -> None:
-    expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
-    if img.shape != expected:
-        raise ShapeError(f"model expects LR input of shape {expected}, got {img.shape}")
-
-
 def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tensor:
     cfg = model.config
     p = model.params
@@ -262,13 +244,15 @@ def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tenso
     return tokens
 
 
-def encode(img, model: VisirModel) -> Tensor:
-    """LR image -> contextualized token sequence (N x D)."""
+def encode(img: np.ndarray, model: VisirModel) -> Tensor:
+    """H x W x C LR image -> contextualized token sequence (N x D)."""
     cfg = model.config
-    t = _as_image_tensor(img)
-    _check_input(cfg, t)
+    expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
+    if img.shape != expected:
+        raise ShapeError(f"model expects LR input of shape {expected}, got {img.shape}")
     p = model.params
-    tokens = add(affine(extract_patches(t, cfg.patch_size), p["embed.weight"], p["embed.bias"]), p["pos"])
+    patches = Tensor(extract_patches(img, cfg.patch_size))
+    tokens = add(affine(patches, p["embed.weight"], p["embed.bias"]), p["pos"])
     act = _hidden_act(cfg)
     for i in range(cfg.num_layers):
         tokens = _encoder_block(tokens, model, i, act)
@@ -294,8 +278,8 @@ def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     return reshape(out, (cfg.hr_height, cfg.hr_width, cfg.channels))
 
 
-def predict(img, model: VisirModel) -> Tensor:
-    """LR image -> HR image in [0, 1], differentiable; the forward pass of both variants
+def predict(img: np.ndarray, model: VisirModel) -> Tensor:
+    """H x W x C LR image -> HR image in [0, 1], differentiable; the forward pass of both variants
     (sine stacks and output, or the MLP baseline's GELU stacks and sigmoid output)."""
     return decode_hr(encode(img, model), model)
 
@@ -312,18 +296,16 @@ def coordinate_grid(h: int, w: int) -> np.ndarray:
     return np.stack([yy, xx], axis=-1)
 
 
-def siren_inr_forward(coords, params: dict[str, Tensor], omega0: float) -> Tensor:
+def siren_inr_forward(coords: np.ndarray, params: dict[str, Tensor], omega0: float) -> Tensor:
     """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1].
 
     `params` is a sine stack as init_siren_stack draws it ("w0", "b0", ...).
     """
-    t = coords if isinstance(coords, Tensor) else Tensor(coords)
-    lead = t.shape[:-1]
+    lead = coords.shape[:-1]
     in_dim = params["w0"].shape[1]
-    if t.shape[-1] != in_dim:
-        raise ShapeError(f"coordinates have dim {t.shape[-1]}, stack expects {in_dim}")
-    flat = reshape(t, (int(np.prod(lead)) if lead else 1, in_dim))
-    out = apply_stack(flat, params, "", omega0, hidden="sine", final="sine")
+    if coords.shape[-1] != in_dim:
+        raise ShapeError(f"coordinates have dim {coords.shape[-1]}, stack expects {in_dim}")
+    out = apply_stack(Tensor(coords.reshape(-1, in_dim)), params, "", omega0, hidden="sine", final="sine")
     return reshape(out, lead + (out.shape[1],))
 
 
@@ -374,7 +356,7 @@ def _draw(layout: dict[str, tuple], seed: int) -> dict[str, Tensor]:
     """Trainable tensors for `layout`, reproducible bit-for-bit from the seed."""
     rng = np.random.default_rng(seed)
     return {name: Tensor(rng.uniform(-bound, bound, size=shape) if bound is not None
-                         else np.full(shape, 1.0 if name.endswith(".gain") else 0.0), requires_grad=True)
+                         else np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
             for name, (shape, bound) in layout.items()}
 
 

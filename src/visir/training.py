@@ -359,7 +359,7 @@ def load_checkpoint(path) -> VisirModel:
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         try:
             name = raw_name.decode("utf-8")
-            params[name] = Tensor(values, requires_grad=True)
+            params[name] = Tensor(values)
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"tensor name {raw_name!r:.60} is not UTF-8") from exc
         except NonFiniteError as exc:

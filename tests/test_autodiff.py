@@ -156,7 +156,7 @@ def test_sine_quarter_period():
 
 
 def test_sine_gradient_at_zero_is_omega0():
-    x = Tensor([0.0], requires_grad=True)
+    x = Tensor([0.0])
     out = ad.sine_activation(x, 20.0)
     grads = ad.backward(ad.tensor_sum(out), {"x": x})
     assert grads["x"][0] == pytest.approx(20.0, abs=1e-12)
@@ -175,21 +175,21 @@ def test_sine_output_bounded(x, omega0):
 # ---------------------------------------------------------------------------
 
 def test_backward_square():
-    x = Tensor([3.0], requires_grad=True)
+    x = Tensor([3.0])
     loss = ad.tensor_sum(ad.mul(x, x))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_sine_chain():
-    x = Tensor([0.0], requires_grad=True)
+    x = Tensor([0.0])
     loss = ad.tensor_sum(ad.sine_activation(x, 20.0))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(20.0)
 
 
 def test_backward_rejects_non_scalar():
-    x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([1.0, 2.0])
     y = ad.mul(x, x)
     with pytest.raises(ShapeError):
         ad.backward(y, {"x": x})
@@ -197,13 +197,13 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_clears_tape():
-    x = Tensor([2.0], requires_grad=True)
+    x = Tensor([2.0])
     ad.backward(ad.tensor_sum(ad.mul(x, x)), {"x": x})
     assert ad.tape_length() == 0
 
 
 def test_backward_accumulates_shared_leaf():
-    x = Tensor([2.0], requires_grad=True)
+    x = Tensor([2.0])
     # f = x*x + 3x -> f' = 2x + 3 = 7
     loss = ad.tensor_sum(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
     grads = ad.backward(loss, {"x": x})
@@ -211,24 +211,40 @@ def test_backward_accumulates_shared_leaf():
 
 
 def test_tensor_has_no_gradient_slot():
-    assert Tensor.__slots__ == ("data", "requires_grad")
+    assert Tensor.__slots__ == ("data",)
     with pytest.raises(AttributeError):
         Tensor([1.0]).grad = np.ones(1)
 
 
 def test_backward_returns_grads_keyed_as_given():
-    # Zeros for a tensor that does not feed the loss, and for one not tracked;
-    # the same tensor under two names gets its gradient under both.
-    x = Tensor([3.0, -1.0], requires_grad=True)
-    unused = Tensor(np.ones((2, 2)), requires_grad=True)
-    frozen = Tensor([5.0])
+    # Zeros for a tensor that does not feed the loss, the true gradient for every
+    # other one; the same tensor under two names gets its gradient under both.
+    x = Tensor([3.0, -1.0])
+    unused = Tensor(np.ones((2, 2)))
+    frozen = Tensor([5.0, 5.0])
     loss = ad.tensor_sum(ad.mul(ad.mul(x, x), frozen))
     grads = ad.backward(loss, {"a": x, "unused": unused, "frozen": frozen, "b": x})
     assert list(grads) == ["a", "unused", "frozen", "b"]
     assert np.array_equal(grads["a"], [30.0, -10.0])
     assert np.array_equal(grads["b"], grads["a"])
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
-    assert np.array_equal(grads["frozen"], [0.0])
+    assert np.array_equal(grads["frozen"], [9.0, 1.0])
+
+
+def test_params_alone_decide_what_is_differentiated():
+    # A plain Tensor, made with no flag, gets its exact gradient once it is named in
+    # params, and Adam moves it toward the minimum of sum((w - t)^2) on every step.
+    params = {"w": Tensor([1.0, -2.0])}
+    target = Tensor([3.0, 0.5])
+    state = ad.init_adam(params, lr=0.1)
+    for _ in range(3):
+        diff = ad.sub(params["w"], target)
+        grads = ad.backward(ad.tensor_sum(ad.mul(diff, diff)), params)
+        assert np.array_equal(grads["w"], 2.0 * (params["w"].data - target.data))
+        stepped = ad.adam_step(params, state, grads)
+        assert np.all(np.abs(stepped["w"].data - target.data) < np.abs(params["w"].data - target.data))
+        params = stepped
+    assert state.step == 3
 
 
 def test_backward_frees_an_intermediate_before_reaching_its_inputs():
@@ -238,7 +254,7 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     # Tensor has no __weakref__ slot, so the reference is to t's value array,
     # which only t holds.
     ad.clear_tape()
-    x = Tensor(np.linspace(0.0, 1.0, 4), requires_grad=True)
+    x = Tensor(np.linspace(0.0, 1.0, 4))
     v = ad.sine_activation(ad.scale(x, 3.0), 1.0)
     t = ad.scale(v, 2.0)
     loss = ad.tensor_sum(t)
@@ -254,11 +270,14 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
 
 
 def test_no_grad_suppresses_tape():
-    x = Tensor([1.0], requires_grad=True)
+    ad.clear_tape()
+    x = Tensor([1.0])
     with ad.no_grad():
-        y = ad.mul(x, x)
-    assert not y.requires_grad
+        ad.mul(x, x)
     assert ad.tape_length() == 0
+    ad.mul(x, x)  # outside no_grad every primitive is recorded
+    assert ad.tape_length() == 1
+    ad.clear_tape()
 
 
 def test_no_grad_and_tape_are_per_thread():
@@ -270,7 +289,8 @@ def test_no_grad_and_tape_are_per_thread():
         with ad.no_grad():
             inside.set()
             release.wait(timeout=10)
-            seen["tracked"] = ad.scale(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+            ad.scale(Tensor([1.0]), 2.0)
+            seen["inside"] = ad.tape_length()
         seen["tape"] = ad.tape_length()
 
     ad.clear_tape()
@@ -278,13 +298,12 @@ def test_no_grad_and_tape_are_per_thread():
     other.start()
     try:
         assert inside.wait(timeout=10)
-        out = ad.scale(Tensor(np.ones(3), requires_grad=True), 2.0)
-        assert out.requires_grad
+        ad.scale(Tensor(np.ones(3)), 2.0)
         assert ad.tape_length() == 1
     finally:
         release.set()
         other.join(timeout=10)
-    assert seen == {"tracked": False, "tape": 0}
+    assert seen == {"inside": 0, "tape": 0}
     ad.clear_tape()
 
 
@@ -295,7 +314,7 @@ def test_concurrent_trainers_keep_their_own_tapes():
 
     def work(k):
         for i in range(50):
-            x = Tensor(np.full(3, float(k + i)), requires_grad=True)
+            x = Tensor(np.full(3, float(k + i)))
             if k % 2:
                 with ad.no_grad():
                     ad.scale(x, 2.0)
@@ -322,8 +341,8 @@ def test_concurrent_trainers_keep_their_own_tapes():
 def test_trainers_share_parameter_tensors():
     # Each thread takes its own loss k * sum(x * x) over the same tensors; the
     # gradient is the return value, so each must be exactly 2k * x.
-    params = {"x": Tensor(np.linspace(-2.0, 2.0, 5), requires_grad=True),
-              "y": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
+    params = {"x": Tensor(np.linspace(-2.0, 2.0, 5)),
+              "y": Tensor(np.arange(6.0).reshape(2, 3))}
     wrong, finished = [], []
 
     def work(k):
@@ -358,7 +377,7 @@ def _check_op(build, shapes, seed, points=10):
     for point in range(points):
         rng = np.random.default_rng(seed + point)
         arrays_ = {name: rng.uniform(-1.5, 1.5, size=shape) for name, shape in shapes.items()}
-        tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays_.items()}
+        tensors = {name: Tensor(a) for name, a in arrays_.items()}
         ad.clear_tape()
         loss = build(tensors)
         grads = ad.backward(loss, tensors)
@@ -417,7 +436,7 @@ def test_sine_gradient_high_frequency():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)}
+    params = {"w": Tensor(np.array([1.0, -2.0, 3.0]))}
     state = ad.init_adam(params, lr=0.1)
     out = ad.adam_step(params, state, {"w": np.zeros(3)})
     assert np.array_equal(out["w"].data, params["w"].data)
@@ -426,7 +445,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_magnitude_is_learning_rate():
     for g in (0.5, -3.0, 1e-3):
-        params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
+        params = {"w": Tensor(np.array([0.0]))}
         state = ad.init_adam(params, lr=0.01)
         out = ad.adam_step(params, state, {"w": np.array([g])})
         # Bias correction makes mhat/sqrt(vhat) ~ sign(g) on the first step,
@@ -435,7 +454,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
 
 
 def test_adam_shape_mismatch():
-    params = {"w": Tensor(np.zeros(3), requires_grad=True)}
+    params = {"w": Tensor(np.zeros(3))}
     state = ad.init_adam(params)
     with pytest.raises(ShapeError):
         ad.adam_step(params, state, {"w": np.zeros(4)})
@@ -455,7 +474,7 @@ def _adam_scalar_reference(w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def test_adam_converges_on_quadratic():
-    params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
+    params = {"w": Tensor(np.array([0.0]))}
     state = ad.init_adam(params, lr=0.1)
     for _ in range(100):
         g = 2.0 * (params["w"].data - 5.0)
@@ -467,7 +486,7 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_step_counter_increases_by_one():
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+    params = {"w": Tensor(np.array([1.0]))}
     state = ad.init_adam(params)
     for expected in (1, 2, 3):
         params = ad.adam_step(params, state, {"w": np.array([0.1])})

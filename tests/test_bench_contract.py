@@ -62,3 +62,34 @@ def test_tracer_reports_every_declared_layer_metric():
     assert all(math.isfinite(metrics[name]) for name in declared)
     assert metrics["autodiff.tape_entries_per_step"] > 0
     assert metrics["model.apply_stack.ms"] > 0
+
+
+def test_tracer_follows_the_cli_path(tmp_path):
+    # data_infer's hooks read read_grid's output, write_grid's values and the checkpoint path:
+    # a tiny build-data -> train -> eval -> reconstruct (PNG input, VSGR reference) through cli.main.
+    tracer_module = _load_tracer()
+    declared = [entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    data, run = tmp_path / "data", tmp_path / "run"
+    tracer = tracer_module.Tracer(visir)
+    tracer.install()
+    try:
+        tracer.run_id = 0
+        assert visir.cli.main(["build-data", "--data.sources", "2", "--data.source_height", "24",
+                               "--data.source_width", "48", "--data.tile", "12", "--data.scale", "2",
+                               "--out", str(data)]) == 0
+        assert visir.cli.main(["train", "--manifest", str(data / "manifest.json"), "--model.patch_size", "2",
+                               "--model.num_layers", "1", "--model.num_heads", "2", "--model.embed_dim", "8",
+                               "--model.siren_hidden_dim", "8", "--train.steps", "2", "--out", str(run)]) == 0
+        assert visir.cli.main(["eval", "--manifest", str(data / "manifest.json"), "--checkpoint",
+                               str(run / "model.vsck"), "--out", str(tmp_path / "eval")]) == 0
+        visir.data.write_png(tmp_path / "lr.png", visir.data.read_grid(data / "s000_t00_lr.vsgr")[0])
+        assert visir.cli.main(["reconstruct", "--checkpoint", str(run / "model.vsck"), "--input",
+                               str(tmp_path / "lr.png"), "--hr", str(data / "s000_t00_hr.vsgr"),
+                               "--out", str(tmp_path / "rec")]) == 0
+    finally:
+        tracer.uninstall()
+
+    metrics = tracer.per_layer("model.predict", overhead_ratio=1.0)
+    assert [name for name in declared if not math.isfinite(metrics.get(name, math.nan))] == []
+    for name in ("data.read_grid.ms", "data.read_png.ms", "training.load_checkpoint.ms", "data.grid_mb_read"):
+        assert metrics[name] > 0, name

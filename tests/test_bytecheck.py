@@ -27,6 +27,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
         assert result[f"logs/{name}.txt"] == "identical"
     for output in ("data/manifest.json", "data_custom/manifest.json", "train_visir/model.vsck",
                    "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
-                   "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr"):
+                   "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
+                   "library/siren_inr.vsgr", "library/c5_visir.vsck"):
         assert result[output] == "identical"
     assert set(result.values()) == {"identical"}

@@ -3,6 +3,7 @@ import math
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _data_config, _model_config,
                        _train_config, build_parser, load_settings, main)
+from visir.autodiff import Tensor
 from visir.data import DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
-from visir.training import load_checkpoint
+from visir.training import load_checkpoint, save_checkpoint
 
 TINY_MODEL_FLAGS = [
     "--model.patch_size", "2", "--model.num_layers", "1", "--model.num_heads", "2",
@@ -379,6 +381,7 @@ def test_reconstruct_wrong_input_shape_exits_5(tmp_path):
     code = main(["reconstruct", "--checkpoint", str(ckpt),
                  "--input", str(tmp_path / "wrong.vsgr"), "--out", str(tmp_path / "r")])
     assert code == EXIT_MISMATCH
+    assert not (tmp_path / "r").exists()  # --out is made only once there is something to write
 
 
 def _small_checkpoint(path, edit=None):
@@ -463,6 +466,28 @@ def test_reconstruct_checkpoint_name_not_utf8_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "UTF-8" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+def test_non_finite_forward_exits_2(tmp_path, capsys, command):
+    # decoder.w0 = 1e307 is finite, so the checkpoint loads, but the forward pass overflows.
+    manifest = build_small_dataset(tmp_path)
+    model = load_checkpoint(train_small(tmp_path, manifest, steps="1"))
+    model.params["decoder.w0"] = Tensor(np.full(model.params["decoder.w0"].shape, 1e307))
+    save_checkpoint(model, tmp_path / "huge.vsck")
+    inputs = {"eval": ["--manifest", str(manifest)],
+              "reconstruct": ["--input", str(manifest.parent / "s000_t00_lr.vsgr")]}
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--checkpoint", str(tmp_path / "huge.vsck"), *inputs[command],
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "non-finite" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert caught == []  # numpy's overflow warnings would be more stderr lines
+    assert not (tmp_path / "out").exists()
 
 
 def test_reconstruct_accepts_png_input(tmp_path):

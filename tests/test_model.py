@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from visir import autodiff as ad
+from visir import training
 from visir.autodiff import ShapeError, Tensor
+from visir.data import SRPair
 from visir.model import (
+    VARIANTS,
     ModelConfig,
     apply_stack,
     as_mlp_baseline,
@@ -94,15 +98,15 @@ def test_patches_reconstruct_image_exactly():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 1, (12, 18, 3))
     patches = extract_patches(img, 3)
-    back = patches_to_image(patches, 4, 6, 3, 3)
+    back = patches_to_image(Tensor(patches), 4, 6, 3, 3)
     assert np.array_equal(back.data, img)
 
 
 def test_patches_are_row_major():
     img = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
     patches = extract_patches(img, 2)
-    assert np.array_equal(patches.data[0], img[0:2, 0:2, 0].reshape(-1))
-    assert np.array_equal(patches.data[1], img[0:2, 2:4, 0].reshape(-1))
+    assert np.array_equal(patches[0], img[0:2, 0:2, 0].reshape(-1))
+    assert np.array_equal(patches[1], img[0:2, 2:4, 0].reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +242,13 @@ def test_siren_ffn_gradients_two_hidden_layers():
     }
     x = rng.uniform(-1, 1, (4, 3))
 
-    def run(arrs, track=False):
-        stack = {name: Tensor(arr, track) for name, arr in arrs.items()}
+    def run(arrs):
+        stack = {name: Tensor(arr) for name, arr in arrs.items()}
         out = apply_stack(Tensor(x), stack, "", omega0=20.0)
         return ad.mean(ad.mul(out, out)), stack
 
     ad.clear_tape()
-    loss, stack = run(arrays, track=True)
+    loss, stack = run(arrays)
     grads = ad.backward(loss, stack)
 
     def eval_loss(arrs):
@@ -268,7 +272,7 @@ def test_encode_no_layers_is_embedding_plus_pos():
     tokens = encode(img, model)
     patches = extract_patches(img, 2)
     expected = ad.add(
-        ad.affine(patches, model.params["embed.weight"], model.params["embed.bias"]),
+        ad.affine(Tensor(patches), model.params["embed.weight"], model.params["embed.bias"]),
         model.params["pos"])
     assert np.array_equal(tokens.data, expected.data)
 
@@ -311,8 +315,8 @@ def test_decode_zero_weights_gives_half():
     model = init_parameters(TINY, seed=0)
     depth = TINY.decoder_depth
     for j in range(depth + 1):
-        model.params[f"decoder.w{j}"] = Tensor(np.zeros(model.params[f"decoder.w{j}"].shape), requires_grad=True)
-        model.params[f"decoder.b{j}"] = Tensor(np.zeros(model.params[f"decoder.b{j}"].shape), requires_grad=True)
+        model.params[f"decoder.w{j}"] = Tensor(np.zeros(model.params[f"decoder.w{j}"].shape))
+        model.params[f"decoder.b{j}"] = Tensor(np.zeros(model.params[f"decoder.b{j}"].shape))
     out = predict(tiny_image(3), model)
     assert np.array_equal(out.data, np.full(out.shape, 0.5))
 
@@ -431,6 +435,50 @@ def test_variant_dispatch_is_strict():
     sine = init_parameters(TINY, seed=0)
     mlp = init_parameters(as_mlp_baseline(TINY), seed=0)
     assert predict(tiny_image(0), sine).shape == predict(tiny_image(0), mlp).shape
+
+
+# ---------------------------------------------------------------------------
+# tape: no entry is spent on constants alone
+# ---------------------------------------------------------------------------
+
+def _assert_every_entry_reaches_a_parameter(params):
+    # By identity: every entry has a parameter, or the output of an earlier entry, among its parents.
+    reached = {id(p) for p in params.values()}
+    assert ad.tape_length() > 0
+    for entry in ad._state.tape:
+        assert any(id(parent) in reached for parent in entry.parents), [p.shape for p in entry.parents]
+        reached.add(id(entry.out))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
+@pytest.mark.parametrize("post_norm", [False, True])
+def test_predict_tape_entries_all_reach_a_parameter(variant, decoder_mode, post_norm):
+    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+    model = init_parameters(cfg, seed=0)
+    ad.clear_tape()
+    predict(tiny_image(0), model)
+    try:
+        _assert_every_entry_reaches_a_parameter(model.params)
+    finally:
+        ad.clear_tape()
+
+
+def test_coordinate_net_loss_tape_entries_all_reach_a_parameter(monkeypatch):
+    # The loss fit_siren_inr differentiates, inspected as it reaches backward.
+    checked = []
+
+    def checking_backward(loss, params):
+        _assert_every_entry_reaches_a_parameter(params)
+        checked.append(ad.tape_length())
+        return ad.backward(loss, params)
+
+    monkeypatch.setattr(training, "backward", checking_backward)
+    rng = np.random.default_rng(0)
+    pair = SRPair(hr=rng.uniform(0, 1, (8, 8, 1)), lr=rng.uniform(0, 1, (4, 4, 1)), scale=2)
+    ad.clear_tape()
+    training.fit_siren_inr(pair, hidden_dim=8, hidden_layers=1, steps=1)
+    assert len(checked) == 1
 
 
 # ---------------------------------------------------------------------------
