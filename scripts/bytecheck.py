@@ -5,12 +5,17 @@
 
 Runs one matrix of visir commands (build-data, train, eval, sweep and
 reconstruct, on small sizes), then the library paths no command reaches (a
-coordinate-net fit and the single-channel criterion-5 model), twice: once on
+coordinate-net fit, the single-channel criterion-5 model, and the `predict`
+output of untrained models), twice: once on
 this checkout's src/, uncommitted edits included, and once on <rev>'s src/,
 exported with `git archive` into a temporary directory.  Then it prints
 "identical" or "different" for every output file, including a log per command
 with its exit code, stdout and stderr.  It exits 1 if any file differs or any
 command ends with an exit code other than the one the matrix expects.
+
+The `library/predict_*.vsgr` files compare inference alone: a change to the
+training arithmetic can move trained values, and every output made from them,
+in their last bits, while these files come from seed-0 parameters only.
 
 Each side runs in its own interpreter with one BLAS thread, and calls
 `visir.cli.main` for every command, with relative paths, in a fresh directory.
@@ -111,10 +116,13 @@ def _run_commands(src: Path, work: Path) -> None:
 
 
 def _run_library(out: Path) -> None:
-    """Child side: a 20-step coordinate-net fit of data/s000_t00, and the criterion-5
-    model (one channel) of scripts/spectral_bias_experiment.py trained 10 steps at batch 2."""
+    """Child side: a 20-step coordinate-net fit of data/s000_t00, the criterion-5
+    model (one channel) of scripts/spectral_bias_experiment.py trained 10 steps at batch 2,
+    and the `predict` output of both variants of two untrained seed-0 models: the CLI's
+    default model on data/s000_t00's LR tile and the criterion-5 model on its first tile."""
+    from visir.autodiff import no_grad
     from visir.data import SRPair, read_grid, write_grid
-    from visir.model import init_parameters
+    from visir.model import ModelConfig, as_mlp_baseline, init_parameters, predict
     from visir.training import TrainConfig, fit_siren_inr, save_checkpoint, train
 
     spec = importlib.util.spec_from_file_location("spectral_bias_experiment",
@@ -128,6 +136,14 @@ def _run_library(out: Path) -> None:
     model = init_parameters(experiment.model_config(), seed=0)
     train(model, experiment.build_split(0)[0], TrainConfig(learning_rate=1e-3, steps=10, batch_size=2))
     save_checkpoint(model, out / "c5_visir.vsck")
+    h, w, c = pair.lr.shape
+    inputs = {"cli": (ModelConfig(lr_height=h, lr_width=w, scale=2, channels=c), pair.lr),
+              "c5": (experiment.model_config(), experiment.build_split(0)[0][0].lr)}
+    for name, (cfg, lr) in inputs.items():
+        for variant_cfg in (cfg, as_mlp_baseline(cfg)):
+            with no_grad():
+                recon = predict(lr, init_parameters(variant_cfg, seed=0)).data
+            write_grid(out / f"predict_{name}_{variant_cfg.variant}.vsgr", recon)
 
 
 def run_matrix(src: Path, work: Path) -> list[str]:

@@ -7,11 +7,18 @@ gradient as it passes, and returns the gradients of ``params``: those
 tensors, and no flag on a tensor, decide what is differentiated.  Each thread
 has its own tape and its own ``no_grad`` flag, and tensors are immutable, so
 threads may share parameter tensors for training as well as for inference.
+
+``affine``, ``attention``, ``mse_loss`` and ``unit_sine`` are fused: each is one
+tape entry for what would otherwise be a chain of them.  ``affine`` and
+``attention`` take any leading axes (a batch, and inside ``attention`` the
+heads) as a stack of separate products, so an image's result does not depend
+on the batch it is in.  ``matmul`` stays 2-d only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -40,11 +47,14 @@ __all__ = [
     "tensor_sum",
     "mean",
     "sine_activation",
+    "unit_sine",
     "gelu",
     "sigmoid",
     "softmax",
     "layer_norm",
     "affine",
+    "attention",
+    "mse_loss",
     "OptimizerState",
     "init_adam",
     "adam_step",
@@ -344,6 +354,18 @@ def sine_activation(a: Tensor, omega0: float) -> Tensor:
     return _make(out, (a,), pull)
 
 
+def unit_sine(a: Tensor, omega0: float) -> Tensor:
+    """(sin(omega0 * x) + 1) / 2: the sine activation mapped onto [0, 1]."""
+    omega0 = float(omega0)
+    inner = omega0 * a.data
+    out = (np.sin(inner) + 1.0) * 0.5
+
+    def pull(g):
+        return (g * 0.5 * omega0 * np.cos(inner),)
+
+    return _make(out, (a,), pull)
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
@@ -398,8 +420,72 @@ def layer_norm(a: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Rows of x through weight (out x in) plus bias: x @ W^T + b."""
-    return add(matmul(x, transpose(weight)), bias)
+    """Rows x (..., in) through weight (out x in) plus bias: x @ W^T + b, shape (..., out).
+
+    Leading axes are a stack of separate products, so a row's result does not depend on
+    the rows beside it (small and large GEMMs round differently)."""
+    if x.ndim == 0 or weight.ndim != 2 or x.shape[-1] != weight.shape[1] or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"affine: rows {x.shape}, weight {weight.shape}, bias {bias.shape}")
+    wt = np.ascontiguousarray(weight.data.T)
+    out = x.data @ wt + bias.data
+
+    def pull(g):
+        rows, g_rows = x.data.reshape(-1, x.shape[-1]), g.reshape(-1, weight.shape[0])
+        return g @ wt.T, (rows.T @ g_rows).T, g_rows.sum(axis=0)
+
+    return _make(out, (x, weight, bias), pull)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Scaled dot-product attention of (..., N, D) queries, keys and values, with the D
+    features split into `num_heads` heads; the heads' outputs are concatenated back to D.
+
+    Heads and leading axes are stack axes of np.matmul, one contiguous product per head."""
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal (..., N, D) operands, got {q.shape}, {k.shape}, {v.shape}")
+    *lead, n, d = q.shape
+    if d % num_heads != 0:
+        raise ShapeError(f"token dim {d} not divisible by {num_heads} heads")
+    dh = d // num_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def heads(a):  # (..., N, D) -> (..., H, N, dh), a view
+        return np.swapaxes(a.reshape(*lead, n, num_heads, dh), -2, -3)
+
+    def merge(a):  # (..., H, N, dh) -> (..., N, D), C order as the sums of later pulls assume
+        return np.ascontiguousarray(np.swapaxes(a, -2, -3)).reshape(q.shape)
+
+    # Contiguous per-head operands, keys transposed in memory: each product is the 2-d GEMM
+    # that one head alone would make, with the same rounding.
+    qh, vh = np.ascontiguousarray(heads(q.data)), np.ascontiguousarray(heads(v.data))
+    kt = np.ascontiguousarray(np.swapaxes(heads(k.data), -1, -2))
+    scores = (qh @ kt) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = merge(w @ vh)
+
+    def pull(g):
+        gh = np.ascontiguousarray(heads(g))
+        dw = gh @ np.swapaxes(vh, -1, -2)
+        dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * c
+        dkt = np.swapaxes(qh, -1, -2) @ dscores
+        return merge(dscores @ np.swapaxes(kt, -1, -2)), merge(np.swapaxes(dkt, -1, -2)), \
+            merge(np.swapaxes(w, -1, -2) @ gh)
+
+    return _make(out, (q, k, v), pull)
+
+
+def mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error of `out` against a constant array of its shape."""
+    if target.shape != out.shape:
+        raise ShapeError(f"mse_loss: output {out.shape}, target {target.shape}")
+    diff = out.data - target
+    count = diff.size
+
+    def pull(g):
+        return (diff * (g * (2.0 / count)),)
+
+    return _make(np.asarray((diff * diff).mean()), (out,), pull)
 
 
 # ---------------------------------------------------------------------------

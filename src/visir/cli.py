@@ -313,20 +313,23 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     settings = load_settings(ns)
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(ns, settings, model.config)
+    cfg = model.config
     lr = _read_image(ns.input)
-    expected = (model.config.lr_height, model.config.lr_width, model.config.channels)
+    expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
     if lr.shape != expected:
         raise CheckpointMismatchError(f"input shape {lr.shape} does not match checkpoint LR shape {expected}")
+    # Every input is read and checked before anything is written or printed.
+    hr = None if ns.hr is None else _read_image(ns.hr)
+    hr_shape = (cfg.hr_height, cfg.hr_width, cfg.channels)
+    if hr is not None and hr.shape != hr_shape:
+        raise CheckpointMismatchError(f"HR reference shape {hr.shape} does not match output {hr_shape}")
     with no_grad():
         recon = predict(lr, model).data
     out = _out_dir(settings)
     write_png(out / "reconstruction.png", recon)
     write_grid(out / "reconstruction.vsgr", recon)
     print(f"reconstruction: {out / 'reconstruction.png'} ({recon.shape[0]}x{recon.shape[1]})")
-    if ns.hr is not None:
-        hr = _read_image(ns.hr)
-        if hr.shape != recon.shape:
-            raise CheckpointMismatchError(f"HR reference shape {hr.shape} does not match output {recon.shape}")
+    if hr is not None:
         # |error| mapped linearly onto the 8-bit range; the max is printed so
         # the absolute scale is recoverable.
         err = np.abs(recon - hr)

@@ -20,18 +20,15 @@ from .autodiff import (
     Tensor,
     add,
     affine,
-    concat,
+    attention,
     gelu,
     layer_norm,
-    matmul,
     mean,
-    narrow,
     reshape,
-    scale,
     sigmoid,
     sine_activation,
-    softmax,
     transpose,
+    unit_sine,
 )
 
 __all__ = [
@@ -154,21 +151,27 @@ def parameter_count(model: VisirModel) -> int:
 # Patch plumbing
 # ---------------------------------------------------------------------------
 
+def _grid_axes(lead: int) -> tuple[int, ...]:
+    # (..., rows, P, cols, P, C) <-> (..., rows, cols, P, P, C): swap the middle two axes.
+    return tuple(range(lead)) + (lead, lead + 2, lead + 1, lead + 3, lead + 4)
+
+
 def extract_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
-    """Row-major non-overlapping patches of an H x W x C image, each flattened to length P*P*C."""
+    """Row-major non-overlapping patches of (..., H, W, C) images: (..., N, P*P*C)."""
     p = patch_size
-    if img.ndim != 3 or img.shape[0] % p != 0 or img.shape[1] % p != 0:
+    if img.ndim < 3 or img.shape[-3] % p != 0 or img.shape[-2] % p != 0:
         raise ShapeError(f"patch size {p} does not tile an H x W x C image of shape {img.shape}")
-    h, w, c = img.shape
-    x = img.reshape(h // p, p, w // p, p, c).transpose(0, 2, 1, 3, 4)
-    return x.reshape(h * w // (p * p), p * p * c)
+    *lead, h, w, c = img.shape
+    x = img.reshape(*lead, h // p, p, w // p, p, c).transpose(_grid_axes(len(lead)))
+    return x.reshape(*lead, h * w // (p * p), p * p * c)
 
 
 def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int, channels: int) -> Tensor:
-    """Inverse of extract_patches at the output resolution."""
-    x = reshape(tokens, (grid_rows, grid_cols, p_out, p_out, channels))
-    x = transpose(x, (0, 2, 1, 3, 4))
-    return reshape(x, (grid_rows * p_out, grid_cols * p_out, channels))
+    """Inverse of extract_patches at the output resolution: (..., N, P*P*C) -> (..., H, W, C)."""
+    lead = tokens.shape[:-2]
+    x = reshape(tokens, lead + (grid_rows, grid_cols, p_out, p_out, channels))
+    x = transpose(x, _grid_axes(len(lead)))
+    return reshape(x, lead + (grid_rows * p_out, grid_cols * p_out, channels))
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +179,12 @@ def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int,
 # ---------------------------------------------------------------------------
 
 def mhsa(tokens: Tensor, params: dict[str, Tensor], prefix: str, num_heads: int) -> Tensor:
-    """Scaled dot-product attention per head, heads concatenated, projected.
+    """Multi-head scaled dot-product attention over (..., N, D) tokens, heads concatenated, projected.
 
     The projections are params[prefix + "wq"], params[prefix + "bq"], ... "wo", "bo".
     """
-    d = tokens.shape[1]
-    if d % num_heads != 0:
-        raise ShapeError(f"token dim {d} not divisible by {num_heads} heads")
-    dh = d // num_heads
     q, k, v = (affine(tokens, params[f"{prefix}w{n}"], params[f"{prefix}b{n}"]) for n in "qkv")
-    heads = []
-    for h in range(num_heads):
-        qh = narrow(q, 1, h * dh, dh)
-        kh = narrow(k, 1, h * dh, dh)
-        vh = narrow(v, 1, h * dh, dh)
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        heads.append(matmul(softmax(scores), vh))
-    return affine(concat(heads, axis=1), params[f"{prefix}wo"], params[f"{prefix}bo"])
+    return affine(attention(q, k, v, num_heads), params[f"{prefix}wo"], params[f"{prefix}bo"])
 
 
 def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
@@ -212,8 +204,7 @@ def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float
         if j < depth:
             x = sine_activation(x, omega0) if hidden == "sine" else gelu(x)
     if final == "sine":
-        x = sine_activation(x, omega0)
-        x = scale(add(x, Tensor(np.ones(x.shape))), 0.5)
+        x = unit_sine(x, omega0)
     elif final == "sigmoid":
         x = sigmoid(x)
     return x
@@ -245,11 +236,11 @@ def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tenso
 
 
 def encode(img: np.ndarray, model: VisirModel) -> Tensor:
-    """H x W x C LR image -> contextualized token sequence (N x D)."""
+    """(H, W, C) LR image or (B, H, W, C) batch -> contextualized tokens, (N, D) or (B, N, D)."""
     cfg = model.config
     expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
-    if img.shape != expected:
-        raise ShapeError(f"model expects LR input of shape {expected}, got {img.shape}")
+    if img.shape[-3:] != expected or img.ndim > 4:
+        raise ShapeError(f"model expects an LR image of shape {expected} or a batch of them, got {img.shape}")
     p = model.params
     patches = Tensor(extract_patches(img, cfg.patch_size))
     tokens = add(affine(patches, p["embed.weight"], p["embed.bias"]), p["pos"])
@@ -260,27 +251,29 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
 
 
 def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
-    """Token sequence -> HR image in [0, 1].
+    """Tokens, (N, D) or (B, N, D) -> HR image in [0, 1], (H, W, C) or (B, H, W, C).
 
     per_token: the shared decoder stack maps each token to its own HR patch.
     global_pooled: tokens are averaged to one feature vector which decodes
     to the whole HR image at once.
     """
     cfg = model.config
-    if tokens.shape != (cfg.num_tokens, cfg.embed_dim):
+    lead = tokens.shape[:-2]
+    if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
     if cfg.decoder_mode == "global_pooled":
-        tokens = reshape(mean(tokens, axis=0), (1, cfg.embed_dim))
+        tokens = reshape(mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
     out = apply_stack(tokens, model.params, "decoder.", cfg.omega0, hidden=_hidden_act(cfg),
                       final="sine" if cfg.variant == "visir" else "sigmoid")
     if cfg.decoder_mode == "per_token":
         return patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
-    return reshape(out, (cfg.hr_height, cfg.hr_width, cfg.channels))
+    return reshape(out, lead + (cfg.hr_height, cfg.hr_width, cfg.channels))
 
 
 def predict(img: np.ndarray, model: VisirModel) -> Tensor:
-    """H x W x C LR image -> HR image in [0, 1], differentiable; the forward pass of both variants
-    (sine stacks and output, or the MLP baseline's GELU stacks and sigmoid output)."""
+    """(H, W, C) LR image or (B, H, W, C) batch -> HR image(s) in [0, 1], (H', W', C) or
+    (B, H', W', C), differentiable; the forward pass of both variants (sine stacks and output,
+    or the MLP baseline's GELU stacks and sigmoid output).  A batch gives each image's own output."""
     return decode_hr(encode(img, model), model)
 
 
@@ -301,12 +294,11 @@ def siren_inr_forward(coords: np.ndarray, params: dict[str, Tensor], omega0: flo
 
     `params` is a sine stack as init_siren_stack draws it ("w0", "b0", ...).
     """
-    lead = coords.shape[:-1]
     in_dim = params["w0"].shape[1]
     if coords.shape[-1] != in_dim:
         raise ShapeError(f"coordinates have dim {coords.shape[-1]}, stack expects {in_dim}")
     out = apply_stack(Tensor(coords.reshape(-1, in_dim)), params, "", omega0, hidden="sine", final="sine")
-    return reshape(out, lead + (out.shape[1],))
+    return reshape(out, coords.shape[:-1] + out.shape[-1:])
 
 
 # ---------------------------------------------------------------------------

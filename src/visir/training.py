@@ -20,16 +20,12 @@ import numpy as np
 from .autodiff import (
     NonFiniteError,
     Tensor,
-    add,
     backward,
     clear_tape,
     init_adam,
     adam_step,
-    mean,
-    mul,
+    mse_loss,
     no_grad,
-    scale,
-    sub,
 )
 from .data import SRPair
 from .metrics import MetricsReport, evaluate_pair
@@ -112,11 +108,6 @@ class TrainResult:
         return self.curve[-1][1] if self.curve else None
 
 
-def _mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
-    diff = sub(out, Tensor(target))
-    return mean(mul(diff, diff))
-
-
 def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[dict[str, Tensor], float]:
     """One Adam step on `loss_fn()`: (new params, loss value).
 
@@ -141,16 +132,9 @@ def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
     curve: list[tuple[int, float]] = []
     eval_curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
-        idx = rng.integers(0, len(pairs), size=cfg.batch_size)
-
-        def batch_loss() -> Tensor:
-            total = None
-            for i in idx:
-                term = _mse_loss(predict(pairs[i].lr, model), pairs[i].hr)
-                total = term if total is None else add(total, term)
-            return scale(total, 1.0 / cfg.batch_size)
-
-        model.params, value = _adam_update(model.params, opt, batch_loss, step)
+        batch = [pairs[i] for i in rng.integers(0, len(pairs), size=cfg.batch_size)]
+        lr, hr = np.stack([p.lr for p in batch]), np.stack([p.hr for p in batch])
+        model.params, value = _adam_update(model.params, opt, lambda: mse_loss(predict(lr, model), hr), step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
             _, summary = evaluate(model, eval_pairs)
@@ -277,7 +261,7 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
 
     def loss() -> Tensor:
-        return _mse_loss(siren_inr_forward(lr_coords, params, omega0), pair.lr)
+        return mse_loss(siren_inr_forward(lr_coords, params, omega0), pair.lr)
 
     for step in range(1, steps + 1):
         params, _ = _adam_update(params, opt, loss, step)

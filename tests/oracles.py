@@ -48,6 +48,24 @@ def attention_single_head(tokens: np.ndarray, wq, bq, wk, bk, wv, bv, wo, bo) ->
     return (weights @ v) @ wo.T + bo
 
 
+def attention_multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int) -> np.ndarray:
+    """Scaled dot-product attention of (..., N, D) arrays, one head and one leading index at a
+    time, heads concatenated along D; no library calls."""
+    d = q.shape[-1]
+    dh = d // num_heads
+    lead = q.shape[:-2]
+    out = np.zeros(q.shape)
+    for idx in np.ndindex(*lead):
+        for h in range(num_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            qh, kh, vh = q[idx][:, cols], k[idx][:, cols], v[idx][:, cols]
+            scores = qh @ kh.T / np.sqrt(dh)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights = weights / weights.sum(axis=1, keepdims=True)
+            out[idx][:, cols] = weights @ vh
+    return out
+
+
 def finite_difference_grads(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central differences of a scalar function of a dict of arrays."""
     grads = {}

@@ -14,6 +14,7 @@ from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
 
 from oracles import (
+    attention_multi_head,
     finite_difference_grads,
     grads_close,
     layer_norm_two_pass,
@@ -420,10 +421,40 @@ def _weighted(x):
     ("layer_norm", lambda t: _weighted(ad.layer_norm(t["a"], t["g"], t["s"])),
      {"a": (3, 6), "g": (6,), "s": (6,)}),
     ("affine", lambda t: _weighted(ad.affine(t["x"], t["w"], t["b"])), {"x": (4, 3), "w": (5, 3), "b": (5,)}),
+    ("affine_batched", lambda t: _weighted(ad.affine(t["x"], t["w"], t["b"])),
+     {"x": (2, 3, 4), "w": (5, 4), "b": (5,)}),
+    *[(f"attention_{heads}h_{'x'.join(map(str, shape))}",
+       lambda t, heads=heads: _weighted(ad.attention(t["q"], t["k"], t["v"], heads)),
+       {"q": shape, "k": shape, "v": shape})
+      for heads in (1, 2, 4) for shape in ((3, 4), (2, 3, 4))],
+    ("mse_loss", lambda t: ad.mse_loss(t["a"], np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)), {"a": (2, 3, 2)}),
+    ("unit_sine", lambda t: _weighted(ad.unit_sine(t["a"], 20.0)), {"a": (2, 3)}),
 ])
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     # crc32, not hash(): str hashes are salted per process, so the drawn points would change every run.
     _check_op(build, shapes, seed=zlib.crc32(name.encode()))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
+def test_attention_matches_multi_head_loop(heads, shape):
+    rng = np.random.default_rng(heads)
+    q, k, v = (rng.uniform(-2.0, 2.0, shape) for _ in range(3))
+    with ad.no_grad():
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+    assert np.allclose(out, attention_multi_head(q, k, v, heads), rtol=1e-12, atol=1e-14)
+
+
+def test_fused_primitives_reject_bad_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        ad.affine(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, Tensor(np.zeros((2, 4))), 1)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 2)
+    with pytest.raises(ShapeError):
+        ad.mse_loss(x, np.zeros((3, 2)))
 
 
 def test_sine_gradient_high_frequency():

@@ -28,6 +28,8 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
     for output in ("data/manifest.json", "data_custom/manifest.json", "train_visir/model.vsck",
                    "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
-                   "library/siren_inr.vsgr", "library/c5_visir.vsck"):
+                   "library/siren_inr.vsgr", "library/c5_visir.vsck",
+                   "library/predict_cli_visir.vsgr", "library/predict_cli_vit_mlp.vsgr",
+                   "library/predict_c5_visir.vsgr", "library/predict_c5_vit_mlp.vsgr"):
         assert result[output] == "identical"
     assert set(result.values()) == {"identical"}

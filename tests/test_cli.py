@@ -384,6 +384,19 @@ def test_reconstruct_wrong_input_shape_exits_5(tmp_path):
     assert not (tmp_path / "r").exists()  # --out is made only once there is something to write
 
 
+def test_reconstruct_wrong_hr_shape_exits_5_before_writing(tmp_path, capsys):
+    manifest = build_small_dataset(tmp_path)
+    ckpt = train_small(tmp_path, manifest, steps="1")
+    lr = str(manifest.parent / "s000_t00_lr.vsgr")
+    capsys.readouterr()
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", lr, "--hr", lr,
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "HR reference shape" in err
+    assert not (tmp_path / "r").exists()
+
+
 def _small_checkpoint(path, edit=None):
     from visir.model import ModelConfig, init_parameters
     from visir.training import save_checkpoint

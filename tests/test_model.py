@@ -456,12 +456,52 @@ def _assert_every_entry_reaches_a_parameter(params):
 def test_predict_tape_entries_all_reach_a_parameter(variant, decoder_mode, post_norm):
     cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
     model = init_parameters(cfg, seed=0)
-    ad.clear_tape()
-    predict(tiny_image(0), model)
-    try:
-        _assert_every_entry_reaches_a_parameter(model.params)
-    finally:
+    for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
         ad.clear_tape()
+        predict(img, model)
+        try:
+            _assert_every_entry_reaches_a_parameter(model.params)
+        finally:
+            ad.clear_tape()
+
+
+# ---------------------------------------------------------------------------
+# batch axis: a (B, H, W, C) input is B independent images
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
+@pytest.mark.parametrize("post_norm", [False, True])
+def test_batched_predict_equals_each_image_predict(variant, decoder_mode, post_norm):
+    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+    model = init_parameters(cfg, seed=0)
+    imgs = [tiny_image(seed) for seed in range(3)]
+    with ad.no_grad():
+        batched = predict(np.stack(imgs), model).data
+        assert batched.shape == (3, cfg.hr_height, cfg.hr_width, cfg.channels)
+        for i, img in enumerate(imgs):
+            assert np.array_equal(batched[i], predict(img, model).data)
+
+
+def test_batched_loss_gradient_is_mean_of_image_gradients():
+    model = init_parameters(TINY, seed=0)
+    rng = np.random.default_rng(4)
+    lrs = np.stack([tiny_image(seed) for seed in range(4)])
+    hrs = rng.uniform(0, 1, (4, TINY.hr_height, TINY.hr_width, TINY.channels))
+    batched = ad.backward(ad.mse_loss(predict(lrs, model), hrs), model.params)
+    each = [ad.backward(ad.mse_loss(predict(lr, model), hr), model.params) for lr, hr in zip(lrs, hrs)]
+    means = {name: sum(e[name] for e in each) / len(each) for name in batched}
+    # block*.attn.bk's gradient is zero but for rounding (softmax ignores a per-row shift), so the
+    # absolute floor is relative to the largest gradient entry of the model.
+    floor = 1e-12 * max(np.abs(m).max() for m in means.values())
+    for name, g in batched.items():
+        assert np.allclose(g, means[name], rtol=1e-12, atol=floor), name
+
+
+def test_encode_rejects_more_than_one_batch_axis():
+    model = init_parameters(TINY, seed=0)
+    with pytest.raises(ShapeError):
+        encode(np.zeros((2, 2, 8, 8, 1)), model)
 
 
 def test_coordinate_net_loss_tape_entries_all_reach_a_parameter(monkeypatch):

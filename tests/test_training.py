@@ -94,6 +94,22 @@ def test_training_eval_probes():
     assert [s for s, _ in result.eval_curve] == [10, 20]
 
 
+def test_tape_entries_per_step_do_not_grow_with_batch(monkeypatch):
+    # The batch is a tensor axis: one predict and one loss per step, whatever the batch size.
+    from visir import autodiff, training
+
+    lengths = []
+
+    def counting_backward(loss, params):
+        lengths.append(autodiff.tape_length())
+        return autodiff.backward(loss, params)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    for batch in (1, 4):
+        train(init_parameters(TINY, seed=0), make_pairs(4), TrainConfig(steps=1, batch_size=batch))
+    assert lengths[0] == lengths[1] > 0
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
