@@ -7,6 +7,8 @@ gradient as it passes, and returns the gradients of ``params``: those
 tensors, and no flag on a tensor, decide what is differentiated.  Each thread
 has its own tape and its own ``no_grad`` flag, and tensors are immutable, so
 threads may share parameter tensors for training as well as for inference.
+``backward``'s gradients, and the parameters ``adam_step`` returns, are views
+of one vector each, laid out in ``params`` order.
 
 ``affine``, ``attention``, ``mse_loss`` and ``unit_sine`` are fused: each is one
 tape entry for what would otherwise be a chain of them.  ``affine`` and
@@ -20,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,9 +86,14 @@ class Tensor:
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         # Internal fast path: arr is a fresh array owned by the caller.
         _check_finite(arr)
-        out = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
         arr.setflags(write=False)
+        return cls._view(arr)
+
+    @classmethod
+    def _view(cls, arr: np.ndarray) -> "Tensor":
+        # Internal: arr is a finite, read-only float64 array.
+        out = cls.__new__(cls)
         out.data = arr
         return out
 
@@ -120,19 +127,21 @@ def _check_finite(arr: np.ndarray) -> None:
 # Tape
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _TapeEntry:
-    out: Tensor
-    parents: tuple[Tensor, ...]
-    # Maps the gradient at `out` to the gradient at each parent.
-    pull: Callable[[np.ndarray], tuple]
+    __slots__ = ("out", "parents", "pull")
+
+    def __init__(self, out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray], tuple]):
+        self.out = out
+        self.parents = parents
+        # Maps the gradient at `out` to the gradient at each parent.
+        self.pull = pull
 
 
 class _ThreadState(threading.local):
     def __init__(self):
         self.tape: list[_TapeEntry] = []
         self.grad_enabled = True
-        self.last_grads: dict[int, np.ndarray] = {}
+        self.last_grads = np.zeros(0)
 
 
 _state = _ThreadState()
@@ -157,11 +166,20 @@ def tape_length() -> int:
     return len(_state.tape)
 
 
-def _make(arr: np.ndarray, parents: Sequence[Tensor], pull) -> Tensor:
+def _make(arr: np.ndarray, parents: tuple[Tensor, ...], pull) -> Tensor:
     out = Tensor._wrap(arr)
     if _state.grad_enabled:
-        _state.tape.append(_TapeEntry(out, tuple(parents), pull))
+        _state.tape.append(_TapeEntry(out, parents, pull))
     return out
+
+
+def _views(flat: np.ndarray, tensors) -> list[np.ndarray]:
+    """Consecutive C-order pieces of the vector `flat`, one shaped as each tensor."""
+    views, start = [], 0
+    for p in tensors:
+        views.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return views
 
 
 def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entry: _TapeEntry) -> None:
@@ -190,9 +208,12 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     try:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        # Made before the sweep frees the forward's memory, and kept until the next call, so that
-        # malloc keeps that memory for the next step instead of returning it and faulting it in again.
-        leaves = _state.last_grads = {id(p): np.zeros(p.shape) for p in params.values()}
+        # One zeroed vector, made before the sweep frees the forward's memory and kept until the next
+        # call, so that malloc keeps that memory for the next step instead of returning it and
+        # faulting it in again.  A tensor named twice has one slot.
+        tensors = {id(p): p for p in params.values()}
+        flat = _state.last_grads = np.zeros(sum(p.size for p in tensors.values()))
+        leaves = dict(zip(tensors, _views(flat, tensors.values())))
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         while _state.tape:
             _pull_into(grads, leaves, _state.tape.pop())
@@ -284,7 +305,7 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape).copy()
+    out = a.data.reshape(shape)  # a view: tensors are immutable
 
     def pull(g):
         return (g.reshape(a.shape),)
@@ -499,36 +520,55 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Bias-corrected first/second moment accumulators, one pair per parameter."""
+    """Bias-corrected first/second moment accumulators as two vectors in ``params``
+    order, and one work vector of the same length."""
 
-    lr: float = 1e-4
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    lr: float
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray
 
 
 def init_adam(params: dict[str, Tensor], lr: float = 1e-4) -> OptimizerState:
-    state = OptimizerState(lr=lr)
-    for name, p in params.items():
-        state.m[name] = np.zeros(p.shape)
-        state.v[name] = np.zeros(p.shape)
-    return state
+    size = sum(p.size for p in params.values())
+    return OptimizerState(lr=lr, step=0, m=np.zeros(size), v=np.zeros(size), work=np.empty(size))
 
 
 def adam_step(params: dict[str, Tensor], state: OptimizerState,
               grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """One Adam update; returns fresh parameter tensors, mutates `state`."""
+    """One Adam update; returns fresh parameter tensors, read-only views of one new
+    vector, and mutates `state`.  A missing, extra or misshapen gradient is a
+    ShapeError that leaves `state` as it was."""
+    extra = sorted(grads.keys() - params.keys())
+    if extra:
+        raise ShapeError(f"adam_step: gradients for {extra}, which are not parameters")
+    for name, p in params.items():
+        if name not in grads:
+            raise ShapeError(f"adam_step: no gradient for '{name}'")
+        if np.shape(grads[name]) != p.shape:
+            raise ShapeError(f"adam_step: grad shape {np.shape(grads[name])} != param shape {p.shape} for '{name}'")
+    m, v, work = state.m, state.v, state.work
+    if sum(p.size for p in params.values()) != m.size:
+        raise ShapeError(f"adam_step: the parameters are not the {m.size} values this state was made for")
+    # The fresh vector holds the gradient, then the update, then the new parameters.
+    new = np.concatenate([grads[name] for name in params], axis=None, out=np.empty(m.size))
     state.step += 1
     t = state.step
-    out: dict[str, Tensor] = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for '{name}'")
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        mhat = m / (1.0 - ADAM_BETA1 ** t)
-        vhat = v / (1.0 - ADAM_BETA2 ** t)
-        stepped = p.data - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        out[name] = Tensor._wrap(stepped)
-    return out
+    # Each value goes through the operations of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    # p - lr*mhat / (sqrt(vhat) + eps) in that order, so it gets the bits of the plain formulas.
+    np.multiply(m, ADAM_BETA1, out=m)
+    m += np.multiply(new, 1.0 - ADAM_BETA1, out=work)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(new, 1.0 - ADAM_BETA2, out=work)
+    v += np.multiply(work, new, out=work)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=new)
+    new *= state.lr
+    new /= work
+    np.subtract(np.concatenate([p.data for p in params.values()], axis=None, out=work), new, out=new)
+    _check_finite(new)
+    new.setflags(write=False)
+    return {name: Tensor._view(view) for name, view in zip(params, _views(new, params.values()))}

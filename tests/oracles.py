@@ -66,6 +66,25 @@ def attention_multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads:
     return out
 
 
+def adam_step_per_tensor(params: dict[str, np.ndarray], state, grads: dict[str, np.ndarray],
+                         beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> dict[str, np.ndarray]:
+    """Adam one tensor at a time, as the library did before its moments became vectors.
+
+    `state` has `lr`, `step` and dicts `m` and `v` of zeros keyed as `params`; it is
+    mutated, and the stepped parameters are returned."""
+    state.step += 1
+    t = state.step
+    out: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        mhat = m / (1.0 - beta1 ** t)
+        vhat = v / (1.0 - beta2 ** t)
+        out[name] = p - state.lr * mhat / (np.sqrt(vhat) + eps)
+    return out
+
+
 def finite_difference_grads(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central differences of a scalar function of a dict of arrays."""
     grads = {}

@@ -1,8 +1,11 @@
+import importlib.util
 import math
 import sys
 import threading
 import weakref
 import zlib
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from hypothesis.extra.numpy import arrays
 
 from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
+from visir.model import ModelConfig, parameter_layout
 
 from oracles import (
+    adam_step_per_tensor,
     attention_multi_head,
     finite_difference_grads,
     grads_close,
@@ -341,17 +346,29 @@ def test_concurrent_trainers_keep_their_own_tapes():
 
 def test_trainers_share_parameter_tensors():
     # Each thread takes its own loss k * sum(x * x) over the same tensors; the
-    # gradient is the return value, so each must be exactly 2k * x.
+    # gradient is the return value, so each must be exactly 2k * x.  Each thread also
+    # trains its own copy, starting from those tensors, with its own Adam state, and
+    # must end with the bytes the same steps give on one thread: no scratch vector
+    # is shared between states.
     params = {"x": Tensor(np.linspace(-2.0, 2.0, 5)),
               "y": Tensor(np.arange(6.0).reshape(2, 3))}
-    wrong, finished = [], []
+    wrong, finished, trained = [], [], {}
 
-    def work(k):
+    def loss(k, tensors):
+        terms = [ad.tensor_sum(ad.mul(p, p)) for p in tensors.values()]
+        return ad.scale(ad.add(*terms), float(k))
+
+    def train(k):
+        own, state = params, ad.init_adam(params, lr=0.1)
         for i in range(50):
-            terms = [ad.tensor_sum(ad.mul(p, p)) for p in params.values()]
-            grads = ad.backward(ad.scale(ad.add(*terms), float(k)), params)
+            grads = ad.backward(loss(k, params), params)
             if any(not np.array_equal(grads[n], 2.0 * k * p.data) for n, p in params.items()):
                 wrong.append((k, i))
+            own = ad.adam_step(own, state, ad.backward(loss(k, own), own))
+        return own, state
+
+    def work(k):
+        trained[k] = train(k)
         finished.append(k)
 
     interval = sys.getswitchinterval()
@@ -367,6 +384,11 @@ def test_trainers_share_parameter_tensors():
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [1, 2, 3, 4]
     assert wrong == []
+    for k, (own, state) in trained.items():
+        alone, alone_state = train(k)
+        assert all(_same_bits(own[n].data, alone[n].data) for n in params)
+        assert _same_bits(state.m, alone_state.m) and _same_bits(state.v, alone_state.v)
+        assert not np.array_equal(own["x"].data, params["x"].data)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +511,76 @@ def test_adam_shape_mismatch():
     state = ad.init_adam(params)
     with pytest.raises(ShapeError):
         ad.adam_step(params, state, {"w": np.zeros(4)})
+
+
+def test_adam_step_checks_every_gradient_before_changing_state():
+    # A misshapen second gradient, a missing name and an extra name are each a
+    # ShapeError naming the tensor, raised before the step count or a moment moves.
+    params = {"a": Tensor([1.0, 2.0]), "b": Tensor(np.ones((2, 2)))}
+    state = ad.init_adam(params, lr=0.1)
+    good = {"a": np.array([0.5, -1.0]), "b": np.full((2, 2), 0.25)}
+    params = ad.adam_step(params, state, good)
+    m, v = state.m.copy(), state.v.copy()
+    bad_calls = [({"a": good["a"], "b": np.zeros(4)}, "'b'"),
+                 ({"a": good["a"]}, "'b'"),
+                 ({**good, "c": np.zeros(1)}, "'c'")]
+    for grads, named in bad_calls:
+        with pytest.raises(ShapeError, match=named):
+            ad.adam_step(params, state, grads)
+        assert state.step == 1
+        assert _same_bits(state.m, m) and _same_bits(state.v, v)
+    with pytest.raises(ShapeError):
+        ad.adam_step({"a": params["a"]}, state, {"a": good["a"]})
+    assert state.step == 1
+    ad.adam_step(params, state, good)
+    assert state.step == 2
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _criterion5_config():
+    spec = importlib.util.spec_from_file_location(
+        "spectral_bias_experiment", Path(__file__).resolve().parents[1] / "scripts" / "spectral_bias_experiment.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.model_config()
+
+
+@pytest.mark.parametrize("config", [ModelConfig, _criterion5_config], ids=["cli_default", "criterion5"])
+def test_adam_matches_per_tensor_oracle(config):
+    # Seeded gradients, one tensor's all zeros, 25 steps: the flat update gives the
+    # parameters and moments of the per-tensor loop to the last bit.  The returned
+    # tensors are read-only views of one vector, and a later step leaves them as they are.
+    layout = parameter_layout(config())
+    rng = np.random.default_rng(7)
+    start = {name: rng.uniform(-0.5, 0.5, shape) for name, (shape, _) in layout.items()}
+    zero = list(layout)[len(layout) // 2]
+    params = {name: Tensor(a) for name, a in start.items()}
+    state = ad.init_adam(params, lr=1e-3)
+    reference = SimpleNamespace(lr=1e-3, step=0, m={n: np.zeros(a.shape) for n, a in start.items()},
+                                v={n: np.zeros(a.shape) for n, a in start.items()})
+    expected, earlier = start, None
+    for _ in range(25):
+        grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), a.shape) for name, a in start.items()}
+        grads[zero] = np.zeros(start[zero].shape)
+        params = ad.adam_step(params, state, grads)
+        expected = adam_step_per_tensor(expected, reference, grads)
+        assert all(_same_bits(params[n].data, expected[n]) for n in layout)
+        assert _same_bits(state.m, np.concatenate([reference.m[n].ravel() for n in layout]))
+        assert _same_bits(state.v, np.concatenate([reference.v[n].ravel() for n in layout]))
+        (base,) = {id(t.data.base): t.data.base for t in params.values()}.values()
+        assert base.size == state.m.size and not base.flags.writeable
+        assert not any(t.data.flags.writeable for t in params.values())
+        if earlier is not None:
+            assert all(_same_bits(t.data, earlier_bytes[n]) for n, t in earlier.items())
+        earlier, earlier_bytes = params, {n: t.data.copy() for n, t in params.items()}
+    assert state.step == reference.step == 25
+    assert _same_bits(params[zero].data, start[zero])
+    with pytest.raises(ValueError):
+        params[zero].data.setflags(write=True)
 
 
 def _adam_scalar_reference(w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -61,6 +61,8 @@ def test_tracer_reports_every_declared_layer_metric():
     assert not missing
     assert all(math.isfinite(metrics[name]) for name in declared)
     assert metrics["autodiff.tape_entries_per_step"] > 0
+    assert metrics["autodiff.adam_step.ms"] > 0  # Adam and backward are traced where they are called
+    assert metrics["autodiff.backward.ms"] > 0
     assert metrics["model.apply_stack.ms"] > 0
 
 
