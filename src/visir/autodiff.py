@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -388,6 +387,9 @@ def unit_sine(a: Tensor, omega0: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    # scipy is loaded on the first call: only the vit_mlp baseline uses GELU.
+    from scipy.special import erf
+
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     out = x * cdf

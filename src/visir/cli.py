@@ -94,33 +94,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="shorthand for --run.seed")
-        p.add_argument("--out", type=str, default=None, help="shorthand for --run.out")
-        for key, (_, default, help_text) in KEYS.items():
-            p.add_argument("--" + key, dest=key, type=str, default=None,
-                           help=f"{help_text} (default {default})")
+    # The options every command takes, added once and shared by each subcommand.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=str, default=None, help="key = value config file")
+    common.add_argument("--seed", type=int, default=None, help="shorthand for --run.seed")
+    common.add_argument("--out", type=str, default=None, help="shorthand for --run.out")
+    for key, (_, default, help_text) in KEYS.items():
+        common.add_argument("--" + key, dest=key, type=str, default=None, help=f"{help_text} (default {default})")
 
-    p_build = sub.add_parser("build-data", help="generate synthetic SR pairs and a manifest")
-    common(p_build)
+    sub.add_parser("build-data", parents=[common], help="generate synthetic SR pairs and a manifest")
 
-    p_train = sub.add_parser("train", help="train a model on a dataset manifest")
-    common(p_train)
+    p_train = sub.add_parser("train", parents=[common], help="train a model on a dataset manifest")
     p_train.add_argument("--manifest", type=str, required=True, help="dataset manifest path")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p_eval)
+    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint on a split")
     p_eval.add_argument("--manifest", type=str, required=True)
     p_eval.add_argument("--checkpoint", type=str, required=True)
     p_eval.add_argument("--split", type=str, default="test", choices=("train", "test"))
 
-    p_sweep = sub.add_parser("sweep", help="frequency x hidden-layer grid search")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[common], help="frequency x hidden-layer grid search")
     p_sweep.add_argument("--manifest", type=str, required=True)
 
-    p_rec = sub.add_parser("reconstruct", help="super-resolve one LR image")
-    common(p_rec)
+    p_rec = sub.add_parser("reconstruct", parents=[common], help="super-resolve one LR image")
     p_rec.add_argument("--checkpoint", type=str, required=True)
     p_rec.add_argument("--input", type=str, required=True, help="LR image (.vsgr or .png)")
     p_rec.add_argument("--hr", type=str, default=None, help="optional HR reference for metrics")
@@ -223,7 +218,7 @@ def _out_dir(settings: dict) -> Path:
 def cmd_build_data(ns: argparse.Namespace) -> int:
     settings = load_settings(ns)
     cfg = _data_config(settings)
-    out = _out_dir(settings)
+    out = Path(settings["run.out"])  # build_dataset makes it once its grid is allocated
     manifest = datamod.build_dataset(cfg, out)
     train_n = len(manifest.split("train"))
     test_n = len(manifest.split("test"))
@@ -367,6 +362,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        # A size in the configuration or the input that this machine cannot hold.
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, ValueError, NonFiniteError) as exc:
         # ValueError here means malformed input data (grids, manifests); NonFiniteError a
         # forward pass outside training (eval, reconstruct) that met a NaN or infinity.

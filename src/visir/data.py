@@ -1,4 +1,4 @@
-"""Dataset construction: synthetic physical fields, RGB assembly, tiling,
+"""Dataset construction: synthetic physical fields, RGB stacking, tiling,
 bicubic 4x reduction, and on-disk pair/manifest formats.
 
 The real climate-model archive is not distributed, so sources here are
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ __all__ = [
     "CHANNEL_NAMES",
     "synth_field",
     "normalize_field",
-    "assemble_rgb",
     "tile_image",
     "reassemble_tiles",
     "bicubic_downsample",
@@ -91,18 +91,27 @@ class SRPair:
 # ---------------------------------------------------------------------------
 
 def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
-    """Deterministic h x w sum of 2-d sinusoids plus an optional smooth background."""
+    """Deterministic h x w sum of 2-d sinusoids plus an optional smooth background.
+
+    Each term is built in one scratch array: an x row broadcast against a y
+    column, then in-place ufuncs in the order of the plain expression.
+    """
     if not spec.components and spec.background_amplitude == 0.0:
         raise ValueError("empty spectrum: no components and no background")
     rng = np.random.default_rng(seed)
-    ys = (np.arange(h) + 0.5) / h
+    ys = ((np.arange(h) + 0.5) / h)[:, None]
     xs = (np.arange(w) + 0.5) / w
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
     out = np.zeros((h, w))
+    term = np.empty((h, w))
     for amp, cycles, theta in spec.components:
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        u = np.cos(theta) * xx + np.sin(theta) * yy
-        out += amp * np.sin(2.0 * np.pi * cycles * u + phase)
+        # amp * sin(2 pi cycles (cos(theta) x + sin(theta) y) + phase)
+        np.add(np.cos(theta) * xs, np.sin(theta) * ys, out=term)
+        term *= 2.0 * np.pi * cycles
+        term += phase
+        np.sin(term, out=term)
+        term *= amp
+        out += term
     if spec.background_amplitude != 0.0:
         for ky in range(spec.background_max_cycles + 1):
             for kx in range(spec.background_max_cycles + 1):
@@ -110,9 +119,13 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
                     continue
                 coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
-                out += spec.background_amplitude * coeff * np.cos(
-                    2.0 * np.pi * (kx * xx + ky * yy) + phase
-                )
+                # amplitude * coeff * cos(2 pi (kx x + ky y) + phase)
+                np.add(kx * xs, ky * ys, out=term)
+                term *= 2.0 * np.pi
+                term += phase
+                np.cos(term, out=term)
+                term *= spec.background_amplitude * coeff
+                out += term
     if not np.isfinite(out).all():
         raise ValueError("synthetic field contains non-finite values: check the spectrum")
     return out
@@ -125,17 +138,9 @@ def normalize_field(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     hi = float(v.max())
     if hi <= lo:
         raise ValueError(f"degenerate field range [{lo}, {hi}]: cannot normalize a constant field")
-    return (v - lo) / (hi - lo), (lo, hi)
-
-
-def assemble_rgb(temp: np.ndarray, shortwave: np.ndarray, longwave: np.ndarray) -> np.ndarray:
-    """Stack three unit-interval channels as R, G, B in that fixed order."""
-    t = np.asarray(temp, dtype=np.float64)
-    s = np.asarray(shortwave, dtype=np.float64)
-    l = np.asarray(longwave, dtype=np.float64)
-    if not (t.shape == s.shape == l.shape) or t.ndim != 2:
-        raise ValueError(f"channel shapes differ or are not 2-d: {t.shape}, {s.shape}, {l.shape}")
-    return np.stack([t, s, l], axis=-1)
+    out = np.subtract(v, lo)
+    out /= hi - lo
+    return out, (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +148,13 @@ def assemble_rgb(temp: np.ndarray, shortwave: np.ndarray, longwave: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 def tile_image(img: np.ndarray, tile_h: int, tile_w: int) -> list[np.ndarray]:
-    """Row-major non-overlapping tiles; reassembly reproduces img bit-exactly."""
+    """Row-major non-overlapping tiles, as views of img; reassembly reproduces img bit-exactly."""
     img = np.asarray(img)
     h, w = img.shape[0], img.shape[1]
     if h % tile_h != 0 or w % tile_w != 0:
         raise ValueError(f"tile {tile_h}x{tile_w} does not divide image {h}x{w}")
-    tiles = []
-    for i in range(h // tile_h):
-        for j in range(w // tile_w):
-            tiles.append(img[i * tile_h:(i + 1) * tile_h, j * tile_w:(j + 1) * tile_w].copy())
-    return tiles
+    return [img[i * tile_h:(i + 1) * tile_h, j * tile_w:(j + 1) * tile_w]
+            for i in range(h // tile_h) for j in range(w // tile_w)]
 
 
 def reassemble_tiles(tiles: list[np.ndarray], grid_rows: int, grid_cols: int) -> np.ndarray:
@@ -222,15 +224,16 @@ def bicubic_downsample(img: np.ndarray, s: int) -> np.ndarray:
 
 def write_grid(path, values: np.ndarray) -> None:
     """Raw grid file: magic, version, h, w, c, unit string (written empty), f64-LE row-major."""
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values)
     if v.ndim == 2:
         v = v[:, :, None]
     if v.ndim != 3:
         raise ValueError(f"grid must be 2-d or 3-d, got shape {v.shape}")
+    v = np.ascontiguousarray(v, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<IIIII", GRID_VERSION, v.shape[0], v.shape[1], v.shape[2], 0))
-        fh.write(v.astype("<f8").tobytes(order="C"))
+        fh.write(v)
 
 
 def read_grid(path) -> tuple[np.ndarray, str]:
@@ -244,16 +247,19 @@ def read_grid(path) -> tuple[np.ndarray, str]:
         version, h, w, c, unit_len = struct.unpack("<IIIII", header)
         if version != GRID_VERSION:
             raise ValueError(f"unsupported grid version {version}")
-        units = fh.read(unit_len).decode("utf-8")
-        raw = fh.read(8 * h * w * c)
-        if len(raw) != 8 * h * w * c:
+        # The header's sizes are checked against the file before anything is allocated.
+        left = os.fstat(fh.fileno()).st_size - fh.tell() - unit_len - 8 * h * w * c
+        if left < 0:
             raise ValueError("truncated grid payload")
-        if fh.read(1):
+        if left > 0:
             raise ValueError("trailing bytes after grid payload")
-    values = np.frombuffer(raw, dtype="<f8").reshape(h, w, c).astype(np.float64)
+        units = fh.read(unit_len).decode("utf-8")
+        values = np.empty((h, w, c), dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError("truncated grid payload")
     if not np.isfinite(values).all():
         raise ValueError("grid contains non-finite values")
-    return values, units
+    return values.astype(np.float64, copy=False), units
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +449,9 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
         raise ValueError("need at least one source")
     if cfg.tile % cfg.scale != 0:
         raise ValueError(f"scale {cfg.scale} must divide tile size {cfg.tile}")
+    # One RGB grid, reused by every source; allocated first, so a size that
+    # cannot be allocated fails before anything is written.
+    rgb = np.empty((cfg.source_height, cfg.source_width, len(CHANNEL_NAMES)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -451,17 +460,13 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
 
     for s in range(cfg.sources):
         source_id = f"s{s:03d}"
-        channels = []
         ranges = []
-        for k in range(len(CHANNEL_NAMES)):
-            channel, rng = normalize_field(synth_field(
+        for k in range(len(CHANNEL_NAMES)):  # R, G, B in the order of CHANNEL_NAMES
+            rgb[:, :, k], bounds = normalize_field(synth_field(
                 _subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum))
-            channels.append(channel)
-            ranges.append(rng)
+            ranges.append(bounds)
         normalization[source_id] = ranges
-        rgb = assemble_rgb(*channels)
-        tiles = tile_image(rgb, cfg.tile, cfg.tile)
-        for i, hr in enumerate(tiles):
+        for i, hr in enumerate(tile_image(rgb, cfg.tile, cfg.tile)):
             lr = bicubic_downsample(hr, cfg.scale)
             pair_id = f"{source_id}_t{i:02d}"
             hr_path = f"{pair_id}_hr.vsgr"

@@ -127,3 +127,34 @@ def dft_peak_bin(field: np.ndarray, axis: int) -> int:
     spectrum = np.abs(np.fft.rfft(field, axis=axis)).mean(axis=1 - axis)
     spectrum[0] = 0.0
     return int(np.argmax(spectrum))
+
+
+def synth_field_meshgrid(seed: int, h: int, w: int, spec) -> np.ndarray:
+    """The synthetic field as first written: full coordinate grids from
+    `meshgrid` and one whole-array expression per term."""
+    rng = np.random.default_rng(seed)
+    ys = (np.arange(h) + 0.5) / h
+    xs = (np.arange(w) + 0.5) / w
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    out = np.zeros((h, w))
+    for amp, cycles, theta in spec.components:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        u = np.cos(theta) * xx + np.sin(theta) * yy
+        out += amp * np.sin(2.0 * np.pi * cycles * u + phase)
+    if spec.background_amplitude != 0.0:
+        for ky in range(spec.background_max_cycles + 1):
+            for kx in range(spec.background_max_cycles + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                out += spec.background_amplitude * coeff * np.cos(
+                    2.0 * np.pi * (kx * xx + ky * yy) + phase
+                )
+    return out
+
+
+def normalize_plain(v: np.ndarray) -> np.ndarray:
+    """The unit-interval map as one expression."""
+    lo, hi = float(v.min()), float(v.max())
+    return (v - lo) / (hi - lo)

@@ -79,6 +79,18 @@ def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+def test_build_data_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # A 2^26 x 2^26 RGB grid is 2^55 * 3 bytes, more than any 64-bit address
+    # space can map, so the first allocation fails without touching memory.
+    edge = str(2 ** 26)
+    code = main(["build-data", "--data.sources", "1", "--data.source_height", edge, "--data.source_width", edge,
+                 "--data.tile", "256", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("out of memory: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[model]\nnot_a_key = 3\n")
@@ -434,8 +446,13 @@ def _grid_with_trailing_bytes(path):
     path.write_bytes(path.read_bytes() + b"\x00\x00")
 
 
+def _grid_claiming_a_huge_payload(path):
+    path.write_bytes(b"VSGR" + struct.pack("<IIIII", 1, 2 ** 31, 2 ** 31, 3, 0) + b"\x00" * 64)
+
+
 @pytest.mark.parametrize("name,make", [("truncated.png", _truncated_png), ("idat.png", _corrupt_idat_png),
-                                       ("nan.vsgr", _nan_grid), ("trailing.vsgr", _grid_with_trailing_bytes)])
+                                       ("nan.vsgr", _nan_grid), ("trailing.vsgr", _grid_with_trailing_bytes),
+                                       ("huge.vsgr", _grid_claiming_a_huge_payload)])
 def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
     make(tmp_path / name)
@@ -541,3 +558,24 @@ def test_module_entry_point_runs():
                           cwd=root)
     assert proc.returncode == 0
     assert "build-data" in proc.stdout
+
+
+def test_sine_paths_never_load_scipy(tmp_path):
+    # scipy provides only erf, for the vit_mlp baseline's GELU; importing visir,
+    # training the sine variant and reconstructing through the CLI must not load it.
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import sys
+import visir, visir.cli
+from visir.cli import main
+assert main(["build-data", *{SMALL_DATA_FLAGS!r}, "--out", "data"]) == 0
+assert main(["train", "--manifest", "data/manifest.json", *{TINY_MODEL_FLAGS!r}, "--train.steps", "1",
+             "--out", "run"]) == 0
+assert main(["reconstruct", "--checkpoint", "run/model.vsck", "--input", "data/s000_t00_lr.vsgr",
+             "--hr", "data/s000_t00_hr.vsgr", "--out", "rec"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                          env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr[-2000:]

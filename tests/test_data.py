@@ -1,5 +1,7 @@
+import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visir.data import (
+    CHANNEL_NAMES,
     DataConfig,
     SpectrumSpec,
     SRPair,
-    assemble_rgb,
     bicubic_downsample,
     build_dataset,
     load_manifest,
@@ -24,8 +26,9 @@ from visir.data import (
     write_grid,
     write_png,
 )
+from visir.data import _subseed
 
-from oracles import bicubic_ramp_reference, dft_peak_bin
+from oracles import bicubic_ramp_reference, dft_peak_bin, normalize_plain, synth_field_meshgrid
 
 
 # ---------------------------------------------------------------------------
@@ -64,40 +67,15 @@ def test_normalize_extremes_are_exact(values):
     assert out.max() == 1.0
 
 
-# ---------------------------------------------------------------------------
-# assemble_rgb
-# ---------------------------------------------------------------------------
-
-def test_assemble_constant_channels():
-    shape = (2, 3)
-    img = assemble_rgb(np.full(shape, 0.0), np.full(shape, 0.5), np.full(shape, 1.0))
-    assert img.shape == (2, 3, 3)
-    assert np.all(img[:, :, 0] == 0.0)
-    assert np.all(img[:, :, 1] == 0.5)
-    assert np.all(img[:, :, 2] == 1.0)
-
-
-def test_assemble_channel_order_is_fixed():
-    rng = np.random.default_rng(0)
-    t, s, l = (rng.uniform(0, 1, (3, 3)) for _ in range(3))
-    img = assemble_rgb(t, s, l)
-    swapped = assemble_rgb(s, t, l)
-    assert np.array_equal(img[:, :, 0], swapped[:, :, 1])
-    assert np.array_equal(img[:, :, 1], swapped[:, :, 0])
-
-
-def test_channel_extraction_inverts_assembly():
-    rng = np.random.default_rng(1)
-    t, s, l = (rng.uniform(0, 1, (4, 5)) for _ in range(3))
-    img = assemble_rgb(t, s, l)
-    assert np.array_equal(img[:, :, 0], t)
-    assert np.array_equal(img[:, :, 1], s)
-    assert np.array_equal(img[:, :, 2], l)
-
-
-def test_assemble_shape_mismatch():
-    with pytest.raises(ValueError):
-        assemble_rgb(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       scale=st.floats(1e-3, 1e6), shift=st.floats(-1e6, 1e6))
+def test_normalize_matches_plain_expression(h, w, seed, scale, shift):
+    v = np.random.default_rng(seed).normal(shift, scale, (h, w))
+    if v.max() <= v.min():
+        return
+    out, _ = normalize_field(v)
+    assert out.tobytes() == normalize_plain(v).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +108,12 @@ def test_tile_reassemble_is_bit_exact_identity(rows, cols, th, tw, seed):
     tiles = tile_image(img, th, tw)
     back = reassemble_tiles(tiles, rows, cols)
     assert np.array_equal(back, img)
+
+
+def test_tiles_are_views():
+    img = np.arange(72, dtype=np.float64).reshape(4, 6, 3)
+    for tile in tile_image(img, 2, 3):
+        assert np.shares_memory(tile, img)
 
 
 def test_tiles_are_row_major():
@@ -216,6 +200,25 @@ def test_synth_spectral_peak_at_requested_bin():
         assert dft_peak_bin(field, axis=1) == cycles
 
 
+_COMPONENT = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 40.0), st.floats(0.0, 2.0 * math.pi))
+_EDGE = st.one_of(st.just(1), st.integers(1, 48))
+
+
+@st.composite
+def _spectra(draw):
+    kind = draw(st.sampled_from(["components", "background", "both"]))
+    components = tuple(draw(st.lists(_COMPONENT, min_size=1, max_size=4))) if kind != "background" else ()
+    background = draw(st.floats(0.05, 1.0)) if kind != "components" else 0.0
+    return SpectrumSpec(components=components, background_amplitude=background,
+                        background_max_cycles=draw(st.integers(0, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_spectra(), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
+def test_synth_matches_meshgrid_oracle(spec, h, w, seed):
+    assert synth_field(seed, h, w, spec).tobytes() == synth_field_meshgrid(seed, h, w, spec).tobytes()
+
+
 def test_synth_empty_spec_errors():
     with pytest.raises(ValueError):
         synth_field(0, 8, 8, SpectrumSpec())
@@ -248,6 +251,31 @@ def test_grid_round_trip(tmp_path):
     assert units == "W m-2"
 
 
+def test_grid_of_a_view_has_the_bytes_of_its_copy(tmp_path):
+    img = np.random.default_rng(2).uniform(0, 1, (6, 9, 3))
+    view = img[2:5, 3:9]
+    write_grid(tmp_path / "view.vsgr", view)
+    write_grid(tmp_path / "copy.vsgr", view.copy())
+    assert (tmp_path / "view.vsgr").read_bytes() == (tmp_path / "copy.vsgr").read_bytes()
+    assert np.array_equal(read_grid(tmp_path / "view.vsgr")[0], view)
+
+
+def test_grid_header_claiming_a_huge_payload_is_truncated(tmp_path):
+    # 2^31 x 2^31 x 2^31 values would be 2^96 bytes; the header's sizes are
+    # checked against the file before anything is allocated or read.
+    blob = b"VSGR" + struct.pack("<IIIII", 1, 2 ** 31, 2 ** 31, 2 ** 31, 0) + b"\x00" * 64
+    (tmp_path / "huge.vsgr").write_bytes(blob)
+    with pytest.raises(ValueError, match="truncated grid payload"):
+        read_grid(tmp_path / "huge.vsgr")
+
+
+def test_grid_trailing_bytes(tmp_path):
+    write_grid(tmp_path / "g.vsgr", np.zeros((2, 3)))
+    (tmp_path / "g.vsgr").write_bytes((tmp_path / "g.vsgr").read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_grid(tmp_path / "g.vsgr")
+
+
 def test_grid_bad_magic(tmp_path):
     (tmp_path / "bad.vsgr").write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
@@ -259,7 +287,7 @@ def test_grid_truncated(tmp_path):
     write_grid(tmp_path / "g.vsgr", img)
     blob = (tmp_path / "g.vsgr").read_bytes()
     (tmp_path / "cut.vsgr").write_bytes(blob[:-16])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated grid payload"):
         read_grid(tmp_path / "cut.vsgr")
 
 
@@ -386,6 +414,72 @@ def test_build_dataset_rebuild_is_byte_identical(tmp_path):
     first = (tmp_path / "a" / "s000_t00_hr.vsgr").read_bytes()
     second = (tmp_path / "b" / "s000_t00_hr.vsgr").read_bytes()
     assert first == second
+
+
+def _source_grids(manifest, cfg):
+    """Each source's RGB grid, reassembled from its HR tiles."""
+    rows, cols = cfg.source_height // cfg.tile, cfg.source_width // cfg.tile
+    grids = {}
+    for source in manifest.normalization:
+        tiles = [read_grid(manifest.root / e.hr_path)[0] for e in manifest.entries if e.source_id == source]
+        grids[source] = reassemble_tiles(tiles, rows, cols)
+    return grids
+
+
+def _oracle_channel(cfg, s, k):
+    field = synth_field_meshgrid(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width,
+                                 cfg.spectrum)
+    return normalize_plain(field), (float(field.min()), float(field.max()))
+
+
+def test_build_dataset_channels_are_the_normalized_fields(tmp_path):
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    for s, (source, grid) in enumerate(_source_grids(manifest, SMALL_CFG).items()):
+        for k in range(len(CHANNEL_NAMES)):
+            channel, bounds = _oracle_channel(SMALL_CFG, s, k)
+            assert np.ascontiguousarray(grid[:, :, k]).tobytes() == channel.tobytes(), (source, k)
+            assert manifest.normalization[source][k] == bounds
+
+
+def test_build_dataset_channel_order_is_fixed(tmp_path):
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    assert json.loads(manifest.to_json())["channels"] == list(CHANNEL_NAMES)
+    grid = _source_grids(manifest, SMALL_CFG)["s000"]
+    fields = [_oracle_channel(SMALL_CFG, 0, k)[0] for k in range(len(CHANNEL_NAMES))]
+    for k in range(len(CHANNEL_NAMES)):
+        for j in range(len(CHANNEL_NAMES)):
+            assert np.array_equal(grid[:, :, k], fields[j]) == (j == k)
+
+
+def test_build_dataset_channels_span_unit_interval(tmp_path):
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    for grid in _source_grids(manifest, SMALL_CFG).values():
+        assert np.array_equal(grid.min(axis=(0, 1)), np.zeros(3))
+        assert np.array_equal(grid.max(axis=(0, 1)), np.ones(3))
+
+
+def test_build_dataset_tiles_are_hxwx3(tmp_path):
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    assert all(len(r) == len(CHANNEL_NAMES) for r in manifest.normalization.values())
+    for e in manifest.entries:
+        assert read_grid(manifest.root / e.hr_path)[0].shape == (24, 24, 3)
+        assert read_grid(manifest.root / e.lr_path)[0].shape == (6, 6, 3)
+
+
+def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
+    # One RGB grid for the whole build, plus one field and its scratch while a
+    # channel is made: about 1.7 grids.  Full-size coordinate grids, per-term
+    # temporaries or tile copies would pass 2.
+    cfg = DataConfig(sources=2, source_height=480, source_width=960, tile=240, scale=4, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        build_dataset(cfg, tmp_path / "d")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rgb_bytes = 480 * 960 * 3 * 8
+    assert peak <= 2.0 * rgb_bytes, peak / rgb_bytes
 
 
 def test_build_dataset_empty_sources_errors(tmp_path):
