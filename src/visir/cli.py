@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .autodiff import NonFiniteError, no_grad
-from .data import DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
+from .data import CHANNEL_NAMES, DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
 from .metrics import evaluate_pair
 from .model import ModelConfig, init_parameters, predict
 from .training import (
@@ -58,18 +60,28 @@ def _parse_optional_int(text: str):
     return None if text.strip().lower() in ("", "none") else int(text)
 
 
-def _parse_grid(conv):
-    return lambda text: tuple(conv(item) for item in text.split(","))
+def _parse_grid(conv, name: str):
+    """Comma-separated values of the ModelConfig field `name`, each checked by ModelConfig."""
+    def parse(text: str) -> tuple:
+        values = tuple(conv(item) for item in text.split(","))
+        for value in values:
+            ModelConfig(**{name: value})
+        return values
+    return parse
 
 
 # Field type hint (a string under postponed annotations) -> CLI value parser.
 _CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "int | None": _parse_optional_int}
 
 
+def _key_fields(cls) -> list:
+    """The fields of `cls` that are CLI keys: those that carry help text."""
+    return [f for f in fields(cls) if "help" in f.metadata]
+
+
 def _field_keys(section: str, cls) -> dict[str, tuple]:
-    """`section.name` keys for the fields of `cls` that carry help text."""
-    return {f"{section}.{f.name}": (_CONVERTERS[f.type], f.default, f.metadata["help"])
-            for f in fields(cls) if "help" in f.metadata}
+    """`section.name` keys for the key fields of `cls`."""
+    return {f"{section}.{f.name}": (_CONVERTERS[f.type], f.default, f.metadata["help"]) for f in _key_fields(cls)}
 
 
 # key -> (converter, default, help)
@@ -82,14 +94,18 @@ KEYS: dict[str, tuple] = {
                         "sinusoid components amp:cycles:angle_deg, comma separated"),
     "data.background": (float, 0.4, "smooth background amplitude"),
     "data.background_cycles": (int, 3, "max integer frequency of the background"),
-    "sweep.frequencies": (_parse_grid(float), training.DEFAULT_FREQUENCIES, "omega0 grid, comma separated"),
-    "sweep.layers": (_parse_grid(int), training.DEFAULT_LAYER_COUNTS, "hidden-layer grid, comma separated"),
+    "sweep.frequencies": (_parse_grid(float, "omega0"), training.DEFAULT_FREQUENCIES,
+                          "omega0 grid, comma separated"),
+    "sweep.layers": (_parse_grid(int, "siren_hidden_layers"), training.DEFAULT_LAYER_COUNTS,
+                     "hidden-layer grid, comma separated"),
     "run.seed": (int, 0, "global seed"),
     "run.out": (str, "out", "output directory"),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; it depends on KEYS alone, so one is built per process and shared."""
     parser = argparse.ArgumentParser(prog="visir", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     # The options every command takes, added once and shared by each subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="shorthand for --run.seed")
-    common.add_argument("--out", type=str, default=None, help="shorthand for --run.out")
     for key, (_, default, help_text) in KEYS.items():
-        common.add_argument("--" + key, dest=key, type=str, default=None, help=f"{help_text} (default {default})")
+        section, name = key.split(".")
+        flags = ["--" + key, "--" + name] if section == "run" else ["--" + key]  # --seed, --out
+        common.add_argument(*flags, dest=key, type=str, default=None, help=f"{help_text} (default {default})")
 
     sub.add_parser("build-data", parents=[common], help="generate synthetic SR pairs and a manifest")
 
@@ -124,89 +140,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_settings(ns: argparse.Namespace) -> dict:
     """Merge defaults, config file and flags; reject unknown keys."""
-    settings = {key: default for key, (_, default, _) in KEYS.items()}
+    texts = []  # (key, text): the config file's first, so a flag wins
     if ns.config is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str
-        read = parser.read(ns.config)
-        if not read:
+        if not parser.read(ns.config):
             raise OSError(f"cannot read config file {ns.config}")
-        for section in parser.sections():
-            for name, value in parser.items(section):
-                key = f"{section}.{name}"
-                if key not in KEYS:
-                    raise ConfigError(f"unknown config key '{key}'")
-                conv = KEYS[key][0]
-                try:
-                    settings[key] = conv(value)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for '{key}': {exc}") from exc
-    for key, (conv, _, _) in KEYS.items():
-        raw = getattr(ns, key, None)
-        if raw is not None:
-            try:
-                settings[key] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for '{key}': {exc}") from exc
-    if ns.seed is not None:
-        settings["run.seed"] = ns.seed
-    if ns.out is not None:
-        settings["run.out"] = ns.out
+        texts += [(f"{section}.{name}", value) for section in parser.sections()
+                  for name, value in parser.items(section)]
+    texts += [(key, getattr(ns, key)) for key in KEYS if getattr(ns, key, None) is not None]
+    settings = {key: default for key, (_, default, _) in KEYS.items()}
+    for key, text in texts:
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+        try:
+            settings[key] = KEYS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}': {exc}") from exc
     return settings
 
 
-def _section(settings: dict, name: str) -> dict:
-    """The `name.*` settings, keyed by field name."""
-    prefix = name + "."
-    return {key[len(prefix):]: value for key, value in settings.items() if key.startswith(prefix)}
+def _config(cls, section: str, settings: dict, **fixed):
+    """`cls` from its `section.*` settings and the `fixed` fields.
 
-
-def _model_config(settings: dict, manifest) -> ModelConfig:
-    """The `model.*` settings plus the geometry of the manifest's tiles."""
+    A value that `cls` rejects is a ConfigError whose message names each key as `section.name`.
+    """
+    names = [f.name for f in _key_fields(cls)]
     try:
-        return ModelConfig(**_section(settings, "model"), lr_height=manifest.tile_height // manifest.scale,
-                           lr_width=manifest.tile_width // manifest.scale, scale=manifest.scale, channels=3)
+        return cls(**{name: settings[f"{section}.{name}"] for name in names}, **fixed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(re.sub(rf"\b({'|'.join(names)})\b", rf"{section}.\1", str(exc))) from exc
 
 
-def _train_config(settings: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**_section(settings, "train"), seed=settings["run.seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _geometry(manifest) -> dict:
+    """The ModelConfig fields that a manifest's tiles fix: LR size, scale and channels."""
+    return {"lr_height": manifest.tile_height // manifest.scale, "lr_width": manifest.tile_width // manifest.scale,
+            "scale": manifest.scale, "channels": len(CHANNEL_NAMES)}
 
 
-def _parse_components(text: str) -> tuple[tuple[float, float, float], ...]:
+def _spectrum(settings: dict) -> SpectrumSpec:
+    """The data.components, data.background and data.background_cycles settings."""
+    text = settings["data.components"].strip()
     components = []
-    text = text.strip()
-    if not text:
-        return ()
-    for part in text.split(","):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ConfigError(f"bad value for 'data.components': expected amp:cycles:angle_deg, got {part!r}")
-        amp, cycles, angle_deg = (float(b) for b in bits)
+    for part in text.split(",") if text else ():
+        try:
+            amp, cycles, angle_deg = (float(b) for b in part.split(":"))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'data.components': expected amp:cycles:angle_deg, got {part!r}") from exc
         components.append((amp, cycles, math.radians(angle_deg)))
-    return tuple(components)
-
-
-def _data_config(settings: dict) -> DataConfig:
-    section = _section(settings, "data")
-    spectrum = SpectrumSpec(
-        components=_parse_components(section.pop("components")),
-        background_amplitude=section.pop("background"),
-        background_max_cycles=section.pop("background_cycles"),
-    )
-    tile, scale = section["tile"], section["scale"]
-    if tile <= 0 or section["source_height"] % tile != 0 or section["source_width"] % tile != 0:
-        raise ConfigError(f"'data.tile' = {tile} does not tile the "
-                          f"{section['source_height']}x{section['source_width']} source grid")
-    if scale < 1 or tile % scale != 0:
-        raise ConfigError(f"'data.scale' = {scale} is not a positive divisor of 'data.tile' = {tile}")
-    if not 0.0 <= section["train_fraction"] <= 1.0:
-        raise ConfigError(f"'data.train_fraction' = {section['train_fraction']} is outside [0, 1]")
-    return DataConfig(**section, seed=settings["run.seed"], spectrum=spectrum)
+    return SpectrumSpec(components=tuple(components), background_amplitude=settings["data.background"],
+                        background_max_cycles=settings["data.background_cycles"])
 
 
 def _out_dir(settings: dict) -> Path:
@@ -215,9 +198,8 @@ def _out_dir(settings: dict) -> Path:
     return out
 
 
-def cmd_build_data(ns: argparse.Namespace) -> int:
-    settings = load_settings(ns)
-    cfg = _data_config(settings)
+def cmd_build_data(ns: argparse.Namespace, settings: dict) -> int:
+    cfg = _config(DataConfig, "data", settings, seed=settings["run.seed"], spectrum=_spectrum(settings))
     out = Path(settings["run.out"])  # build_dataset makes it once its grid is allocated
     manifest = datamod.build_dataset(cfg, out)
     train_n = len(manifest.split("train"))
@@ -227,41 +209,42 @@ def cmd_build_data(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    settings = load_settings(ns)
+def cmd_train(ns: argparse.Namespace, settings: dict) -> int:
     manifest = datamod.load_manifest(ns.manifest)
-    model_cfg = _model_config(settings, manifest)
-    train_cfg = _train_config(settings)
-    out = _out_dir(settings)
-    model = init_parameters(model_cfg, settings["run.seed"])
+    model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
+    train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
+    pairs = datamod.load_pairs(manifest, "train")
     eval_pairs = datamod.load_pairs(manifest, "test") if train_cfg.eval_interval > 0 else None
-    result = training.train(model, datamod.load_pairs(manifest, "train"), train_cfg, eval_pairs=eval_pairs)
+    out = _out_dir(settings)
+    result = training.train(init_parameters(model_cfg, settings["run.seed"]), pairs, train_cfg, eval_pairs=eval_pairs)
     save_checkpoint(result.model, out / "model.vsck")
     training.write_loss_curve(result.curve, out / "loss_curve.csv")
     final = result.final_loss
     print(f"final train loss: {'n/a (0 steps)' if final is None else repr(final)}")
     print(f"checkpoint: {out / 'model.vsck'}")
+    if eval_pairs is not None:
+        training.write_eval_curve(result.eval_curve, out / "eval_curve.csv")
+        print(f"test PSNR curve: {out / 'eval_curve.csv'}")
     return EXIT_OK
 
 
 def _check_explicit_model_keys(ns: argparse.Namespace, settings: dict, config: ModelConfig) -> None:
     """Explicit --model.* flags must agree with the loaded checkpoint."""
-    for name, value in _section(settings, "model").items():
-        if getattr(ns, "model." + name) is not None and getattr(config, name) != value:
+    for f in _key_fields(ModelConfig):
+        value = settings["model." + f.name]
+        if getattr(ns, "model." + f.name) is not None and getattr(config, f.name) != value:
             raise CheckpointMismatchError(
-                f"'model.{name}' = {value} conflicts with checkpoint value {getattr(config, name)}")
+                f"'model.{f.name}' = {value} conflicts with checkpoint value {getattr(config, f.name)}")
 
 
-def cmd_eval(ns: argparse.Namespace) -> int:
-    settings = load_settings(ns)
+def cmd_eval(ns: argparse.Namespace, settings: dict) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(ns, settings, model.config)
-    if model.config.lr_height * model.config.scale != manifest.tile_height \
-            or model.config.lr_width * model.config.scale != manifest.tile_width:
-        raise CheckpointMismatchError(
-            f"checkpoint geometry {model.config.lr_height}x{model.config.lr_width}@{model.config.scale}x "
-            f"does not match manifest tiles {manifest.tile_height}x{manifest.tile_width}")
+    geometry = _geometry(manifest)
+    stored = {name: getattr(model.config, name) for name in geometry}
+    if stored != geometry:
+        raise CheckpointMismatchError(f"checkpoint geometry {stored} does not match the manifest's {geometry}")
     entries = manifest.split(ns.split)
     reports, summary = training.evaluate(model, datamod.load_pairs(manifest, ns.split))
     out = _out_dir(settings)
@@ -275,14 +258,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    settings = load_settings(ns)
+def cmd_sweep(ns: argparse.Namespace, settings: dict) -> int:
     manifest = datamod.load_manifest(ns.manifest)
-    model_cfg = _model_config(settings, manifest)
-    train_cfg = _train_config(settings)
-    out = _out_dir(settings)
+    model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
+    train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
     split = {name: datamod.load_pairs(manifest, name) for name in ("train", "test")}
     result = training.sweep(model_cfg, split, train_cfg, settings["sweep.frequencies"], settings["sweep.layers"])
+    out = _out_dir(settings)
     training.write_sweep_csv(result, out / "sweep.csv")
     for layers, freq, message in result.failures:
         print(f"cell (layers={layers}, omega0={freq}) failed: {message}", file=sys.stderr)
@@ -304,8 +286,7 @@ def _read_image(path: str) -> np.ndarray:
     return values
 
 
-def cmd_reconstruct(ns: argparse.Namespace) -> int:
-    settings = load_settings(ns)
+def cmd_reconstruct(ns: argparse.Namespace, settings: dict) -> int:
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(ns, settings, model.config)
     cfg = model.config
@@ -347,12 +328,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         # A NaN or infinity is reported once, by the check that finds it, not by numpy's warnings.
         with np.errstate(all="ignore"):
-            return COMMANDS[ns.command](ns)
+            return COMMANDS[ns.command](ns, load_settings(ns))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -370,6 +370,8 @@ DEFAULT_SPECTRUM = SpectrumSpec(
 
 @dataclass(frozen=True)
 class DataConfig:
+    """Settings of build_dataset; each field with "help" metadata is the CLI key ``data.<name>``."""
+
     sources: int = field(default=10, metadata={"help": "number of synthetic source grids"})
     source_height: int = field(default=720, metadata={"help": "source grid height"})
     source_width: int = field(default=1440, metadata={"help": "source grid width"})
@@ -378,6 +380,18 @@ class DataConfig:
     seed: int = 0
     train_fraction: float = field(default=0.8, metadata={"help": "train share of the tile split"})
     spectrum: SpectrumSpec = DEFAULT_SPECTRUM
+
+    def __post_init__(self):
+        for name in ("sources", "source_height", "source_width", "tile", "scale"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.source_height % self.tile != 0 or self.source_width % self.tile != 0:
+            raise ValueError(f"tile {self.tile} does not divide the {self.source_height}x{self.source_width} "
+                             "source grid")
+        if self.tile % self.scale != 0:
+            raise ValueError(f"scale {self.scale} does not divide tile {self.tile}")
+        if not 0.0 <= self.train_fraction <= 1.0:
+            raise ValueError(f"train_fraction {self.train_fraction} is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -388,6 +402,11 @@ class ManifestEntry:
     split: str
     hr_path: str
     lr_path: str
+
+
+# Each manifest pair key, the ManifestEntry field it holds and that field's type.
+_PAIR_KEYS = (("id", "pair_id", str), ("source", "source_id", str), ("tile", "tile_index", int),
+              ("split", "split", str), ("hr", "hr_path", str), ("lr", "lr_path", str))
 
 
 @dataclass
@@ -413,17 +432,7 @@ class DatasetManifest:
             "tile_width": self.tile_width,
             "channels": list(CHANNEL_NAMES),
             "normalization": {k: [list(r) for r in v] for k, v in self.normalization.items()},
-            "pairs": [
-                {
-                    "id": e.pair_id,
-                    "source": e.source_id,
-                    "tile": e.tile_index,
-                    "split": e.split,
-                    "hr": e.hr_path,
-                    "lr": e.lr_path,
-                }
-                for e in self.entries
-            ],
+            "pairs": [{key: getattr(e, name) for key, name, _ in _PAIR_KEYS} for e in self.entries],
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -445,10 +454,6 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
     Deterministic from cfg.seed: rebuilding into a fresh directory produces a
     byte-identical manifest and identical pair files.
     """
-    if cfg.sources < 1:
-        raise ValueError("need at least one source")
-    if cfg.tile % cfg.scale != 0:
-        raise ValueError(f"scale {cfg.scale} must divide tile size {cfg.tile}")
     # One RGB grid, reused by every source; allocated first, so a size that
     # cannot be allocated fails before anything is written.
     rgb = np.empty((cfg.source_height, cfg.source_width, len(CHANNEL_NAMES)))
@@ -513,9 +518,7 @@ def load_manifest(path) -> DatasetManifest:
     for key, size in sizes.items():
         if size < 1:
             raise ValueError(f"manifest key '{key}' must be >= 1, got {size}")
-    # The pair keys in the order of ManifestEntry's fields.
-    entries = [ManifestEntry(*(_key(p, key, int if key == "tile" else str, f"pairs[{i}].")
-                               for key in ("id", "source", "tile", "split", "hr", "lr")))
+    entries = [ManifestEntry(**{name: _key(p, key, kind, f"pairs[{i}].") for key, name, kind in _PAIR_KEYS})
                for i, p in enumerate(_key(doc, "pairs", list))]
     normalization = {}
     for source, ranges in _key(doc, "normalization", dict).items():

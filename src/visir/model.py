@@ -83,9 +83,10 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
+            raise ValueError(f"embed_dim {self.embed_dim} is not divisible by num_heads {self.num_heads}")
         if self.lr_height % self.patch_size != 0 or self.lr_width % self.patch_size != 0:
-            raise ValueError(f"patch size {self.patch_size} does not tile {self.lr_height}x{self.lr_width}")
+            raise ValueError(f"patch_size {self.patch_size} does not tile the {self.lr_height}x{self.lr_width} "
+                             "LR grid")
         if not 1 <= self.siren_hidden_layers <= 6:
             raise ValueError("siren_hidden_layers must lie in [1, 6]")
         if not 0 < self.omega0 < math.inf:
@@ -196,6 +197,10 @@ def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float
     final: "affine" (unbounded, residual-friendly), "sine" mapped onto [0, 1]
     as (sin + 1) / 2, or "sigmoid".
     """
+    if hidden not in ("sine", "gelu"):
+        raise ValueError(f"hidden must be one of ('sine', 'gelu'), got {hidden!r}")
+    if final not in ("affine", "sine", "sigmoid"):
+        raise ValueError(f"final must be one of ('affine', 'sine', 'sigmoid'), got {final!r}")
     depth = 0
     while f"{prefix}w{depth + 1}" in params:
         depth += 1

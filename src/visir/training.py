@@ -56,6 +56,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_loss_curve",
+    "write_eval_curve",
     "write_eval_csv",
     "write_sweep_csv",
 ]
@@ -223,24 +224,25 @@ def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cf
     one budget, and score it on split["test"].
 
     Every requested cell appears in the result exactly once: either a finite
-    mean test PSNR or NaN with an entry in `failures`.
+    mean test PSNR or NaN with an entry in `failures`.  Every cell's config is
+    made, and so checked, before any cell trains.
     """
     if not frequencies or not layer_counts:
         raise ValueError("sweep grid must be non-empty")
     train_pairs, test_pairs = split["train"], split["test"]
+    configs = {(layers, float(freq)): replace(base_config, siren_hidden_layers=layers, omega0=float(freq))
+               for layers in layer_counts for freq in frequencies}
     cells: dict[tuple[int, float], float] = {}
     failures: list[tuple[int, float, str]] = []
-    for layers in layer_counts:
-        for freq in frequencies:
-            cfg = replace(base_config, siren_hidden_layers=layers, omega0=float(freq))
-            model = init_parameters(cfg, train_cfg.seed)
-            try:
-                train(model, train_pairs, train_cfg)
-                _, summary = evaluate(model, test_pairs)
-                cells[(layers, float(freq))] = summary.psnr.mean
-            except DivergenceError as exc:
-                cells[(layers, float(freq))] = math.nan
-                failures.append((layers, float(freq), str(exc)))
+    for (layers, freq), cfg in configs.items():
+        model = init_parameters(cfg, train_cfg.seed)
+        try:
+            train(model, train_pairs, train_cfg)
+            _, summary = evaluate(model, test_pairs)
+            cells[(layers, freq)] = summary.psnr.mean
+        except DivergenceError as exc:
+            cells[(layers, freq)] = math.nan
+            failures.append((layers, freq, str(exc)))
     return SweepResult(tuple(float(f) for f in frequencies), tuple(layer_counts), cells, failures)
 
 
@@ -368,10 +370,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_loss_curve(curve: Sequence[tuple[int, float]], path) -> None:
-    lines = ["step,loss"]
-    lines += [f"{step},{_fmt(loss)}" for step, loss in curve]
+def _write_curve(header: str, curve: Sequence[tuple[int, float]], path) -> None:
+    lines = [header] + [f"{step},{_fmt(value)}" for step, value in curve]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_loss_curve(curve: Sequence[tuple[int, float]], path) -> None:
+    _write_curve("step,loss", curve, path)
+
+
+def write_eval_curve(curve: Sequence[tuple[int, float]], path) -> None:
+    """TrainResult.eval_curve: the mean test PSNR at every eval_interval steps."""
+    _write_curve("step,psnr", curve, path)
 
 
 def write_eval_csv(ids: Sequence[str], reports: Sequence[MetricsReport], path) -> None:

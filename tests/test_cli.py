@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _data_config, _model_config,
-                       _train_config, build_parser, load_settings, main)
+from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _config, _geometry, _spectrum,
+                       build_parser, load_settings, main)
 from visir.autodiff import Tensor
-from visir.data import DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
-from visir.training import load_checkpoint, save_checkpoint
+from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
+from visir.model import ModelConfig
+from visir.training import TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_MODEL_FLAGS = [
     "--model.patch_size", "2", "--model.num_layers", "1", "--model.num_heads", "2",
@@ -69,6 +70,17 @@ def test_build_data_invalid_tile_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "data.tile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("data.sources", "0"), ("data.source_height", "0"),
+                                       ("data.source_width", "-240")])
+def test_build_data_bad_size_is_one_config_error_line(tmp_path, capsys, key, value):
+    code = main(["build-data", *SMALL_DATA_FLAGS, f"--{key}", value, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flags", [["--data.components", "1e999:2:0"], ["--data.background", "nan"]])
@@ -171,11 +183,28 @@ def test_any_text_for_any_key_is_accepted_or_a_value_error(key, text):
     ns = _PARSER.parse_args(["build-data", f"--{key}={text}"])
     try:
         loaded = load_settings(ns)
-        _model_config(loaded, _DEFAULT_MANIFEST)
-        _train_config(loaded)
-        _data_config(loaded)
+        _config(ModelConfig, "model", loaded, **_geometry(_DEFAULT_MANIFEST))
+        _config(TrainConfig, "train", loaded, seed=loaded["run.seed"])
+        _config(DataConfig, "data", loaded, seed=loaded["run.seed"], spectrum=_spectrum(loaded))
     except ValueError:
         pass
+
+
+def test_parser_is_built_once_and_parses_stay_independent():
+    assert build_parser() is build_parser() is _PARSER
+    a = _PARSER.parse_args(["build-data", "--data.tile", "12"])
+    b = _PARSER.parse_args(["train", "--manifest", "m.json"])
+    assert getattr(a, "data.tile") == "12" and getattr(b, "data.tile") is None
+    assert not hasattr(a, "manifest") and b.manifest == "m.json"
+
+
+@pytest.mark.parametrize("argv,seed,out", [(["--seed", "3", "--run.seed", "4"], "4", None),
+                                           (["--run.seed", "4", "--seed", "3"], "3", None),
+                                           (["--out", "a", "--run.out", "b"], None, "b"),
+                                           (["--run.out", "b", "--out", "a"], None, "a")])
+def test_seed_and_out_are_spellings_of_the_run_keys(argv, seed, out):
+    ns = _PARSER.parse_args(["build-data", *argv])  # the last one given wins
+    assert (getattr(ns, "run.seed"), getattr(ns, "run.out")) == (seed, out)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -220,12 +249,58 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
     assert (a / "model.vsck").read_bytes() == (b / "model.vsck").read_bytes()
 
 
+def test_seed_and_run_seed_give_identical_checkpoints(tmp_path):
+    manifest = build_small_dataset(tmp_path)
+    for flag, out in (("--seed", "a"), ("--run.seed", "b")):
+        assert main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "3",
+                     flag, "3", "--out", str(tmp_path / out)]) == EXIT_OK
+    checkpoint = (tmp_path / "a" / "model.vsck").read_bytes()
+    assert checkpoint == (tmp_path / "b" / "model.vsck").read_bytes()
+    assert checkpoint != train_small(tmp_path, manifest, steps="3").read_bytes()  # seed 0
+
+
+def test_train_writes_eval_curve(tmp_path, capsys):
+    manifest = build_small_dataset(tmp_path)
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "7",
+                 "--train.eval_interval", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    assert str(out / "eval_curve.csv") in capsys.readouterr().out
+    lines = (out / "eval_curve.csv").read_text().splitlines()
+    assert lines[0] == "step,psnr"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 6]
+    assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
+
+def test_train_without_eval_interval_reads_no_test_split(tmp_path, monkeypatch):
+    from visir import data
+
+    manifest = build_small_dataset(tmp_path)
+    splits = []
+    load_pairs = data.load_pairs
+    monkeypatch.setattr(data, "load_pairs", lambda m, split: splits.append(split) or load_pairs(m, split))
+    train_small(tmp_path, manifest, steps="2")
+    assert splits == ["train"]
+    assert not (tmp_path / "run" / "eval_curve.csv").exists()
+
+
 def test_train_writes_loss_curve(tmp_path):
     manifest = build_small_dataset(tmp_path)
     train_small(tmp_path, manifest, steps="25")
     lines = (tmp_path / "run" / "loss_curve.csv").read_text().strip().split("\n")
     assert lines[0] == "step,loss"
     assert len(lines) == 26
+
+
+def test_train_bad_grid_exits_2_before_making_out(tmp_path, capsys):
+    manifest = build_small_dataset(tmp_path)
+    (manifest.parent / load_manifest(manifest).split("train")[0].hr_path).write_bytes(b"JUNK")
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_missing_manifest_exits_3(tmp_path):
@@ -301,6 +376,23 @@ def test_eval_conflicting_model_flag_exits_5(tmp_path, capsys):
     assert "model.embed_dim" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_other_channels_exits_5(tmp_path, capsys):
+    # The manifest's tiles are RGB; a 1-channel checkpoint of the same LR size and scale does not fit them.
+    from visir.model import init_parameters
+
+    manifest = build_small_dataset(tmp_path)
+    cfg = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, siren_hidden_dim=8,
+                      **{**_geometry(load_manifest(manifest)), "channels": 1})
+    save_checkpoint(init_parameters(cfg, seed=0), tmp_path / "gray.vsck")
+    capsys.readouterr()
+    code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(tmp_path / "gray.vsck"),
+                 "--out", str(tmp_path / "e")])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "channels" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_corrupt_checkpoint_exits_5(tmp_path):
     manifest = build_small_dataset(tmp_path)
     bad = tmp_path / "bad.vsck"
@@ -327,6 +419,23 @@ def test_sweep_small_grid(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 3
     assert all(len(line.split(",")) == 3 for line in lines)
+
+
+def test_sweep_checks_its_grid_before_training(tmp_path, capsys, monkeypatch):
+    from visir import training
+
+    manifest = build_small_dataset(tmp_path)
+    calls = []
+    train = training.train
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+    capsys.readouterr()
+    code = main(["sweep", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
+                 "--sweep.layers", "1,2,7", "--out", str(tmp_path / "sweep")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweep.layers" in err and len(err.splitlines()) == 1
+    assert calls == []
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_single_cell(tmp_path, capsys):

@@ -482,6 +482,21 @@ def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
     assert peak <= 2.0 * rgb_bytes, peak / rgb_bytes
 
 
+@pytest.mark.parametrize("named,bad", [
+    ("sources", {"sources": 0}), ("source_height", {"source_height": 0}),
+    ("source_width", {"source_width": -240}), ("tile", {"tile": 0}), ("scale", {"scale": 0}),
+    ("tile", {"source_height": 100, "source_width": 100, "tile": 33}), ("scale", {"scale": 5}),
+    ("train_fraction", {"train_fraction": 1.5}), ("train_fraction", {"train_fraction": -0.1}),
+    ("train_fraction", {"train_fraction": math.nan}),
+])
+def test_data_config_rejects_bad_fields(tmp_path, named, bad):
+    # The message names the rejected field, and nothing is built.
+    small = {"sources": 1, "source_height": 24, "source_width": 48, "tile": 12, "scale": 2}
+    with pytest.raises(ValueError, match=f"^{named} "):
+        build_dataset(DataConfig(**{**small, **bad}), tmp_path / "x")
+    assert not (tmp_path / "x").exists()
+
+
 def test_build_dataset_empty_sources_errors(tmp_path):
     with pytest.raises(ValueError):
         build_dataset(DataConfig(sources=0), tmp_path / "x")

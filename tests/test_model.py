@@ -233,6 +233,16 @@ def test_apply_stack_depth_follows_prefix_keys():
     assert out.data[0, 0] == 7.0  # one affine layer, no activation
 
 
+@pytest.mark.parametrize("kwargs,named", [({"hidden": "sin"}, "hidden"), ({"final": "sigmiod"}, "final"),
+                                          ({"hidden": "sin", "final": "sigmiod"}, "hidden")])
+def test_apply_stack_rejects_unknown_activation_names(kwargs, named):
+    # An unknown name is an error, not GELU or the affine output.
+    stack = {"w0": Tensor([[1.0]]), "b0": Tensor([0.0]), "w1": Tensor([[1.0]]), "b1": Tensor([0.0])}
+    with pytest.raises(ValueError, match=named) as err:
+        apply_stack(Tensor([[0.1]]), stack, "", omega0=20.0, **kwargs)
+    assert "'sine'" in str(err.value)  # the accepted names are listed
+
+
 def test_siren_ffn_gradients_two_hidden_layers():
     rng = np.random.default_rng(11)
     arrays = {

@@ -21,6 +21,7 @@ from visir.training import (
     sweep,
     train,
     write_eval_csv,
+    write_eval_curve,
     write_loss_curve,
     write_sweep_csv,
 )
@@ -213,6 +214,18 @@ def test_sweep_grid_complete(tmp_path):
             float(cell)  # numeric, no failures expected here
 
 
+def test_sweep_checks_every_cell_before_training_any(monkeypatch):
+    from visir import training
+
+    calls = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    pairs = make_pairs(1)
+    with pytest.raises(ValueError, match="siren_hidden_layers"):
+        sweep(TINY, {"train": pairs, "test": pairs}, TrainConfig(steps=1), frequencies=(10.0, 20.0),
+              layer_counts=(1, 2, 7))
+    assert calls == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_sweep_records_failures(tmp_path):
     pairs = make_pairs(1)
@@ -360,6 +373,11 @@ def test_loss_curve_csv(tmp_path):
     assert lines[0] == "step,loss"
     assert lines[1] == "1,0.5"
     assert lines[2] == "2,0.25"
+
+
+def test_eval_curve_csv(tmp_path):
+    write_eval_curve([(5, 21.5), (10, math.inf)], tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_text() == "step,psnr\n5,21.5\n10,inf\n"
 
 
 def test_eval_csv_renders_inf(tmp_path):
