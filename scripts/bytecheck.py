@@ -5,8 +5,9 @@
 
 Runs one matrix of visir commands (build-data, train, eval, sweep and
 reconstruct, on small sizes), then the library paths no command reaches (a
-coordinate-net fit, the single-channel criterion-5 model, and the `predict`
-output of untrained models), twice: once on
+coordinate-net fit, the single-channel criterion-5 model, the `predict`
+output of untrained models, and the error `predict` raises when one weight
+overflows the forward pass), twice: once on
 this checkout's src/, uncommitted edits included, and once on <rev>'s src/,
 exported with `git archive` into a temporary directory.  Then it prints
 "identical" or "different" for every output file, including a log per command
@@ -119,8 +120,10 @@ def _run_library(out: Path) -> None:
     """Child side: a 20-step coordinate-net fit of data/s000_t00, the criterion-5
     model (one channel) of scripts/spectral_bias_experiment.py trained 10 steps at batch 2,
     and the `predict` output of both variants of two untrained seed-0 models: the CLI's
-    default model on data/s000_t00's LR tile and the criterion-5 model on its first tile."""
-    from visir.autodiff import no_grad
+    default model on data/s000_t00's LR tile and the criterion-5 model on its first tile;
+    then the error a `no_grad` `predict` of that tile raises when one weight of the
+    CLI's default model is 1e307, for each weight where an overflow must be caught."""
+    from visir.autodiff import Tensor, no_grad
     from visir.data import SRPair, read_grid, write_grid
     from visir.model import ModelConfig, as_mlp_baseline, init_parameters, predict
     from visir.training import TrainConfig, fit_siren_inr, save_checkpoint, train
@@ -144,6 +147,19 @@ def _run_library(out: Path) -> None:
             with no_grad():
                 recon = predict(lr, init_parameters(variant_cfg, seed=0)).data
             write_grid(out / f"predict_{name}_{variant_cfg.variant}.vsgr", recon)
+    # Each overflow case: one weight of the untrained CLI-default model set to a finite 1e307.
+    cfg = inputs["cli"][0]
+    for variant_cfg, name in ((cfg, "embed.weight"), (cfg, "decoder.w0"), (cfg, f"decoder.w{cfg.decoder_depth}"),
+                              (as_mlp_baseline(cfg), "embed.weight")):
+        model = init_parameters(variant_cfg, seed=0)
+        model.params[name] = Tensor(np.full(model.params[name].shape, 1e307))
+        try:
+            with no_grad(), np.errstate(all="ignore"):
+                predict(pair.lr, model)
+            outcome = "no error"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        (out / f"non_finite_{variant_cfg.variant}_{name}.txt").write_text(outcome + "\n", encoding="utf-8")
 
 
 def run_matrix(src: Path, work: Path) -> list[str]:

@@ -15,6 +15,10 @@ tape entry for what would otherwise be a chain of them.  ``affine`` and
 ``attention`` take any leading axes (a batch, and inside ``attention`` the
 heads) as a stack of separate products, so an image's result does not depend
 on the batch it is in.  ``matmul`` stays 2-d only.
+
+Primitives do not check for NaN or infinity.  ``Tensor(...)`` checks data from outside,
+``unit_sine`` its output (``omega0 * x`` overflows where ``x`` is finite), ``sigmoid`` its
+input (it maps an infinity to 0 or 1) and ``adam_step`` the vector every gradient reaches.
 """
 
 from __future__ import annotations
@@ -76,22 +80,14 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        _check_finite(arr)
-        arr.setflags(write=False)
-        self.data = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: arr is a fresh array owned by the caller.
-        _check_finite(arr)
-        arr = np.asarray(arr, dtype=np.float64)
-        arr.setflags(write=False)
-        return cls._view(arr)
+        self.data = np.array(data, dtype=np.float64)
+        _check_finite(self.data)
+        self.data.setflags(write=False)
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "Tensor":
-        # Internal: arr is a finite, read-only float64 array.
+        # Internal: arr is a float64 array that no one writes to again; its finiteness is unchecked.
+        arr.setflags(write=False)
         out = cls.__new__(cls)
         out.data = arr
         return out
@@ -166,7 +162,7 @@ def tape_length() -> int:
 
 
 def _make(arr: np.ndarray, parents: tuple[Tensor, ...], pull) -> Tensor:
-    out = Tensor._wrap(arr)
+    out = Tensor._view(np.asarray(arr))  # numpy gives a 0-d result as a scalar, not an array
     if _state.grad_enabled:
         _state.tape.append(_TapeEntry(out, parents, pull))
     return out
@@ -342,7 +338,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    out = np.array(a.data.sum())
+    out = a.data.sum()
 
     def pull(g):
         return (np.broadcast_to(g, a.shape).copy(),)
@@ -359,7 +355,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
-    return _make(np.asarray(out), (a,), pull)
+    return _make(out, (a,), pull)
 
 
 def sine_activation(a: Tensor, omega0: float) -> Tensor:
@@ -379,6 +375,7 @@ def unit_sine(a: Tensor, omega0: float) -> Tensor:
     omega0 = float(omega0)
     inner = omega0 * a.data
     out = (np.sin(inner) + 1.0) * 0.5
+    _check_finite(out)  # the output: omega0 * x overflows even where x is finite
 
     def pull(g):
         return (g * 0.5 * omega0 * np.cos(inner),)
@@ -402,6 +399,7 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _check_finite(a.data)  # the input: sigmoid maps an infinity to a finite 0 or 1
     out = 1.0 / (1.0 + np.exp(-a.data))
 
     def pull(g):
@@ -508,7 +506,7 @@ def mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
     def pull(g):
         return (diff * (g * (2.0 / count)),)
 
-    return _make(np.asarray((diff * diff).mean()), (out,), pull)
+    return _make((diff * diff).mean(), (out,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +569,6 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState,
     new *= state.lr
     new /= work
     np.subtract(np.concatenate([p.data for p in params.values()], axis=None, out=work), new, out=new)
-    _check_finite(new)
+    _check_finite(new)  # catches any non-finite gradient
     new.setflags(write=False)
     return {name: Tensor._view(view) for name, view in zip(params, _views(new, params.values()))}

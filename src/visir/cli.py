@@ -144,10 +144,13 @@ def load_settings(ns: argparse.Namespace) -> dict:
     if ns.config is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str
-        if not parser.read(ns.config):
-            raise OSError(f"cannot read config file {ns.config}")
-        texts += [(f"{section}.{name}", value) for section in parser.sections()
-                  for name, value in parser.items(section)]
+        try:
+            if not parser.read(ns.config):
+                raise OSError(f"cannot read config file {ns.config}")
+        except configparser.Error as exc:  # its messages span lines: the error is one
+            raise ConfigError(" ".join(str(exc).split())) from exc
+        # The parser yields [DEFAULT] first: its keys, copied into every section, are unknown.
+        texts += [(f"{section}.{name}", value) for section in parser for name, value in parser.items(section)]
     texts += [(key, getattr(ns, key)) for key in KEYS if getattr(ns, key, None) is not None]
     settings = {key: default for key, (_, default, _) in KEYS.items()}
     for key, text in texts:

@@ -112,11 +112,11 @@ class TrainResult:
 def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[dict[str, Tensor], float]:
     """One Adam step on `loss_fn()`: (new params, loss value).
 
-    A non-finite value in the forward or backward pass is a DivergenceError at `step`."""
+    A non-finite value in the forward or backward pass is a DivergenceError at `step`, not a warning."""
     try:
-        loss = loss_fn()
-        value = loss.item()
-        return adam_step(params, opt, backward(loss, params)), value
+        with np.errstate(all="ignore"):
+            loss = loss_fn()
+            return adam_step(params, opt, backward(loss, params)), loss.item()
     except NonFiniteError as exc:
         clear_tape()
         raise DivergenceError(step, str(exc)) from exc
@@ -341,8 +341,7 @@ def load_checkpoint(path) -> VisirModel:
         raw_name = reader.take(reader.u32())
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
+        values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         try:
             name = raw_name.decode("utf-8")
             params[name] = Tensor(values)

@@ -44,6 +44,14 @@ def test_tensor_rejects_non_finite():
         Tensor([np.inf])
 
 
+def test_scalar_results_are_read_only_arrays():
+    # numpy returns the sum of two 0-d arrays as a scalar; a tensor still holds an ndarray.
+    a, b = Tensor(2.0), Tensor(3.0)
+    for t in (ad.add(a, b), ad.mul(a, b), ad.neg(a), ad.unit_sine(a, 1.0), ad.sigmoid(a), ad.tensor_sum(a),
+              ad.mean(a), ad.mse_loss(a, np.zeros(()))):
+        assert type(t.data) is np.ndarray and t.shape == () and not t.data.flags.writeable
+
+
 def test_tensor_is_immutable():
     t = Tensor([[1.0, 2.0]])
     with pytest.raises(ValueError):

@@ -30,6 +30,8 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",
                    "library/predict_cli_visir.vsgr", "library/predict_cli_vit_mlp.vsgr",
-                   "library/predict_c5_visir.vsgr", "library/predict_c5_vit_mlp.vsgr"):
+                   "library/predict_c5_visir.vsgr", "library/predict_c5_vit_mlp.vsgr",
+                   "library/non_finite_visir_embed.weight.txt", "library/non_finite_visir_decoder.w0.txt",
+                   "library/non_finite_visir_decoder.w2.txt", "library/non_finite_vit_mlp_embed.weight.txt"):
         assert result[output] == "identical"
     assert set(result.values()) == {"identical"}

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _conf
                        build_parser, load_settings, main)
 from visir.autodiff import Tensor
 from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
-from visir.model import ModelConfig
+from visir.model import ModelConfig, as_mlp_baseline, init_parameters
 from visir.training import TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_MODEL_FLAGS = [
@@ -109,6 +110,30 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "model.not_a_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["seed = 3\n", "[run]\nseed = 1\nseed = 2\n", "[run]\nseed = 1\n[run]\nout = x\n",
+                                  "[run]\nfoo\n"],
+                         ids=["no_section", "duplicate_key", "duplicate_section", "bare_line"])
+def test_unparsable_config_file_is_one_config_error_line(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text,key", [("[DEFAULT]\nbogus = 1\n", "DEFAULT.bogus"),
+                                      ("[DEFAULT]\nseed = 3\n[run]\n", "DEFAULT.seed")], ids=["bogus", "seed"])
+def test_default_section_keys_are_unknown(tmp_path, capsys, text, key):
+    # configparser copies [DEFAULT] into every section: seed = 3 there would otherwise set run.seed.
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(text)
+    code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
 
 
 def test_geometry_is_not_a_key(tmp_path, capsys):
@@ -593,6 +618,21 @@ def test_reconstruct_checkpoint_non_finite_exits_5(tmp_path, capsys, value):
     assert len(err.splitlines()) == 1 and "pos" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("shape", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31, 4)])
+def test_reconstruct_checkpoint_overflowing_extents_exits_5(tmp_path, capsys, shape):
+    # The product of these extents wraps past 2**63 in int64; the checkpoint is only truncated.
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    blob = ckpt.read_bytes()
+    rank_at = blob.index(b"block0.attn.bk") + len(b"block0.attn.bk")
+    ckpt.write_bytes(blob[:rank_at] + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
+    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: truncated checkpoint") and len(err.splitlines()) == 1
+
+
 def test_reconstruct_checkpoint_name_not_utf8_exits_5(tmp_path, capsys):
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
     blob = bytearray(ckpt.read_bytes())
@@ -609,24 +649,28 @@ def test_reconstruct_checkpoint_name_not_utf8_exits_5(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct"])
 def test_non_finite_forward_exits_2(tmp_path, capsys, command):
-    # decoder.w0 = 1e307 is finite, so the checkpoint loads, but the forward pass overflows.
+    # A weight of 1e307 is finite, so the checkpoint loads, but the forward pass overflows.  In the
+    # last decoder layer only omega0 * x overflows; in vit_mlp only the sigmoid's input is infinite.
     manifest = build_small_dataset(tmp_path)
-    model = load_checkpoint(train_small(tmp_path, manifest, steps="1"))
-    model.params["decoder.w0"] = Tensor(np.full(model.params["decoder.w0"].shape, 1e307))
-    save_checkpoint(model, tmp_path / "huge.vsck")
+    trained = load_checkpoint(train_small(tmp_path, manifest, steps="1"))
     inputs = {"eval": ["--manifest", str(manifest)],
               "reconstruct": ["--input", str(manifest.parent / "s000_t00_lr.vsgr")]}
-    capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([command, "--checkpoint", str(tmp_path / "huge.vsck"), *inputs[command],
-                     "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "non-finite" in err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert caught == []  # numpy's overflow warnings would be more stderr lines
-    assert not (tmp_path / "out").exists()
+    for variant, name in [("visir", "embed.weight"), ("visir", "decoder.w0"), ("visir", "decoder.w2"),
+                          ("vit_mlp", "embed.weight")]:
+        model = trained if variant == "visir" else init_parameters(as_mlp_baseline(trained.config), seed=0)
+        params = {**model.params, name: Tensor(np.full(model.params[name].shape, 1e307))}
+        save_checkpoint(replace(model, params=params), tmp_path / "huge.vsck")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--checkpoint", str(tmp_path / "huge.vsck"), *inputs[command],
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG, (variant, name)
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert caught == []  # numpy's overflow warnings would be more stderr lines
+        assert not (tmp_path / "out").exists()
 
 
 def test_reconstruct_accepts_png_input(tmp_path):

@@ -111,6 +111,25 @@ def test_tape_entries_per_step_do_not_grow_with_batch(monkeypatch):
     assert lengths[0] == lengths[1] > 0
 
 
+@pytest.mark.parametrize("variant", ["visir", "vit_mlp"])
+def test_finiteness_checks_per_step_do_not_grow_with_depth(monkeypatch, variant):
+    # Finiteness is checked where values enter and leave the model, not after every primitive:
+    # the input patches, the output activation and the Adam update, whatever the depth.
+    from dataclasses import replace
+
+    from visir import autodiff
+
+    counts = []
+    for layers in (1, 3):
+        model = init_parameters(replace(TINY, num_layers=layers, variant=variant), seed=0)
+        calls = []
+        monkeypatch.setattr(autodiff, "_check_finite", lambda arr: calls.append(arr.shape))
+        train(model, [make_pair()], TrainConfig(steps=1))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
