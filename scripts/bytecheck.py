@@ -18,14 +18,23 @@ The `library/predict_*.vsgr` files compare inference alone: a change to the
 training arithmetic can move trained values, and every output made from them,
 in their last bits, while these files come from seed-0 parameters only.
 
+Each side also loads every `*.vsck` checkpoint it made with its own
+`load_checkpoint`, and writes `<checkpoint>.params.txt` next to it: the config
+JSON, then, per tensor in sorted-name order, its name, its shape and the
+SHA-256 of its little-endian f64 bytes.  These files compare the parameters
+themselves, so a change to the checkpoint format alone moves only the `*.vsck`
+files.
+
 Each side runs in its own interpreter with one BLAS thread, and calls
 `visir.cli.main` for every command, with relative paths, in a fresh directory.
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
+import json
 import os
 import struct
 import subprocess
@@ -33,6 +42,7 @@ import sys
 import tarfile
 import tempfile
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +124,23 @@ def _run_commands(src: Path, work: Path) -> None:
         (work / "logs" / f"{name}.txt").write_text(
             f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}", encoding="utf-8")
     _run_library(work / "library")
+    _digest_checkpoints(work)
+
+
+def _digest_checkpoints(work: Path) -> None:
+    """Child side: `<checkpoint>.params.txt` next to every checkpoint under `work`, loaded with
+    this side's `load_checkpoint`: its config JSON, then one line per tensor in sorted-name
+    order with its name, its shape and the SHA-256 of its `<f8` bytes."""
+    from visir.training import load_checkpoint
+
+    for path in sorted(work.rglob("*.vsck")):
+        model = load_checkpoint(path)
+        lines = [json.dumps(asdict(model.config), sort_keys=True)]
+        for name in sorted(model.params):
+            data = model.params[name].data
+            digest = hashlib.sha256(data.astype("<f8").tobytes()).hexdigest()
+            lines.append(f"{name} {'x'.join(map(str, data.shape))} {digest}")
+        path.with_name(path.name + ".params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _run_library(out: Path) -> None:

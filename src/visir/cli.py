@@ -138,21 +138,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_settings(ns: argparse.Namespace) -> dict:
+class Settings(dict):
+    """Key -> value for every key; `given` holds the keys that the config file or the flags set."""
+    given: frozenset = frozenset()
+
+
+def load_settings(ns: argparse.Namespace) -> Settings:
     """Merge defaults, config file and flags; reject unknown keys."""
     texts = []  # (key, text): the config file's first, so a flag wins
     if ns.config is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str
         try:
-            if not parser.read(ns.config):
+            if not parser.read(ns.config, encoding="utf-8"):
                 raise OSError(f"cannot read config file {ns.config}")
-        except configparser.Error as exc:  # its messages span lines: the error is one
+        except (configparser.Error, UnicodeDecodeError) as exc:  # its messages span lines: the error is one
             raise ConfigError(" ".join(str(exc).split())) from exc
         # The parser yields [DEFAULT] first: its keys, copied into every section, are unknown.
         texts += [(f"{section}.{name}", value) for section in parser for name, value in parser.items(section)]
     texts += [(key, getattr(ns, key)) for key in KEYS if getattr(ns, key, None) is not None]
-    settings = {key: default for key, (_, default, _) in KEYS.items()}
+    settings = Settings((key, default) for key, (_, default, _) in KEYS.items())
     for key, text in texts:
         if key not in KEYS:
             raise ConfigError(f"unknown config key '{key}'")
@@ -160,6 +165,7 @@ def load_settings(ns: argparse.Namespace) -> dict:
             settings[key] = KEYS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for '{key}': {exc}") from exc
+    settings.given = frozenset(key for key, _ in texts)
     return settings
 
 
@@ -231,19 +237,18 @@ def cmd_train(ns: argparse.Namespace, settings: dict) -> int:
     return EXIT_OK
 
 
-def _check_explicit_model_keys(ns: argparse.Namespace, settings: dict, config: ModelConfig) -> None:
-    """Explicit --model.* flags must agree with the loaded checkpoint."""
-    for f in _key_fields(ModelConfig):
-        value = settings["model." + f.name]
-        if getattr(ns, "model." + f.name) is not None and getattr(config, f.name) != value:
-            raise CheckpointMismatchError(
-                f"'model.{f.name}' = {value} conflicts with checkpoint value {getattr(config, f.name)}")
+def _check_explicit_model_keys(settings: Settings, config: ModelConfig) -> None:
+    """Every model.* key that the config file or the flags gave must agree with the loaded checkpoint."""
+    for key in sorted(k for k in settings.given if k.startswith("model.")):
+        stored = getattr(config, key.split(".", 1)[1])
+        if stored != settings[key]:
+            raise CheckpointMismatchError(f"'{key}' = {settings[key]} conflicts with checkpoint value {stored}")
 
 
 def cmd_eval(ns: argparse.Namespace, settings: dict) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model = load_checkpoint(ns.checkpoint)
-    _check_explicit_model_keys(ns, settings, model.config)
+    _check_explicit_model_keys(settings, model.config)
     geometry = _geometry(manifest)
     stored = {name: getattr(model.config, name) for name in geometry}
     if stored != geometry:
@@ -291,7 +296,7 @@ def _read_image(path: str) -> np.ndarray:
 
 def cmd_reconstruct(ns: argparse.Namespace, settings: dict) -> int:
     model = load_checkpoint(ns.checkpoint)
-    _check_explicit_model_keys(ns, settings, model.config)
+    _check_explicit_model_keys(settings, model.config)
     cfg = model.config
     lr = _read_image(ns.input)
     expected = (cfg.lr_height, cfg.lr_width, cfg.channels)

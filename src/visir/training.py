@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"VSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -229,8 +229,10 @@ def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cf
     """
     if not frequencies or not layer_counts:
         raise ValueError("sweep grid must be non-empty")
+    # A repeated grid value is one row or column, in first-seen order.
+    frequencies, layer_counts = tuple(dict.fromkeys(map(float, frequencies))), tuple(dict.fromkeys(layer_counts))
     train_pairs, test_pairs = split["train"], split["test"]
-    configs = {(layers, float(freq)): replace(base_config, siren_hidden_layers=layers, omega0=float(freq))
+    configs = {(layers, freq): replace(base_config, siren_hidden_layers=layers, omega0=freq)
                for layers in layer_counts for freq in frequencies}
     cells: dict[tuple[int, float], float] = {}
     failures: list[tuple[int, float, str]] = []
@@ -243,7 +245,7 @@ def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cf
         except DivergenceError as exc:
             cells[(layers, freq)] = math.nan
             failures.append((layers, freq, str(exc)))
-    return SweepResult(tuple(float(f) for f in frequencies), tuple(layer_counts), cells, failures)
+    return SweepResult(frequencies, layer_counts, cells, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -277,58 +279,32 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _config_json(cfg: ModelConfig) -> bytes:
-    return json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
-
-
 def save_checkpoint(model: VisirModel, path) -> None:
-    """Magic, version, canonical config, then each tensor as
-    (name, rank, extents, little-endian f64 values), names sorted."""
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    config = _config_json(model.config)
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(config))
-    blob += config
-    names = sorted(model.params)
-    blob += struct.pack("<I", len(names))
-    for name in names:
-        p = model.params[name]
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", p.ndim)
-        blob += struct.pack(f"<{p.ndim}I", *p.shape)
-        blob += p.data.astype("<f8").tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointFormatError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, have {len(self.blob) - self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    """Magic, version, canonical config, then every parameter's little-endian f64 values in
+    parameter_layout(config) order.  A model whose tensors are not that layout's is a ValueError."""
+    layout = {name: shape for name, (shape, _) in parameter_layout(model.config).items()}
+    stored = {name: p.shape for name, p in model.params.items()}
+    if stored != layout:
+        wrong = [f"{name}: has {stored.get(name)}, config needs {layout.get(name)}"
+                 for name in sorted(stored.keys() | layout.keys()) if stored.get(name) != layout.get(name)]
+        raise ValueError("model tensors do not match its config: " + "; ".join(wrong))
+    config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config)
+        for name in layout:
+            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8"))
 
 
 def load_checkpoint(path) -> VisirModel:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError("bad checkpoint magic")
-    version = reader.u32()
+    """The model that save_checkpoint wrote; its payload's length is checked against its layout first."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError("not a checkpoint: no VSCK header")
+    version, size = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    config_bytes = reader.take(reader.u32())
     try:
-        doc = json.loads(config_bytes.decode("utf-8"))
+        doc = json.loads(blob[12:12 + size].decode("utf-8"))
         # Every field must be stored: a missing one would silently take its default.
         names = {f.name for f in fields(ModelConfig)}
         if set(doc) != names:
@@ -336,28 +312,22 @@ def load_checkpoint(path) -> VisirModel:
         config = ModelConfig(**doc)
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
+    layout = parameter_layout(config)
+    count = sum(math.prod(shape) for shape, _ in layout.values())
+    payload = len(blob) - 12 - size
+    if payload < 8 * count:
+        raise CheckpointFormatError(f"truncated checkpoint: its config needs {8 * count} payload bytes, have {payload}")
+    if payload > 8 * count:
+        raise CheckpointFormatError("trailing bytes after checkpoint payload")
     params: dict[str, Tensor] = {}
-    for _ in range(reader.u32()):
-        raw_name = reader.take(reader.u32())
-        rank = reader.u32()
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+    offset = 12 + size
+    for name, (shape, _) in layout.items():
+        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
         try:
-            name = raw_name.decode("utf-8")
-            params[name] = Tensor(values)
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"tensor name {raw_name!r:.60} is not UTF-8") from exc
+            params[name] = Tensor(values.reshape(shape))
         except NonFiniteError as exc:
             raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value") from exc
-    if reader.pos != len(reader.blob):
-        raise CheckpointFormatError("trailing bytes after checkpoint payload")
-    # The tensors must be exactly those init_parameters(config) builds: the layers trust this.
-    stored = {name: p.shape for name, p in params.items()}
-    expected = {name: shape for name, (shape, _) in parameter_layout(config).items()}
-    if stored != expected:
-        wrong = [f"{name}: stored {stored.get(name)}, expected {expected.get(name)}"
-                 for name in sorted(stored.keys() | expected.keys()) if stored.get(name) != expected.get(name)]
-        raise CheckpointFormatError("checkpoint tensors do not match its config: " + "; ".join(wrong))
+        offset += values.nbytes
     return VisirModel(config=config, params=params)
 
 

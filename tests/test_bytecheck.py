@@ -29,6 +29,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
                    "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",
+                   "train_visir/model.vsck.params.txt", "library/c5_visir.vsck.params.txt",
                    "library/predict_cli_visir.vsgr", "library/predict_cli_vit_mlp.vsgr",
                    "library/predict_c5_visir.vsgr", "library/predict_c5_vit_mlp.vsgr",
                    "library/non_finite_visir_embed.weight.txt", "library/non_finite_visir_decoder.w0.txt",

@@ -17,7 +17,7 @@ from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _conf
                        build_parser, load_settings, main)
 from visir.autodiff import Tensor
 from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
-from visir.model import ModelConfig, as_mlp_baseline, init_parameters
+from visir.model import ModelConfig, as_mlp_baseline, init_parameters, parameter_layout
 from visir.training import TrainConfig, load_checkpoint, save_checkpoint
 
 TINY_MODEL_FLAGS = [
@@ -112,12 +112,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "model.not_a_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["seed = 3\n", "[run]\nseed = 1\nseed = 2\n", "[run]\nseed = 1\n[run]\nout = x\n",
-                                  "[run]\nfoo\n"],
-                         ids=["no_section", "duplicate_key", "duplicate_section", "bare_line"])
+@pytest.mark.parametrize("text", [b"seed = 3\n", b"[run]\nseed = 1\nseed = 2\n", b"[run]\nseed = 1\n[run]\nout = x\n",
+                                  b"[run]\nfoo\n", b"[run]\nseed = \xff\n"],
+                         ids=["no_section", "duplicate_key", "duplicate_section", "bare_line", "not_utf8"])
 def test_unparsable_config_file_is_one_config_error_line(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     out, err = capsys.readouterr()
@@ -392,13 +392,35 @@ def test_eval_matches_library(tmp_path):
         assert float(ssim_s) == report.ssim
 
 
-def test_eval_conflicting_model_flag_exits_5(tmp_path, capsys):
+def _model_key_inputs(tmp_path):
+    """A 16-d checkpoint trained 1 step, and the inputs that eval and reconstruct read."""
     manifest = build_small_dataset(tmp_path)
-    ckpt = train_small(tmp_path, manifest)
-    code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt),
-                 "--model.embed_dim", "32", "--out", str(tmp_path / "e")])
-    assert code == EXIT_MISMATCH
-    assert "model.embed_dim" in capsys.readouterr().err
+    ckpt = train_small(tmp_path, manifest, steps="1")
+    return ckpt, {"eval": ["--manifest", str(manifest)],
+                  "reconstruct": ["--input", str(manifest.parent / "s000_t00_lr.vsgr")]}
+
+
+def test_eval_conflicting_model_flag_exits_5(tmp_path, capsys):
+    # A model.* key from the config file is given as a flag is (flags > config file > defaults),
+    # so it must agree with the checkpoint too.  One checkpoint serves every case.
+    ckpt, inputs = _model_key_inputs(tmp_path)
+    (tmp_path / "32.cfg").write_text("[model]\nembed_dim = 32\n")
+    for command in ("eval", "reconstruct"):
+        for given in (["--model.embed_dim", "32"], ["--config", str(tmp_path / "32.cfg")]):
+            capsys.readouterr()
+            code = main([command, "--checkpoint", str(ckpt), *inputs[command], *given, "--out", str(tmp_path / "e")])
+            assert code == EXIT_MISMATCH, (command, given)
+            err = capsys.readouterr().err
+            assert err == "checkpoint error: 'model.embed_dim' = 32 conflicts with checkpoint value 16\n"
+    assert not (tmp_path / "e").exists()
+
+
+def test_matching_model_key_in_config_file_passes(tmp_path):
+    ckpt, inputs = _model_key_inputs(tmp_path)
+    (tmp_path / "16.cfg").write_text("[model]\nembed_dim = 16\nnum_heads = 2\n")
+    for command in ("eval", "reconstruct"):
+        assert main([command, "--checkpoint", str(ckpt), *inputs[command], "--config", str(tmp_path / "16.cfg"),
+                     "--out", str(tmp_path / command)]) == EXIT_OK
 
 
 def test_eval_checkpoint_with_other_channels_exits_5(tmp_path, capsys):
@@ -475,6 +497,17 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert len(lines) == 2  # header + one row
 
 
+def test_sweep_repeated_grid_values_give_one_row_and_column(tmp_path):
+    manifest = build_small_dataset(tmp_path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "2",
+                 "--sweep.frequencies", "10,10.0,20,10", "--sweep.layers", "1,1", "--out", str(out)])
+    assert code == EXIT_OK
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert header == "hidden_layers,10.0,20.0"
+    assert len(rows) == 1 and rows[0].startswith("1,") and len(rows[0].split(",")) == 3
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
@@ -543,16 +576,13 @@ def test_reconstruct_wrong_hr_shape_exits_5_before_writing(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-def _small_checkpoint(path, edit=None):
+def _small_checkpoint(path):
     from visir.model import ModelConfig, init_parameters
     from visir.training import save_checkpoint
 
     cfg = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
                       lr_height=4, lr_width=4, siren_hidden_dim=8, scale=2, channels=3)
-    model = init_parameters(cfg, seed=0)
-    if edit is not None:
-        edit(model.params)
-    save_checkpoint(model, path)
+    save_checkpoint(init_parameters(cfg, seed=0), path)
     return path
 
 
@@ -597,54 +627,73 @@ def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
     assert not (tmp_path / "r" / "reconstruction.png").exists()
 
 
-def test_reconstruct_checkpoint_missing_tensor_exits_5(tmp_path, capsys):
-    ckpt = _small_checkpoint(tmp_path / "m.vsck", edit=lambda params: params.pop("pos"))
+def _with_config(ckpt, **changes):
+    """Rewrite the config JSON of the checkpoint `ckpt` with `changes`; its values stay as they are."""
+    blob = ckpt.read_bytes()
+    size = struct.unpack_from("<I", blob, 8)[0]
+    config = json.dumps({**json.loads(blob[12:12 + size]), **changes}, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(config)) + config + blob[12 + size:])
+    return ckpt
+
+
+def _reconstruct_error(tmp_path, capsys, ckpt):
+    """The exit code and stderr of reconstructing a 4x4 RGB grid with `ckpt`."""
     write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
+    capsys.readouterr()
     code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
                  "--out", str(tmp_path / "r")])
-    assert code == EXIT_MISMATCH
-    assert "pos" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    return code, capsys.readouterr().err
+
+
+def test_reconstruct_checkpoint_missing_tensor_exits_5(tmp_path, capsys):
+    # The config says which tensors follow: a second block finds its values missing, no block finds extra bytes.
+    for num_layers, message in ((2, "truncated checkpoint"), (0, "trailing bytes after checkpoint payload")):
+        ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), num_layers=num_layers)
+        code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+        assert code == EXIT_MISMATCH
+        assert err.startswith(f"checkpoint error: {message}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_reconstruct_checkpoint_non_finite_exits_5(tmp_path, capsys, value):
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
-    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", value))  # last float of `pos`
-    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
-    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
-                 "--out", str(tmp_path / "r")])
+    last = list(parameter_layout(load_checkpoint(ckpt).config))[-1]  # the values follow the layout's order
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", value))
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "pos" in err and "non-finite" in err
+    assert err == f"checkpoint error: tensor '{last}' holds a non-finite value\n"
 
 
-@pytest.mark.parametrize("shape", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31, 4)])
+@pytest.mark.parametrize("shape", [(2 ** 31, 8), (2 ** 32 - 2, 2 ** 32 - 1)])
 def test_reconstruct_checkpoint_overflowing_extents_exits_5(tmp_path, capsys, shape):
-    # The product of these extents wraps past 2**63 in int64; the checkpoint is only truncated.
-    ckpt = _small_checkpoint(tmp_path / "m.vsck")
-    blob = ckpt.read_bytes()
-    rank_at = blob.index(b"block0.attn.bk") + len(b"block0.attn.bk")
-    ckpt.write_bytes(blob[:rank_at] + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
-    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
-    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
-                 "--out", str(tmp_path / "r")])
+    # The config claims a block0.ffn.w0 of this shape (embed_dim x siren_hidden_dim): its layout's byte
+    # count passes 2**63, and the payload is found short before anything is allocated.
+    embed_dim, hidden_dim = shape
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), embed_dim=embed_dim, siren_hidden_dim=hidden_dim)
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
     assert err.startswith("checkpoint error: truncated checkpoint") and len(err.splitlines()) == 1
 
 
-def test_reconstruct_checkpoint_name_not_utf8_exits_5(tmp_path, capsys):
+def test_reconstruct_checkpoint_config_not_utf8_exits_5(tmp_path, capsys):
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
     blob = bytearray(ckpt.read_bytes())
-    blob[blob.index(b"block0.attn.bk")] = 0xFF
+    blob[blob.index(b'"variant"')] = 0xFF
     ckpt.write_bytes(bytes(blob))
-    write_grid(tmp_path / "lr.vsgr", np.full((4, 4, 3), 0.5))
-    code = main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(tmp_path / "lr.vsgr"),
-                 "--out", str(tmp_path / "r")])
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert err.startswith("checkpoint error:") and "UTF-8" in err
+    assert err.startswith("checkpoint error: bad checkpoint config: 'utf-8' codec")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_reconstruct_version_1_checkpoint_exits_5(tmp_path, capsys):
+    # Version 1 stored each tensor's name, rank and extents; no reader for it is kept.
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    ckpt.write_bytes(b"VSCK" + struct.pack("<I", 1) + ckpt.read_bytes()[8:])
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+    assert code == EXIT_MISMATCH
+    assert err == "checkpoint error: unsupported checkpoint version 1\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct"])

@@ -9,7 +9,8 @@ import pytest
 from visir.autodiff import Tensor, no_grad
 from visir.data import SRPair, SpectrumSpec, bicubic_downsample, normalize_field, synth_field
 from visir.metrics import evaluate_pair
-from visir.model import ModelConfig, coordinate_grid, init_parameters, predict, siren_inr_forward
+from visir.model import (ModelConfig, coordinate_grid, init_parameters, parameter_count, parameter_layout, predict,
+                         siren_inr_forward)
 from visir.training import (
     CheckpointFormatError,
     DivergenceError,
@@ -340,7 +341,8 @@ def test_checkpoint_config_missing_field(tmp_path, name):
 
 @pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
 def test_checkpoint_tensors_must_match_config(tmp_path, edit):
-    # A (1, D) `pos` would broadcast silently in encode; a missing one used to end in KeyError.
+    # A (1, D) `pos` would broadcast silently in encode; a missing one would end in KeyError.  The file
+    # holds no names, so such a model cannot be written at all.
     model = init_parameters(TINY, seed=0)
     if edit == "missing":
         del model.params["pos"]
@@ -348,9 +350,9 @@ def test_checkpoint_tensors_must_match_config(tmp_path, edit):
         model.params["pos2"] = model.params["pos"]
     else:
         model.params["pos"] = Tensor(np.zeros((1, TINY.embed_dim)))
-    save_checkpoint(model, tmp_path / "m.vsck")
-    with pytest.raises(CheckpointFormatError, match="pos"):
-        load_checkpoint(tmp_path / "m.vsck")
+    with pytest.raises(ValueError, match="pos"):
+        save_checkpoint(model, tmp_path / "m.vsck")
+    assert not (tmp_path / "m.vsck").exists()
 
 
 def test_checkpoint_trailing_garbage(tmp_path):
@@ -364,22 +366,34 @@ def test_checkpoint_trailing_garbage(tmp_path):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_checkpoint_non_finite_tensor(tmp_path, value):
-    # Tensors are written in sorted name order, so the last float belongs to the last name.
+    # Tensors follow in parameter_layout order, so the last float belongs to the layout's last tensor.
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    blob = (tmp_path / "m.vsck").read_bytes()
+    (tmp_path / "bad.vsck").write_bytes(blob[:-8] + struct.pack("<d", value))
+    with pytest.raises(CheckpointFormatError, match=f"'{list(parameter_layout(TINY))[-1]}' holds a non-finite"):
+        load_checkpoint(tmp_path / "bad.vsck")
+
+
+def test_checkpoint_config_not_utf8(tmp_path):
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    blob = bytearray((tmp_path / "m.vsck").read_bytes())
+    blob[blob.index(b'"variant"')] = 0xFF
+    (tmp_path / "bad.vsck").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="bad checkpoint config: 'utf-8' codec"):
+        load_checkpoint(tmp_path / "bad.vsck")
+
+
+def test_checkpoint_holds_header_config_and_values_only(tmp_path):
+    # No tensor names, ranks or extents: the config's layout says which values follow.
     model = init_parameters(TINY, seed=0)
     save_checkpoint(model, tmp_path / "m.vsck")
     blob = (tmp_path / "m.vsck").read_bytes()
-    (tmp_path / "bad.vsck").write_bytes(blob[:-8] + struct.pack("<d", value))
-    with pytest.raises(CheckpointFormatError, match=max(model.params)):
-        load_checkpoint(tmp_path / "bad.vsck")
-
-
-def test_checkpoint_tensor_name_not_utf8(tmp_path):
-    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
-    blob = bytearray((tmp_path / "m.vsck").read_bytes())
-    blob[blob.index(b"block0.attn.bk")] = 0xFF
-    (tmp_path / "bad.vsck").write_bytes(bytes(blob))
-    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
-        load_checkpoint(tmp_path / "bad.vsck")
+    magic, version, size = struct.unpack_from("<4sII", blob)
+    assert (magic, version) == (b"VSCK", 2)
+    assert ModelConfig(**json.loads(blob[12:12 + size])) == TINY
+    assert len(blob) == 12 + size + 8 * parameter_count(model)
+    values = np.frombuffer(blob, dtype="<f8", offset=12 + size)
+    assert np.array_equal(values, np.concatenate([model.params[name].data.ravel() for name in parameter_layout(TINY)]))
 
 
 # ---------------------------------------------------------------------------
