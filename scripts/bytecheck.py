@@ -59,6 +59,7 @@ MATRIX = [
     ("build_default", ["build-data", *DATA, "--out", "data"], 0),
     ("build_custom", ["build-data", *DATA, "--data.components", "0.5:3:10,0.3:11:60", "--data.background", "0.2",
                       "--data.background_cycles", "2", "--seed", "3", "--out", "data_custom"], 0),
+    ("build_odd", ["build-data", *DATA, "--data.scale", "3", "--out", "data_odd"], 0),  # the odd-factor kernel
     ("train_visir", [*TRAIN, *SMALL_MODEL, "--train.steps", "4", "--train.eval_interval", "2",
                      "--out", "train_visir"], 0),
     ("train_vit_mlp", [*TRAIN, *SMALL_MODEL, "--model.variant", "vit_mlp", "--train.batch_size", "2",

@@ -24,7 +24,7 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .autodiff import NonFiniteError, no_grad
-from .data import CHANNEL_NAMES, DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
+from .data import CHANNEL_NAMES, DEFAULT_SPECTRUM, DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
 from .metrics import evaluate_pair
 from .model import ModelConfig, init_parameters, predict
 from .training import (
@@ -92,8 +92,8 @@ KEYS: dict[str, tuple] = {
     # SpectrumSpec as text; its default is DEFAULT_SPECTRUM in whole degrees (deriving it changes build-data's bytes).
     "data.components": (str, "1.0:2:17,0.6:7:69,0.35:23:0,0.25:31:52",
                         "sinusoid components amp:cycles:angle_deg, comma separated"),
-    "data.background": (float, 0.4, "smooth background amplitude"),
-    "data.background_cycles": (int, 3, "max integer frequency of the background"),
+    "data.background": (float, DEFAULT_SPECTRUM.background_amplitude, "smooth background amplitude"),
+    "data.background_cycles": (int, DEFAULT_SPECTRUM.background_max_cycles, "max integer frequency of the background"),
     "sweep.frequencies": (_parse_grid(float, "omega0"), training.DEFAULT_FREQUENCIES,
                           "omega0 grid, comma separated"),
     "sweep.layers": (_parse_grid(int, "siren_hidden_layers"), training.DEFAULT_LAYER_COUNTS,
@@ -187,8 +187,14 @@ def _geometry(manifest) -> dict:
             "scale": manifest.scale, "channels": len(CHANNEL_NAMES)}
 
 
+# SpectrumSpec field -> the key that sets it.
+_SPECTRUM_KEYS = {"components": "data.components", "background_amplitude": "data.background",
+                  "background_max_cycles": "data.background_cycles"}
+
+
 def _spectrum(settings: dict) -> SpectrumSpec:
-    """The data.components, data.background and data.background_cycles settings."""
+    """The data.components, data.background and data.background_cycles settings;
+    a spectrum that SpectrumSpec rejects is a ConfigError that names the keys."""
     text = settings["data.components"].strip()
     components = []
     for part in text.split(",") if text else ():
@@ -197,8 +203,12 @@ def _spectrum(settings: dict) -> SpectrumSpec:
         except ValueError as exc:
             raise ConfigError(f"bad value for 'data.components': expected amp:cycles:angle_deg, got {part!r}") from exc
         components.append((amp, cycles, math.radians(angle_deg)))
-    return SpectrumSpec(components=tuple(components), background_amplitude=settings["data.background"],
-                        background_max_cycles=settings["data.background_cycles"])
+    try:
+        return SpectrumSpec(components=tuple(components), background_amplitude=settings["data.background"],
+                            background_max_cycles=settings["data.background_cycles"])
+    except ValueError as exc:
+        message = re.sub(rf"\b({'|'.join(_SPECTRUM_KEYS)})\b", lambda m: _SPECTRUM_KEYS[m[0]], str(exc))
+        raise ConfigError(message) from exc
 
 
 def _out_dir(settings: dict) -> Path:

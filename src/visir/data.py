@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import zlib
@@ -61,6 +62,17 @@ class SpectrumSpec:
     background_amplitude: float = 0.0
     background_max_cycles: int = 2
 
+    def __post_init__(self):
+        for term in self.components:
+            if not all(math.isfinite(v) for v in term):
+                raise ValueError(f"components must be finite, got {term}")
+        if not math.isfinite(self.background_amplitude):
+            raise ValueError(f"background_amplitude must be finite, got {self.background_amplitude}")
+        if self.background_max_cycles < 0:
+            raise ValueError(f"background_max_cycles must be >= 0, got {self.background_max_cycles}")
+        if not self.components and self.background_amplitude == 0.0:
+            raise ValueError("empty spectrum: no components and background_amplitude 0")
+
 
 @dataclass(frozen=True)
 class SRPair:
@@ -96,8 +108,6 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     Each term is built in one scratch array: an x row broadcast against a y
     column, then in-place ufuncs in the order of the plain expression.
     """
-    if not spec.components and spec.background_amplitude == 0.0:
-        raise ValueError("empty spectrum: no components and no background")
     rng = np.random.default_rng(seed)
     ys = ((np.arange(h) + 0.5) / h)[:, None]
     xs = (np.arange(w) + 0.5) / w
@@ -168,38 +178,16 @@ def reassemble_tiles(tiles: list[np.ndarray], grid_rows: int, grid_cols: int) ->
 # Bicubic (Catmull-Rom) reduction
 # ---------------------------------------------------------------------------
 
-def _catmull_rom_weights(fx: float) -> np.ndarray:
-    # Kernel a = -0.5 evaluated at the four neighbors around offset fx.
-    a = -0.5
-    ts = np.array([1.0 + fx, fx, 1.0 - fx, 2.0 - fx])
-    w = np.empty(4)
-    for k, t in enumerate(ts):
-        t = abs(t)
-        if t <= 1.0:
-            w[k] = (a + 2.0) * t ** 3 - (a + 3.0) * t ** 2 + 1.0
-        elif t < 2.0:
-            w[k] = a * (t ** 3 - 5.0 * t ** 2 + 8.0 * t - 4.0)
-        else:
-            w[k] = 0.0
-    return w
-
-
 def _downsample_axis(arr: np.ndarray, s: int, axis: int) -> np.ndarray:
     n = arr.shape[axis]
-    m = n // s
-    # Output pixel centers mapped into input coordinates; for an integer
-    # factor the fractional offset is the same for every output sample.
-    x = (np.arange(m) + 0.5) * s - 0.5
-    base = np.floor(x).astype(int)
-    fx = float(x[0] - base[0])
-    w = _catmull_rom_weights(fx)
+    # Output sample j sits at input (j + 1/2)s - 1/2: midway between two pixels if s is even, on one if odd.
+    w0, _, w2, w3 = (-0.0625, 0.5625, 0.5625, -0.0625) if s % 2 == 0 else (0.0, 1.0, 0.0, 0.0)
+    base = np.arange(n // s) * s + (s - 1) // 2
     moved = np.moveaxis(arr, axis, 0)
-    idx = [np.clip(base + d, 0, n - 1) for d in (-1, 0, 1, 2)]
-    samples = [moved[i] for i in idx]
+    s0, s1, s2, s3 = (moved[np.clip(base + d, 0, n - 1)] for d in (-1, 0, 1, 2))
     # Anchored form of sum(w_k * v_k): the weights sum to one, so evaluating
     # around the floor sample keeps constant inputs bit-exact.
-    out = samples[1] + w[0] * (samples[0] - samples[1]) \
-        + w[2] * (samples[2] - samples[1]) + w[3] * (samples[3] - samples[1])
+    out = s1 + w0 * (s0 - s1) + w2 * (s2 - s1) + w3 * (s3 - s1)
     return np.moveaxis(out, 0, axis)
 
 
@@ -286,15 +274,12 @@ def write_png(path, img: np.ndarray) -> None:
         raise ValueError(f"cannot export image of shape {arr.shape} as PNG")
     quant = np.clip(np.floor(flat * 255.0 + 0.5), 0, 255).astype(np.uint8)
     h, w = quant.shape[0], quant.shape[1]
-    raw = bytearray()
-    for row in range(h):
-        raw.append(0)  # filter type None
-        raw.extend(quant[row].tobytes())
+    raw = np.pad(quant.reshape(h, w * channels), ((0, 0), (1, 0))).tobytes()  # each row: filter type 0 (None)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     with open(path, "wb") as fh:
         fh.write(b"\x89PNG\r\n\x1a\n")
         fh.write(_png_chunk(b"IHDR", ihdr))
-        fh.write(_png_chunk(b"IDAT", zlib.compress(bytes(raw), 9)))
+        fh.write(_png_chunk(b"IDAT", zlib.compress(raw, 9)))
         fh.write(_png_chunk(b"IEND", b""))
 
 
@@ -330,16 +315,18 @@ def read_png(path) -> np.ndarray:
     stride = width * channels
     if len(data) != height * (stride + 1):
         raise ValueError(f"PNG image data has {len(data)} bytes, {width}x{height} needs {height * (stride + 1)}")
+    # `prev` and each decoded row carry `channels` zero bytes in front: the left and
+    # upper-left neighbours of the first pixel.
     out = bytearray()
-    prev = bytearray(stride)
+    prev = bytearray(channels + stride)
     for row in range(height):
         pos = row * (stride + 1)
         ftype = data[pos]
-        cur = bytearray(data[pos + 1:pos + 1 + stride])
+        cur = bytearray(channels) + data[pos + 1:pos + 1 + stride]
         if ftype > 4:
             raise ValueError(f"bad PNG filter type {ftype}")
-        for i in range(stride if ftype else 0):  # type 0 (None) stores the bytes as they are
-            left = cur[i - channels] if i >= channels else 0
+        for i in range(channels, channels + stride if ftype else 0):  # type 0 (None) stores the bytes as they are
+            left = cur[i - channels]
             up = prev[i]
             if ftype == 1:
                 cur[i] = (cur[i] + left) & 0xFF
@@ -348,11 +335,11 @@ def read_png(path) -> np.ndarray:
             elif ftype == 3:
                 cur[i] = (cur[i] + (left + up) // 2) & 0xFF
             else:
-                ul = prev[i - channels] if i >= channels else 0
+                ul = prev[i - channels]
                 p = left + up - ul
                 pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
                 cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
-        out += cur
+        out += cur[channels:]
         prev = cur
     return np.frombuffer(bytes(out), dtype=np.uint8).reshape(height, width, channels).astype(np.float64) / 255.0
 

@@ -303,6 +303,8 @@ def load_checkpoint(path) -> VisirModel:
     version, size = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    if 12 + size > len(blob):
+        raise CheckpointFormatError(f"truncated checkpoint: its config needs {size} bytes, have {len(blob) - 12}")
     try:
         doc = json.loads(blob[12:12 + size].decode("utf-8"))
         # Every field must be stored: a missing one would silently take its default.

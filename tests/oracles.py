@@ -7,6 +7,8 @@ for the quantity it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -120,6 +122,38 @@ def bicubic_ramp_reference(n: int, s: int, c0: float, c1: float) -> np.ndarray:
     exactly the ramp at the output pixel centers."""
     xs = (np.arange(n // s) + 0.5) * s - 0.5
     return c0 + c1 * xs
+
+
+def catmull_rom_kernel(t: float) -> float:
+    """Keys' cubic convolution kernel with a = -1/2 at distance t."""
+    a = -0.5
+    t = abs(t)
+    if t <= 1.0:
+        return (a + 2.0) * t ** 3 - (a + 3.0) * t ** 2 + 1.0
+    if t < 2.0:
+        return a * (t ** 3 - 5.0 * t ** 2 + 8.0 * t - 4.0)
+    return 0.0
+
+
+def bicubic_downsample_per_sample(img: np.ndarray, s: int) -> np.ndarray:
+    """Reduction by s along rows, then columns, one output sample at a time:
+    sample j sits at input coordinate x = (j + 1/2)s - 1/2, and the kernel is
+    evaluated at the distances from x to its four neighbours floor(x) - 1 ..
+    floor(x) + 2 (edge-clamped), combined around floor(x) as the library does.
+    The result is clipped to [0, 1]."""
+    out = np.asarray(img, dtype=np.float64)
+    for axis in (0, 1):
+        moved = np.moveaxis(out, axis, 0)
+        n = moved.shape[0]
+        samples = []
+        for j in range(n // s):
+            x = (j + 0.5) * s - 0.5
+            base = math.floor(x)
+            w = [catmull_rom_kernel(x - (base + d)) for d in (-1, 0, 1, 2)]
+            v = [moved[min(max(base + d, 0), n - 1)] for d in (-1, 0, 1, 2)]
+            samples.append(v[1] + w[0] * (v[0] - v[1]) + w[2] * (v[2] - v[1]) + w[3] * (v[3] - v[1]))
+        out = np.moveaxis(np.stack(samples), 0, axis)
+    return np.clip(out, 0.0, 1.0)
 
 
 def dft_peak_bin(field: np.ndarray, axis: int) -> int:

@@ -25,7 +25,8 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
     result = dict(bytecheck.compare(tmp_path / "a", tmp_path / "b"))
     for name, _, _ in bytecheck.MATRIX:
         assert result[f"logs/{name}.txt"] == "identical"
-    for output in ("data/manifest.json", "data_custom/manifest.json", "train_visir/model.vsck",
+    for output in ("data/manifest.json", "data_custom/manifest.json", "data_odd/manifest.json",
+                   "data_odd/s000_t00_lr.vsgr", "train_visir/model.vsck",
                    "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",

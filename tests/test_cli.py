@@ -84,12 +84,19 @@ def test_build_data_bad_size_is_one_config_error_line(tmp_path, capsys, key, val
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("flags", [["--data.components", "1e999:2:0"], ["--data.background", "nan"]])
+@pytest.mark.parametrize("flags", [["--data.components", "1e999:2:0"], ["--data.background", "nan"],
+                                   ["--data.components", "1:inf:0"], ["--data.components", "1:2:nan"],
+                                   ["--data.background_cycles", "-3"],
+                                   ["--data.components", "", "--data.background", "0"]])
 def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
+    # A spectrum SpectrumSpec rejects (non-finite, a negative background, empty) is
+    # one config error line naming the first flag's key, before --out is made.
     code = main(["build-data", *SMALL_DATA_FLAGS, *flags, "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
-    assert "non-finite" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "manifest.json").exists()
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and flags[0][2:] in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_data_too_large_to_allocate_exits_2(tmp_path, capsys):
@@ -685,6 +692,18 @@ def test_reconstruct_checkpoint_config_not_utf8_exits_5(tmp_path, capsys):
     assert code == EXIT_MISMATCH
     assert err.startswith("checkpoint error: bad checkpoint config: 'utf-8' codec")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [0xFFFFFFFF, None], ids=["u32_max", "file_length"])
+def test_reconstruct_checkpoint_config_past_end_exits_5(tmp_path, capsys, size):
+    ckpt = _small_checkpoint(tmp_path / "m.vsck")
+    blob = bytearray(ckpt.read_bytes())
+    struct.pack_into("<I", blob, 8, len(blob) if size is None else size)
+    ckpt.write_bytes(bytes(blob))
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+    assert code == EXIT_MISMATCH
+    assert err.startswith("checkpoint error: truncated checkpoint")
+    assert len(err.splitlines()) == 1
 
 
 def test_reconstruct_version_1_checkpoint_exits_5(tmp_path, capsys):

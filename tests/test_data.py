@@ -28,7 +28,8 @@ from visir.data import (
 )
 from visir.data import _subseed
 
-from oracles import bicubic_ramp_reference, dft_peak_bin, normalize_plain, synth_field_meshgrid
+from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, normalize_plain,
+                     synth_field_meshgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,21 @@ def test_bicubic_odd_factor_decimates():
     assert np.array_equal(out, img[1::3, 1::3])
 
 
+def test_bicubic_matches_per_sample_kernel():
+    # The library keeps one weight vector for even factors and one for odd; the oracle
+    # evaluates the kernel for every output sample.  -0.0, NaN and values outside [0, 1]
+    # go through the same arithmetic, so they give the same bytes too.
+    rng = np.random.default_rng(7)
+    for s in range(2, 9):
+        for c in (1, 3):
+            img = rng.uniform(-0.5, 1.5, (s * int(rng.integers(1, 6)), s * int(rng.integers(1, 6)), c))
+            if c == 1:
+                img[int(rng.integers(img.shape[0]))] = -0.0
+            else:
+                img[int(rng.integers(img.shape[0])), int(rng.integers(img.shape[1])), 1] = np.nan
+            assert bicubic_downsample(img, s).tobytes() == bicubic_downsample_per_sample(img, s).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # synthetic fields
 # ---------------------------------------------------------------------------
@@ -220,15 +236,30 @@ def test_synth_matches_meshgrid_oracle(spec, h, w, seed):
 
 
 def test_synth_empty_spec_errors():
-    with pytest.raises(ValueError):
-        synth_field(0, 8, 8, SpectrumSpec())
+    with pytest.raises(ValueError, match="empty spectrum"):
+        SpectrumSpec()
 
 
-@pytest.mark.parametrize("spec", [SpectrumSpec(components=((1e999, 2.0, 0.0),)),
-                                  SpectrumSpec(components=((1.0, 2.0, 0.0),), background_amplitude=math.nan)])
+@pytest.mark.parametrize("spec", [dict(components=((1e999, 2.0, 0.0),)),
+                                  dict(components=((1.0, 2.0, 0.0),), background_amplitude=math.nan),
+                                  dict(components=((1.0, math.inf, 0.0),)),
+                                  dict(components=((1.0, 2.0, math.nan),))])
 def test_synth_non_finite_spec_errors(spec):
-    with pytest.raises(ValueError, match="non-finite"):
-        synth_field(0, 8, 8, spec)
+    with pytest.raises(ValueError, match="must be finite"):
+        SpectrumSpec(**spec)
+
+
+def test_spectrum_negative_background_cycles_errors():
+    with pytest.raises(ValueError, match="background_max_cycles must be >= 0"):
+        SpectrumSpec(background_amplitude=0.4, background_max_cycles=-3)
+
+
+def test_synth_overflowing_spec_errors():
+    # Finite terms whose sum overflows: one runs along x and one along y, so at some
+    # pixel both sines are above cos(pi/16) whatever the phases, and 2 * 0.98e308 is inf.
+    spec = SpectrumSpec(components=((1e308, 1.0, 0.0), (1e308, 1.0, math.pi / 2)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        synth_field(0, 16, 16, spec)
 
 
 # ---------------------------------------------------------------------------

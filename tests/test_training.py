@@ -383,6 +383,16 @@ def test_checkpoint_config_not_utf8(tmp_path):
         load_checkpoint(tmp_path / "bad.vsck")
 
 
+@pytest.mark.parametrize("size", [0xFFFFFFFF, None], ids=["u32_max", "file_length"])
+def test_checkpoint_config_past_end_of_file(tmp_path, size):
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    blob = bytearray((tmp_path / "m.vsck").read_bytes())
+    struct.pack_into("<I", blob, 8, len(blob) if size is None else size)
+    (tmp_path / "bad.vsck").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="truncated checkpoint"):
+        load_checkpoint(tmp_path / "bad.vsck")
+
+
 def test_checkpoint_holds_header_config_and_values_only(tmp_path):
     # No tensor names, ranks or extents: the config's layout says which values follow.
     model = init_parameters(TINY, seed=0)
