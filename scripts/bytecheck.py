@@ -4,14 +4,14 @@
     python scripts/bytecheck.py <rev>
 
 Runs one matrix of visir commands (build-data, train, eval, sweep and
-reconstruct, on small sizes), then the library paths no command reaches (a
+reconstruct, on small sizes, two of which fail and must leave no `--out`), then the library paths no command reaches (a
 coordinate-net fit, the single-channel criterion-5 model, the `predict`
 output of untrained models, and the error `predict` raises when one weight
 overflows the forward pass), twice: once on
 this checkout's src/, uncommitted edits included, and once on <rev>'s src/,
 exported with `git archive` into a temporary directory.  Then it prints
-"identical" or "different" for every output file, including a log per command
-with its exit code, stdout and stderr.  It exits 1 if any file differs or any
+"identical" or "different" for every output file and directory, including a log
+per command with its exit code, stdout and stderr.  It exits 1 if any entry differs or any
 command ends with an exit code other than the one the matrix expects.
 
 The `library/predict_*.vsgr` files compare inference alone: a change to the
@@ -60,6 +60,7 @@ MATRIX = [
     ("build_custom", ["build-data", *DATA, "--data.components", "0.5:3:10,0.3:11:60", "--data.background", "0.2",
                       "--data.background_cycles", "2", "--seed", "3", "--out", "data_custom"], 0),
     ("build_odd", ["build-data", *DATA, "--data.scale", "3", "--out", "data_odd"], 0),  # the odd-factor kernel
+    ("build_overflow", ["build-data", *DATA, "--data.components", "1:1e308:0", "--out", "build_overflow"], 2),
     ("train_visir", [*TRAIN, *SMALL_MODEL, "--train.steps", "4", "--train.eval_interval", "2",
                      "--out", "train_visir"], 0),
     ("train_vit_mlp", [*TRAIN, *SMALL_MODEL, "--model.variant", "vit_mlp", "--train.batch_size", "2",
@@ -68,6 +69,8 @@ MATRIX = [
                                 "--model.decoder_mode", "global_pooled", "--train.steps", "3",
                                 "--out", "train_post_norm_pooled"], 0),
     ("train_default", [*TRAIN, "--train.batch_size", "4", "--train.steps", "2", "--out", "train_default"], 0),
+    ("train_diverged", ["train", "--manifest", "data/manifest.json", *SMALL_MODEL, "--train.learning_rate", "1e200",
+                        "--train.steps", "3", "--out", "train_diverged"], 4),
     ("eval_test", ["eval", "--manifest", "data/manifest.json", "--checkpoint", "train_visir/model.vsck",
                    "--split", "test", "--out", "eval_test"], 0),
     ("eval_train", ["eval", "--manifest", "data/manifest.json", "--checkpoint", "train_visir/model.vsck",
@@ -206,13 +209,16 @@ def run_matrix(src: Path, work: Path) -> list[str]:
 
 
 def compare(a: Path, b: Path) -> list[tuple[str, str]]:
-    """(relative path, "identical" | "different" | "only in <side>") for every file under a or b."""
-    files = {str(p.relative_to(root)) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    """(relative path, "identical" | "different" | "only in <side>") for every file and directory
+    under a or b; two directories are identical, so an empty one is a difference only if one side lacks it."""
+    paths = {str(p.relative_to(root)) for root in (a, b) for p in root.rglob("*")}
     result = []
-    for rel in sorted(files):
+    for rel in sorted(paths):
         pa, pb = a / rel, b / rel
         if not pa.exists() or not pb.exists():
             result.append((rel, f"only in {a.name if pa.exists() else b.name}"))
+        elif pa.is_dir() or pb.is_dir():
+            result.append((rel, "identical" if pa.is_dir() and pb.is_dir() else "different"))
         else:
             result.append((rel, "identical" if pa.read_bytes() == pb.read_bytes() else "different"))
     return result
@@ -246,7 +252,7 @@ def main() -> int:
     for line in wrong:
         print(f"unexpected exit: {line}")
     differ = sum(status != "identical" for _, status in result)
-    print(f"{len(result)} files compared with {args.rev}: {len(result) - differ} identical, {differ} not")
+    print(f"{len(result)} paths compared with {args.rev}: {len(result) - differ} identical, {differ} not")
     return 1 if differ or wrong else 0
 
 

@@ -14,8 +14,11 @@ import argparse
 import configparser
 import functools
 import math
+import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -211,38 +214,33 @@ def _spectrum(settings: dict) -> SpectrumSpec:
         raise ConfigError(message) from exc
 
 
-def _out_dir(settings: dict) -> Path:
-    out = Path(settings["run.out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Each command writes its files into `stage`, a new directory that `main` empties into --out when the command returns.
 
-
-def cmd_build_data(ns: argparse.Namespace, settings: dict) -> int:
+def cmd_build_data(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     cfg = _config(DataConfig, "data", settings, seed=settings["run.seed"], spectrum=_spectrum(settings))
-    out = Path(settings["run.out"])  # build_dataset makes it once its grid is allocated
-    manifest = datamod.build_dataset(cfg, out)
+    manifest = datamod.build_dataset(cfg, stage)
     train_n = len(manifest.split("train"))
     test_n = len(manifest.split("test"))
     print(f"{len(manifest.entries)} pairs ({train_n} train / {test_n} test)")
-    print(f"manifest: {out / 'manifest.json'}")
+    print(f"manifest: {Path(settings['run.out']) / 'manifest.json'}")
     return EXIT_OK
 
 
-def cmd_train(ns: argparse.Namespace, settings: dict) -> int:
+def cmd_train(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
     train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
     pairs = datamod.load_pairs(manifest, "train")
     eval_pairs = datamod.load_pairs(manifest, "test") if train_cfg.eval_interval > 0 else None
-    out = _out_dir(settings)
     result = training.train(init_parameters(model_cfg, settings["run.seed"]), pairs, train_cfg, eval_pairs=eval_pairs)
-    save_checkpoint(result.model, out / "model.vsck")
-    training.write_loss_curve(result.curve, out / "loss_curve.csv")
+    save_checkpoint(result.model, stage / "model.vsck")
+    training.write_loss_curve(result.curve, stage / "loss_curve.csv")
+    out = Path(settings["run.out"])
     final = result.final_loss
     print(f"final train loss: {'n/a (0 steps)' if final is None else repr(final)}")
     print(f"checkpoint: {out / 'model.vsck'}")
     if eval_pairs is not None:
-        training.write_eval_curve(result.eval_curve, out / "eval_curve.csv")
+        training.write_eval_curve(result.eval_curve, stage / "eval_curve.csv")
         print(f"test PSNR curve: {out / 'eval_curve.csv'}")
     return EXIT_OK
 
@@ -255,7 +253,7 @@ def _check_explicit_model_keys(settings: Settings, config: ModelConfig) -> None:
             raise CheckpointMismatchError(f"'{key}' = {settings[key]} conflicts with checkpoint value {stored}")
 
 
-def cmd_eval(ns: argparse.Namespace, settings: dict) -> int:
+def cmd_eval(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(settings, model.config)
@@ -265,25 +263,23 @@ def cmd_eval(ns: argparse.Namespace, settings: dict) -> int:
         raise CheckpointMismatchError(f"checkpoint geometry {stored} does not match the manifest's {geometry}")
     entries = manifest.split(ns.split)
     reports, summary = training.evaluate(model, datamod.load_pairs(manifest, ns.split))
-    out = _out_dir(settings)
-    training.write_eval_csv([e.pair_id for e in entries], reports, out / "eval.csv")
+    training.write_eval_csv([e.pair_id for e in entries], reports, stage / "eval.csv")
     print(f"{ns.split} split: {summary.count} images")
     for name, stat in (("MSE", summary.mse), ("PSNR", summary.psnr), ("SSIM", summary.ssim)):
         print(f"{name}: max {stat.max:.6g} | mean {stat.mean:.6g} | min {stat.min:.6g}")
     if summary.psnr_inf_count:
         print(f"note: {summary.psnr_inf_count} perfect reconstructions excluded from the PSNR mean")
-    print(f"per-image metrics: {out / 'eval.csv'}")
+    print(f"per-image metrics: {Path(settings['run.out']) / 'eval.csv'}")
     return EXIT_OK
 
 
-def cmd_sweep(ns: argparse.Namespace, settings: dict) -> int:
+def cmd_sweep(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
     train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
     split = {name: datamod.load_pairs(manifest, name) for name in ("train", "test")}
     result = training.sweep(model_cfg, split, train_cfg, settings["sweep.frequencies"], settings["sweep.layers"])
-    out = _out_dir(settings)
-    training.write_sweep_csv(result, out / "sweep.csv")
+    training.write_sweep_csv(result, stage / "sweep.csv")
     for layers, freq, message in result.failures:
         print(f"cell (layers={layers}, omega0={freq}) failed: {message}", file=sys.stderr)
     try:
@@ -292,7 +288,7 @@ def cmd_sweep(ns: argparse.Namespace, settings: dict) -> int:
         print("every sweep cell failed", file=sys.stderr)
         return EXIT_DIVERGED
     print(f"best cell: hidden_layers={layers}, omega0={freq}, mean test PSNR {psnr:.4f} dB")
-    print(f"grid: {out / 'sweep.csv'}")
+    print(f"grid: {Path(settings['run.out']) / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -304,7 +300,7 @@ def _read_image(path: str) -> np.ndarray:
     return values
 
 
-def cmd_reconstruct(ns: argparse.Namespace, settings: dict) -> int:
+def cmd_reconstruct(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(settings, model.config)
     cfg = model.config
@@ -312,23 +308,22 @@ def cmd_reconstruct(ns: argparse.Namespace, settings: dict) -> int:
     expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
     if lr.shape != expected:
         raise CheckpointMismatchError(f"input shape {lr.shape} does not match checkpoint LR shape {expected}")
-    # Every input is read and checked before anything is written or printed.
     hr = None if ns.hr is None else _read_image(ns.hr)
     hr_shape = (cfg.hr_height, cfg.hr_width, cfg.channels)
     if hr is not None and hr.shape != hr_shape:
         raise CheckpointMismatchError(f"HR reference shape {hr.shape} does not match output {hr_shape}")
     with no_grad():
         recon = predict(lr, model).data
-    out = _out_dir(settings)
-    write_png(out / "reconstruction.png", recon)
-    write_grid(out / "reconstruction.vsgr", recon)
+    write_png(stage / "reconstruction.png", recon)
+    write_grid(stage / "reconstruction.vsgr", recon)
+    out = Path(settings["run.out"])
     print(f"reconstruction: {out / 'reconstruction.png'} ({recon.shape[0]}x{recon.shape[1]})")
     if hr is not None:
         # |error| mapped linearly onto the 8-bit range; the max is printed so
         # the absolute scale is recoverable.
         err = np.abs(recon - hr)
         max_err = float(err.max())
-        write_png(out / "error.png", err)
+        write_png(stage / "error.png", err)
         report = evaluate_pair(hr, recon)
         print(f"max |error|: {max_err:.6g}")
         print(f"mse {report.mse:.6g} | psnr {report.psnr:.4f} dB | ssim {report.ssim:.6g}")
@@ -347,10 +342,21 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    stage = None
     try:
+        settings = load_settings(ns)
+        out = Path(settings["run.out"])
+        # Staging goes in --out or its nearest existing ancestor: on its filesystem, and as writable as it.
+        parent = next(p for p in (out, *out.parents) if p.exists())
+        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=parent))
         # A NaN or infinity is reported once, by the check that finds it, not by numpy's warnings.
         with np.errstate(all="ignore"):
-            return COMMANDS[ns.command](ns, load_settings(ns))
+            code = COMMANDS[ns.command](ns, settings, stage)
+        # The command returned: its files move into --out, and the other files there stay.
+        out.mkdir(parents=True, exist_ok=True)
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out / path.name)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -370,6 +376,9 @@ def main(argv=None) -> int:
         is_io = isinstance(exc, OSError)
         print(f"{'i/o' if is_io else 'data'} error: {exc}", file=sys.stderr)
         return EXIT_IO if is_io else EXIT_CONFIG
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -70,8 +70,11 @@ class SpectrumSpec:
             raise ValueError(f"background_amplitude must be finite, got {self.background_amplitude}")
         if self.background_max_cycles < 0:
             raise ValueError(f"background_max_cycles must be >= 0, got {self.background_max_cycles}")
-        if not self.components and self.background_amplitude == 0.0:
-            raise ValueError("empty spectrum: no components and background_amplitude 0")
+        # A term with zero amplitude or zero cycles, or a background with no mode, adds a constant at most.
+        if not (any(amp != 0.0 and cycles != 0.0 for amp, cycles, _ in self.components)
+                or (self.background_amplitude != 0.0 and self.background_max_cycles >= 1)):
+            raise ValueError("empty spectrum: components needs a term with nonzero amplitude and cycles, "
+                             "or background_amplitude must be nonzero with background_max_cycles >= 1")
 
 
 @dataclass(frozen=True)
@@ -441,9 +444,7 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
     Deterministic from cfg.seed: rebuilding into a fresh directory produces a
     byte-identical manifest and identical pair files.
     """
-    # One RGB grid, reused by every source; allocated first, so a size that
-    # cannot be allocated fails before anything is written.
-    rgb = np.empty((cfg.source_height, cfg.source_width, len(CHANNEL_NAMES)))
+    rgb = np.empty((cfg.source_height, cfg.source_width, len(CHANNEL_NAMES)))  # reused by every source
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -37,3 +37,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
                    "library/non_finite_visir_decoder.w2.txt", "library/non_finite_vit_mlp_embed.weight.txt"):
         assert result[output] == "identical"
     assert set(result.values()) == {"identical"}
+    for side in ("a", "b"):  # the two failing commands leave no --out and no staging directory
+        assert not (tmp_path / side / "train_diverged").exists()
+        assert not (tmp_path / side / "build_overflow").exists()
+        assert list((tmp_path / side).rglob(".*")) == []

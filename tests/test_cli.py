@@ -3,6 +3,7 @@ import math
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visir.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _config, _geometry, _spectrum,
-                       build_parser, load_settings, main)
+from visir import cli, training
+from visir.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _config, _geometry,
+                       _spectrum, build_parser, load_settings, main)
 from visir.autodiff import Tensor
 from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
 from visir.model import ModelConfig, as_mlp_baseline, init_parameters, parameter_layout
@@ -87,10 +89,13 @@ def test_build_data_bad_size_is_one_config_error_line(tmp_path, capsys, key, val
 @pytest.mark.parametrize("flags", [["--data.components", "1e999:2:0"], ["--data.background", "nan"],
                                    ["--data.components", "1:inf:0"], ["--data.components", "1:2:nan"],
                                    ["--data.background_cycles", "-3"],
-                                   ["--data.components", "", "--data.background", "0"]])
+                                   ["--data.components", "", "--data.background", "0"],
+                                   ["--data.components", "", "--data.background_cycles", "0"],
+                                   ["--data.components", "0:3:0", "--data.background", "0"],
+                                   ["--data.components", "1:0:0", "--data.background", "0"]])
 def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
-    # A spectrum SpectrumSpec rejects (non-finite, a negative background, empty) is
-    # one config error line naming the first flag's key, before --out is made.
+    # A spectrum SpectrumSpec rejects (non-finite, a negative background, one that adds
+    # nothing) is one config error line naming the first flag's key, and no --out.
     code = main(["build-data", *SMALL_DATA_FLAGS, *flags, "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     out, err = capsys.readouterr()
@@ -335,6 +340,18 @@ def test_train_bad_grid_exits_2_before_making_out(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_diverged_exits_4_without_out(tmp_path, capsys):
+    manifest = build_small_dataset(tmp_path)
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.learning_rate", "1e200",
+                 "--train.steps", "3", "--out", str(tmp_path / "run")])
+    assert code == EXIT_DIVERGED
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("diverged: ")
+    assert not (tmp_path / "run").exists()
+    assert _staging_leftovers(tmp_path) == []
+
+
 def test_train_missing_manifest_exits_3(tmp_path):
     code = main(["train", "--manifest", str(tmp_path / "no.json"), "--out", str(tmp_path / "x")])
     assert code == EXIT_IO
@@ -515,6 +532,18 @@ def test_sweep_repeated_grid_values_give_one_row_and_column(tmp_path):
     assert len(rows) == 1 and rows[0].startswith("1,") and len(rows[0].split(",")) == 3
 
 
+def test_sweep_every_cell_diverged_exits_4_and_writes_its_grid(tmp_path, capsys):
+    # The command returns exit 4 rather than raising, so its sweep.csv is committed to --out.
+    manifest = build_small_dataset(tmp_path)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.learning_rate", "1e200",
+                 "--train.steps", "3", "--sweep.frequencies", "10", "--sweep.layers", "1", "--out", str(out)])
+    assert code == EXIT_DIVERGED
+    assert capsys.readouterr().err.splitlines()[-1] == "every sweep cell failed"
+    assert (out / "sweep.csv").read_text().splitlines() == ["hidden_layers,10.0", "1,failed"]
+    assert _staging_leftovers(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
@@ -567,7 +596,7 @@ def test_reconstruct_wrong_input_shape_exits_5(tmp_path):
     code = main(["reconstruct", "--checkpoint", str(ckpt),
                  "--input", str(tmp_path / "wrong.vsgr"), "--out", str(tmp_path / "r")])
     assert code == EXIT_MISMATCH
-    assert not (tmp_path / "r").exists()  # --out is made only once there is something to write
+    assert not (tmp_path / "r").exists()  # a failed command leaves no --out
 
 
 def test_reconstruct_wrong_hr_shape_exits_5_before_writing(tmp_path, capsys):
@@ -755,6 +784,147 @@ def test_reconstruct_accepts_png_input(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# --out: each command writes into a staging directory that main commits
+# ---------------------------------------------------------------------------
+
+def _staging_leftovers(root):
+    """Dot-prefixed entries under `root`: what a staging directory would leave."""
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob(".*"))
+
+
+def _tree(root):
+    """Relative path -> bytes for every file under `root`."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A small dataset's manifest and a 1-step checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("small_run")
+    manifest = build_small_dataset(root)
+    return manifest, train_small(root, manifest, steps="1")
+
+
+def _staged_command(command, manifest, ckpt):
+    """(argv without --out, the files it writes, (owner, name, file) of its last writer)."""
+    data = manifest.parent
+    return {
+        "build-data": (["build-data", *SMALL_DATA_FLAGS], ["manifest.json", "s000_t00_hr.vsgr"],
+                       (DatasetManifest, "to_json", None)),
+        "train": (["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1"],
+                  ["model.vsck", "loss_curve.csv"], (training, "write_loss_curve", None)),
+        "eval": (["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)], ["eval.csv"],
+                 (training, "write_eval_csv", None)),
+        "sweep": (["sweep", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
+                   "--sweep.frequencies", "10", "--sweep.layers", "1"], ["sweep.csv"],
+                  (training, "write_sweep_csv", None)),
+        "reconstruct": (["reconstruct", "--checkpoint", str(ckpt), "--input", str(data / "s000_t00_lr.vsgr"),
+                         "--hr", str(data / "s000_t00_hr.vsgr")],
+                        ["reconstruction.png", "reconstruction.vsgr", "error.png"], (cli, "write_png", "error.png")),
+    }[command]
+
+
+def _fail_last_write(monkeypatch, owner, name, file):
+    """Make `owner.name` raise OSError, on its call for `file` if one is named."""
+    real = getattr(owner, name)
+
+    def writer(*args, **kwargs):
+        if file is None or Path(args[0]).name == file:
+            raise OSError(28, "No space left on device")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, writer)
+
+
+COMMAND_NAMES = ["build-data", "train", "eval", "sweep", "reconstruct"]
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_failed_command_leaves_absent_out_absent(tmp_path, capsys, monkeypatch, small_run, command):
+    argv, _, writer = _staged_command(command, *small_run)
+    _fail_last_write(monkeypatch, *writer)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "missing" / "out")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []  # not even the missing ancestor
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_failed_command_leaves_existing_out_as_it_was(tmp_path, monkeypatch, small_run, command):
+    argv, outputs, writer = _staged_command(command, *small_run)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sentinel.txt").write_bytes(b"kept")
+    for name in outputs:  # an earlier run's outputs, which a failed run must not touch
+        (out / name).write_bytes(b"earlier " + name.encode())
+    before = _tree(tmp_path)
+    with monkeypatch.context() as patch:
+        _fail_last_write(patch, *writer)
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+    assert _tree(tmp_path) == before
+    # The same command that succeeds replaces its outputs and keeps the other files.
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    after = _tree(tmp_path)
+    assert after["out/sentinel.txt"] == b"kept"
+    assert all(after[f"out/{name}"] != before[f"out/{name}"] for name in outputs)
+    assert _staging_leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("out", [".", "fresh/nested"])
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_commits_into_out(tmp_path, monkeypatch, small_run, command, out):
+    argv, outputs, _ = _staged_command(command, *small_run)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", out]) == EXIT_OK
+    assert all((tmp_path / out / name).is_file() for name in outputs)
+    assert _staging_leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("out", ["file", "file/out"])
+def test_out_that_is_or_is_below_a_file_exits_3_before_any_work(tmp_path, monkeypatch, small_run, out):
+    argv, _, _ = _staged_command("sweep", *small_run)
+    calls = []
+    monkeypatch.setattr(training, "sweep", lambda *args, **kwargs: calls.append(1))
+    (tmp_path / "file").write_bytes(b"")
+    assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_IO
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+def test_existing_out_in_a_read_only_parent_stages_inside_out(tmp_path, monkeypatch, small_run):
+    # Staging in an existing --out keeps it on the filesystem of --out (a mount point, say) and
+    # needs no write access to the parent.
+    argv, outputs, _ = _staged_command("eval", *small_run)
+    parent = tmp_path / "ro"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    real, dirs = tempfile.mkdtemp, []
+
+    def mkdtemp(**kwargs):
+        dirs.append(Path(kwargs["dir"]))
+        return real(**kwargs)
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    parent.chmod(0o555)
+    try:
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+    finally:
+        parent.chmod(0o755)
+    assert dirs == [out]
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs)
+    assert _staging_leftovers(tmp_path) == []
+
+
+def test_interrupted_command_leaves_no_staging_directory(tmp_path, monkeypatch, small_run):
+    argv, _, _ = _staged_command("train", *small_run)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(training, "write_loss_curve", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # misc surface
 # ---------------------------------------------------------------------------
 
@@ -787,6 +957,7 @@ def test_sine_paths_never_load_scipy(tmp_path):
     root = Path(__file__).resolve().parents[1]
     script = f"""
 import sys
+import tempfile
 import visir, visir.cli
 from visir.cli import main
 assert main(["build-data", *{SMALL_DATA_FLAGS!r}, "--out", "data"]) == 0

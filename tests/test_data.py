@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visir.data import (
@@ -194,10 +194,13 @@ def test_bicubic_matches_per_sample_kernel():
 # ---------------------------------------------------------------------------
 
 def test_synth_zero_frequency_is_constant():
-    spec = SpectrumSpec(components=((1.0, 0.0, 0.0),))
-    field = synth_field(0, 8, 8, spec)
+    # Alone, a zero-cycle term is an empty spectrum; after a varying term it adds a constant.
+    varying = (1.0, 3.0, 0.4)
+    base = synth_field(0, 8, 8, SpectrumSpec(components=(varying,)))
+    field = synth_field(0, 8, 8, SpectrumSpec(components=(varying, (1.0, 0.0, 0.0))))
     assert field.shape == (8, 8)
-    assert np.allclose(field, field[0, 0])
+    shift = field - base
+    assert abs(shift[0, 0]) > 0.1 and np.allclose(shift, shift[0, 0])
 
 
 def test_synth_deterministic_from_seed():
@@ -222,17 +225,38 @@ _EDGE = st.one_of(st.just(1), st.integers(1, 48))
 
 @st.composite
 def _spectra(draw):
+    """SpectrumSpec keyword arguments, some of which SpectrumSpec rejects as empty (see _adds_something)."""
     kind = draw(st.sampled_from(["components", "background", "both"]))
     components = tuple(draw(st.lists(_COMPONENT, min_size=1, max_size=4))) if kind != "background" else ()
     background = draw(st.floats(0.05, 1.0)) if kind != "components" else 0.0
-    return SpectrumSpec(components=components, background_amplitude=background,
-                        background_max_cycles=draw(st.integers(0, 4)))
+    return dict(components=components, background_amplitude=background, background_max_cycles=draw(st.integers(0, 4)))
+
+
+def _adds_something(spec: dict) -> bool:
+    """A component with nonzero amplitude and cycles, or a background with at least one mode."""
+    return (any(amp != 0.0 and cycles != 0.0 for amp, cycles, _ in spec["components"])
+            or (spec["background_amplitude"] != 0.0 and spec["background_max_cycles"] >= 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=_spectra(), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
+@given(spec=_spectra().filter(_adds_something), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
 def test_synth_matches_meshgrid_oracle(spec, h, w, seed):
+    spec = SpectrumSpec(**spec)
     assert synth_field(seed, h, w, spec).tobytes() == synth_field_meshgrid(seed, h, w, spec).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_spectra())
+@example(spec=dict(components=(), background_amplitude=0.5, background_max_cycles=0))
+@example(spec=dict(components=((0.0, 3.0, 0.0),), background_amplitude=0.0, background_max_cycles=3))
+@example(spec=dict(components=((1.0, 0.0, 0.0), (0.0, 5.0, 1.0)), background_amplitude=0.0, background_max_cycles=3))
+def test_spectrum_is_empty_exactly_when_it_adds_nothing(spec):
+    # The spectra that the oracle test filters out are the ones SpectrumSpec rejects.
+    if _adds_something(spec):
+        SpectrumSpec(**spec)
+    else:
+        with pytest.raises(ValueError, match="empty spectrum"):
+            SpectrumSpec(**spec)
 
 
 def test_synth_empty_spec_errors():
