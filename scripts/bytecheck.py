@@ -23,7 +23,10 @@ Each side also loads every `*.vsck` checkpoint it made with its own
 JSON, then, per tensor in sorted-name order, its name, its shape and the
 SHA-256 of its little-endian f64 bytes.  These files compare the parameters
 themselves, so a change to the checkpoint format alone moves only the `*.vsck`
-files.
+files.  In the same way it decodes every PNG it made or read with its own
+`read_png`, and writes `<png>.pixels.txt` next to it: the shape and the SHA-256
+of the uint8 pixels.  A change to the PNG encoder alone then moves only the
+`*.png` files.
 
 Each side runs in its own interpreter with one BLAS thread, and calls
 `visir.cli.main` for every command, with relative paths, in a fresh directory.
@@ -129,6 +132,7 @@ def _run_commands(src: Path, work: Path) -> None:
             f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}", encoding="utf-8")
     _run_library(work / "library")
     _digest_checkpoints(work)
+    _digest_pngs(work)
 
 
 def _digest_checkpoints(work: Path) -> None:
@@ -145,6 +149,18 @@ def _digest_checkpoints(work: Path) -> None:
             digest = hashlib.sha256(data.astype("<f8").tobytes()).hexdigest()
             lines.append(f"{name} {'x'.join(map(str, data.shape))} {digest}")
         path.with_name(path.name + ".params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _digest_pngs(work: Path) -> None:
+    """Child side: `<png>.pixels.txt` next to every PNG under `work`, decoded with this
+    side's `read_png`: its shape, then the SHA-256 of its uint8 pixels."""
+    from visir.data import read_png
+
+    for path in sorted(work.rglob("*.png")):
+        pixels = np.rint(read_png(path) * 255.0).astype(np.uint8)
+        digest = hashlib.sha256(pixels.tobytes()).hexdigest()
+        path.with_name(path.name + ".pixels.txt").write_text(
+            f"{'x'.join(map(str, pixels.shape))} {digest}\n", encoding="utf-8")
 
 
 def _run_library(out: Path) -> None:

@@ -11,10 +11,12 @@ bookkeeping as the original 720x1440 -> 18 x 240x240 -> 60x60 pipe.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -263,31 +265,52 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 
 def write_png(path, img: np.ndarray) -> None:
-    """8-bit grayscale or RGB PNG; values x255, rounded half-up."""
+    """8-bit grayscale or RGB PNG; values x255, rounded half-up.  Every row is
+    stored with filter type 1 (Sub) and deflated with zlib's run-length strategy."""
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
     if arr.ndim == 2:
         color_type, channels = 0, 1
-        flat = arr[:, :, None]
     elif arr.ndim == 3 and arr.shape[2] == 3:
         color_type, channels = 2, 3
-        flat = arr
     else:
         raise ValueError(f"cannot export image of shape {arr.shape} as PNG")
-    quant = np.clip(np.floor(flat * 255.0 + 0.5), 0, 255).astype(np.uint8)
-    h, w = quant.shape[0], quant.shape[1]
-    raw = np.pad(quant.reshape(h, w * channels), ((0, 0), (1, 0))).tobytes()  # each row: filter type 0 (None)
+    h, w = arr.shape[0], arr.shape[1]
+    scaled = arr * 255.0
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    quant = np.clip(scaled, 0, 255, out=scaled).astype(np.uint8).reshape(h, w * channels)
+    rows = np.empty((h, 1 + w * channels), dtype=np.uint8)
+    rows[:, 0] = 1
+    rows[:, 1:1 + channels] = quant[:, :channels]
+    np.subtract(quant[:, channels:], quant[:, :-channels], out=rows[:, 1 + channels:])  # wraps mod 256
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     with open(path, "wb") as fh:
         fh.write(b"\x89PNG\r\n\x1a\n")
         fh.write(_png_chunk(b"IHDR", ihdr))
-        fh.write(_png_chunk(b"IDAT", zlib.compress(raw, 9)))
+        fh.write(_png_chunk(b"IDAT", deflate.compress(rows) + deflate.flush()))
         fh.write(_png_chunk(b"IEND", b""))
 
 
+def _unfilter_average(cur: list, prev: list, channels: int) -> None:
+    for i in range(channels, len(cur)):
+        cur[i] = (cur[i] + ((cur[i - channels] + prev[i]) >> 1)) & 0xFF
+
+
+def _unfilter_paeth(cur: list, prev: list, channels: int) -> None:
+    for i in range(channels, len(cur)):
+        left, up, ul = cur[i - channels], prev[i], prev[i - channels]
+        pa, pb, pc = abs(up - ul), abs(left - ul), abs(left + up - 2 * ul)
+        cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
+
+
 def read_png(path) -> np.ndarray:
-    """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1]."""
+    """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1].
+
+    Every chunk's length and CRC-32 are checked, and the image data is inflated
+    to at most the size its IHDR declares."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
@@ -298,8 +321,13 @@ def read_png(path) -> np.ndarray:
     try:
         while pos < len(blob):
             length, = struct.unpack(">I", blob[pos:pos + 4])
+            if pos + 12 + length > len(blob):
+                raise ValueError(f"malformed PNG: chunk at byte {pos} runs past the end of the file")
             tag = blob[pos + 4:pos + 8]
             payload = blob[pos + 8:pos + 8 + length]
+            crc, = struct.unpack(">I", blob[pos + 8 + length:pos + 12 + length])
+            if zlib.crc32(tag + payload) != crc:
+                raise ValueError(f"malformed PNG: CRC mismatch in chunk {tag!r}")
             pos += 12 + length
             if tag == b"IHDR":
                 width, height, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
@@ -312,39 +340,44 @@ def read_png(path) -> np.ndarray:
                 break
         if width is None:
             raise ValueError("PNG missing IHDR")
-        data = zlib.decompress(bytes(idat))
+        stride = width * channels
+        need = height * (stride + 1)
+        inflate = zlib.decompressobj()
+        data = inflate.decompress(idat, min(need + 1, sys.maxsize))  # one byte more than declared shows an excess
     except (struct.error, zlib.error) as exc:
         raise ValueError(f"malformed PNG: {exc}") from exc
-    stride = width * channels
-    if len(data) != height * (stride + 1):
-        raise ValueError(f"PNG image data has {len(data)} bytes, {width}x{height} needs {height * (stride + 1)}")
-    # `prev` and each decoded row carry `channels` zero bytes in front: the left and
-    # upper-left neighbours of the first pixel.
-    out = bytearray()
-    prev = bytearray(channels + stride)
-    for row in range(height):
-        pos = row * (stride + 1)
-        ftype = data[pos]
-        cur = bytearray(channels) + data[pos + 1:pos + 1 + stride]
-        if ftype > 4:
-            raise ValueError(f"bad PNG filter type {ftype}")
-        for i in range(channels, channels + stride if ftype else 0):  # type 0 (None) stores the bytes as they are
-            left = cur[i - channels]
-            up = prev[i]
-            if ftype == 1:
-                cur[i] = (cur[i] + left) & 0xFF
-            elif ftype == 2:
-                cur[i] = (cur[i] + up) & 0xFF
-            elif ftype == 3:
-                cur[i] = (cur[i] + (left + up) // 2) & 0xFF
-            else:
-                ul = prev[i - channels]
-                p = left + up - ul
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
-        out += cur[channels:]
-        prev = cur
-    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(height, width, channels).astype(np.float64) / 255.0
+    if len(data) != need or not inflate.eof:  # more bytes, fewer, or a stream cut short
+        raise ValueError(f"PNG image data does not inflate to the {need} bytes {width}x{height} needs")
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(height, stride + 1)
+    if (rows[:, 0] > 4).any():
+        raise ValueError(f"bad PNG filter type {rows[:, 0].max()}")
+    # uint8 arithmetic wraps mod 256, which is PNG's rule for every filter.  A run
+    # of rows with one filter type is decoded at once where the type allows it.
+    out = np.empty((height, stride), dtype=np.uint8)
+    y = 0
+    for ftype, run in itertools.groupby(rows[:, 0].tolist()):
+        n = len(list(run))
+        block, dst = rows[y:y + n, 1:], out[y:y + n]
+        if ftype == 0:
+            dst[:] = block
+        elif ftype == 1:
+            np.cumsum(block.reshape(n, width, channels), axis=1, dtype=np.uint8, out=dst.reshape(n, width, channels))
+        elif ftype == 2:
+            np.cumsum(block, axis=0, dtype=np.uint8, out=dst)
+            if y:
+                dst += out[y - 1]
+        else:
+            # Average and Paeth: byte by byte over lists that carry `channels` zero
+            # bytes in front, the left and upper-left neighbours of the first pixel.
+            unfilter = _unfilter_average if ftype == 3 else _unfilter_paeth
+            prev = [0] * (channels + stride) if y == 0 else [0] * channels + out[y - 1].tolist()
+            for k in range(n):
+                cur = [0] * channels + block[k].tolist()
+                unfilter(cur, prev, channels)
+                dst[k] = cur[channels:]
+                prev = cur
+        y += n
+    return out.reshape(height, width, channels).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------

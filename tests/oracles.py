@@ -7,7 +7,11 @@ for the quantity it checks.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -192,3 +196,92 @@ def normalize_plain(v: np.ndarray) -> np.ndarray:
     """The unit-interval map as one expression."""
     lo, hi = float(v.min()), float(v.max())
     return (v - lo) / (hi - lo)
+
+
+def png_blob(width: int, height: int, channels: int, idat: bytes) -> bytes:
+    """An 8-bit gray (1 channel) or RGB (3) PNG file holding the compressed image data `idat`."""
+    def chunk(tag, payload):
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", zlib.crc32(tag + payload))
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0 if channels == 1 else 2, 0, 0, 0)
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
+
+
+def encode_png(pixels: np.ndarray, ftypes) -> bytes:
+    """PNG bytes of uint8 HxWxC `pixels`, row y stored with filter type ftypes[y]."""
+    h, w, c = pixels.shape
+    raw = pixels.reshape(h, w * c).astype(np.int64)
+
+    def paeth(a, b, cc):
+        p = a + b - cc
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - cc)
+        if pa <= pb and pa <= pc:
+            return a
+        return b if pb <= pc else cc
+
+    stream = bytearray()
+    prior = np.zeros(w * c, dtype=np.int64)
+    for row, ftype in enumerate(ftypes):
+        stream.append(ftype)
+        for i in range(w * c):
+            left = raw[row, i - c] if i >= c else 0
+            up = prior[i]
+            ul = prior[i - c] if i >= c else 0
+            predictor = (0, left, up, (left + up) // 2, paeth(int(left), int(up), int(ul)))[ftype]
+            stream.append(int(raw[row, i] - predictor) & 0xFF)
+        prior = raw[row]
+    return png_blob(w, h, c, zlib.compress(bytes(stream)))
+
+
+def read_png_per_byte(path) -> np.ndarray:
+    """uint8 HxWxC pixels of an 8-bit gray/RGB PNG, unfiltered byte by byte with
+    one branch per filter type.  It checks nothing the decoding does not need."""
+    blob = Path(path).read_bytes()
+    pos, idat = 8, bytearray()
+    while pos < len(blob):
+        length, = struct.unpack(">I", blob[pos:pos + 4])
+        tag, payload = blob[pos + 4:pos + 8], blob[pos + 8:pos + 8 + length]
+        pos += 12 + length
+        if tag == b"IHDR":
+            width, height, _, color_type = struct.unpack(">IIBB", payload[:10])
+            channels = 1 if color_type == 0 else 3
+        elif tag == b"IDAT":
+            idat.extend(payload)
+        elif tag == b"IEND":
+            break
+    data = zlib.decompress(bytes(idat))
+    stride = width * channels
+    # `prev` and each decoded row carry `channels` zero bytes in front: the left and
+    # upper-left neighbours of the first pixel.
+    out = bytearray()
+    prev = bytearray(channels + stride)
+    for row in range(height):
+        pos = row * (stride + 1)
+        ftype = data[pos]
+        cur = bytearray(channels) + data[pos + 1:pos + 1 + stride]
+        for i in range(channels, channels + stride if ftype else 0):  # type 0 (None) stores the bytes as they are
+            left = cur[i - channels]
+            up = prev[i]
+            if ftype == 1:
+                cur[i] = (cur[i] + left) & 0xFF
+            elif ftype == 2:
+                cur[i] = (cur[i] + up) & 0xFF
+            elif ftype == 3:
+                cur[i] = (cur[i] + (left + up) // 2) & 0xFF
+            else:
+                ul = prev[i - channels]
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
+        out += cur[channels:]
+        prev = cur
+    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(height, width, channels)
+
+
+@functools.cache
+def png_bomb() -> bytes:
+    """A 60x60 RGB PNG of about 306 KB whose image data inflates to 300 MB of zeros;
+    its IHDR declares 60 x (60 x 3 + 1) = 10,860 bytes."""
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    zeros = bytes(1 << 20)
+    return png_blob(60, 60, 3, b"".join(deflate.compress(zeros) for _ in range(300)) + deflate.flush())

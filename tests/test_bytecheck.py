@@ -29,6 +29,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
                    "data_odd/s000_t00_lr.vsgr", "train_visir/model.vsck",
                    "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
+                   "reconstruct_vsgr/error.png.pixels.txt", "reconstruct_png/reconstruction.png.pixels.txt",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",
                    "train_visir/model.vsck.params.txt", "library/c5_visir.vsck.params.txt",
                    "library/predict_cli_visir.vsgr", "library/predict_cli_vit_mlp.vsgr",

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from visir.autodiff import Tensor
 from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
 from visir.model import ModelConfig, as_mlp_baseline, init_parameters, parameter_layout
 from visir.training import TrainConfig, load_checkpoint, save_checkpoint
+
+from oracles import png_bomb
 
 TINY_MODEL_FLAGS = [
     "--model.patch_size", "2", "--model.num_layers", "1", "--model.num_heads", "2",
@@ -630,8 +633,21 @@ def _truncated_png(path):
 def _corrupt_idat_png(path):
     write_png(path, np.full((4, 4, 3), 0.5))
     blob = bytearray(path.read_bytes())
-    at = blob.index(b"IDAT") + 4
-    blob[at:at + 4] = b"\xff\xff\xff\xff"  # zlib header check fails
+    at = blob.index(b"IDAT")
+    length, = struct.unpack(">I", blob[at - 4:at])
+    blob[at + 4:at + 8] = b"\xff\xff\xff\xff"  # zlib header check fails; the chunk's CRC still matches
+    blob[at + 4 + length:at + 8 + length] = struct.pack(">I", zlib.crc32(blob[at:at + 4 + length]))
+    path.write_bytes(bytes(blob))
+
+
+def _png_bomb(path):
+    path.write_bytes(png_bomb())
+
+
+def _png_with_bad_ihdr_crc(path):
+    write_png(path, np.full((4, 4, 3), 0.5))
+    blob = bytearray(path.read_bytes())
+    blob[8 + 8 + 13] ^= 0x01  # first byte of IHDR's CRC, after the signature, IHDR's length, tag and payload
     path.write_bytes(bytes(blob))
 
 
@@ -651,6 +667,7 @@ def _grid_claiming_a_huge_payload(path):
 
 
 @pytest.mark.parametrize("name,make", [("truncated.png", _truncated_png), ("idat.png", _corrupt_idat_png),
+                                       ("bomb.png", _png_bomb), ("crc.png", _png_with_bad_ihdr_crc),
                                        ("nan.vsgr", _nan_grid), ("trailing.vsgr", _grid_with_trailing_bytes),
                                        ("huge.vsgr", _grid_claiming_a_huge_payload)])
 def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
@@ -660,7 +677,7 @@ def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_CONFIG
     assert "data error" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "reconstruction.png").exists()
+    assert not (tmp_path / "r").exists()
 
 
 def _with_config(ckpt, **changes):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -28,8 +29,8 @@ from visir.data import (
 )
 from visir.data import _subseed
 
-from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, normalize_plain,
-                     synth_field_meshgrid)
+from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, encode_png, normalize_plain,
+                     png_bomb, read_png_per_byte, synth_field_meshgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -371,55 +372,80 @@ def test_png_rounding_is_half_up(tmp_path):
     assert read_png(tmp_path / "r.png")[0, 0, 0] == 128 / 255.0
 
 
+def _as_bytes(img):
+    """read_png's [0, 1] floats back to the uint8 values they were decoded from."""
+    return np.rint(img * 255.0).astype(np.uint8)
+
+
 def test_png_reader_handles_all_filter_types(tmp_path):
-    # Hand-encode one scanline per filter type (None/Sub/Up/Average/Paeth)
-    # and check the reader reconstructs the original bytes.
-    import struct
-    import zlib
+    # One scanline per filter type (None/Sub/Up/Average/Paeth).
+    pixels = np.random.default_rng(8).integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
+    (tmp_path / "filtered.png").write_bytes(encode_png(pixels, [0, 1, 2, 3, 4]))
+    assert np.array_equal(_as_bytes(read_png(tmp_path / "filtered.png")), pixels)
 
-    rng = np.random.default_rng(8)
-    h, w, c = 5, 4, 3
-    raw = rng.integers(0, 256, size=(h, w * c), dtype=np.int64)
 
-    def paeth(a, b, cc):
-        p = a + b - cc
-        pa, pb, pc = abs(p - a), abs(p - b), abs(p - cc)
-        if pa <= pb and pa <= pc:
-            return a
-        return b if pb <= pc else cc
+@st.composite
+def _filtered_images(draw):
+    h, w, c = draw(st.integers(1, 9)), draw(st.integers(1, 17)), draw(st.sampled_from([1, 3]))
+    pixels = np.frombuffer(draw(st.binary(min_size=h * w * c, max_size=h * w * c)), dtype=np.uint8)
+    return pixels.reshape(h, w, c), draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
 
-    stream = bytearray()
-    prior = np.zeros(w * c, dtype=np.int64)
-    for row in range(h):
-        ftype = row % 5
-        stream.append(ftype)
-        for i in range(w * c):
-            left = raw[row, i - c] if i >= c else 0
-            up = prior[i]
-            ul = prior[i - c] if i >= c else 0
-            if ftype == 0:
-                encoded = raw[row, i]
-            elif ftype == 1:
-                encoded = raw[row, i] - left
-            elif ftype == 2:
-                encoded = raw[row, i] - up
-            elif ftype == 3:
-                encoded = raw[row, i] - (left + up) // 2
-            else:
-                encoded = raw[row, i] - paeth(int(left), int(up), int(ul))
-            stream.append(int(encoded) & 0xFF)
-        prior = raw[row]
 
-    def chunk(tag, payload):
-        return struct.pack(">I", len(payload)) + tag + payload + \
-            struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
+@settings(max_examples=150, deadline=None)
+@given(image=_filtered_images())
+@example(image=(np.arange(9 * 17 * 3, dtype=np.uint8).reshape(9, 17, 3), [1, 2, 2, 2, 0, 2, 3, 2, 2]))
+@example(image=(np.full((6, 5, 1), 255, dtype=np.uint8), [2, 2, 1, 1, 4, 4]))
+def test_png_reader_matches_per_byte_reference(tmp_path_factory, image):
+    pixels, ftypes = image
+    path = tmp_path_factory.mktemp("png") / "f.png"
+    path.write_bytes(encode_png(pixels, ftypes))
+    reference = read_png_per_byte(path)
+    assert np.array_equal(reference, pixels)
+    back = read_png(path)
+    assert back.dtype == np.float64 and back.shape == pixels.shape
+    assert np.array_equal(_as_bytes(back), reference)
 
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    blob = b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + \
-        chunk(b"IDAT", zlib.compress(bytes(stream))) + chunk(b"IEND", b"")
-    (tmp_path / "filtered.png").write_bytes(blob)
-    back = read_png(tmp_path / "filtered.png")
-    assert np.array_equal((back * 255).round().astype(np.int64).reshape(h, w * c), raw)
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 9), w=st.integers(1, 17), rgb=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_png_write_read_gives_the_quantised_pixels(tmp_path_factory, h, w, rgb, seed):
+    img = np.random.default_rng(seed).uniform(-0.1, 1.1, (h, w, 3) if rgb else (h, w))
+    path = tmp_path_factory.mktemp("png") / "w.png"
+    write_png(path, img)
+    quantised = np.clip(np.floor(img * 255.0 + 0.5), 0, 255).reshape(h, w, -1).astype(np.uint8)
+    assert np.array_equal(read_png_per_byte(path), quantised)
+    assert np.array_equal(read_png(path), quantised / 255.0)
+
+
+def test_png_reader_inflates_no_more_than_ihdr_declares(tmp_path):
+    (tmp_path / "bomb.png").write_bytes(png_bomb())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not inflate to the 10860 bytes 60x60 needs"):
+            read_png(tmp_path / "bomb.png")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def _flip_ihdr_crc(blob):
+    at = 8 + 8 + 13  # signature, IHDR length and tag, IHDR payload
+    return blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+
+
+def _idat_length_past_the_end(blob):
+    at = blob.index(b"IDAT") - 4
+    return blob[:at] + struct.pack(">I", len(blob)) + blob[at + 4:]
+
+
+@pytest.mark.parametrize("corrupt,message", [(_flip_ihdr_crc, "malformed PNG: CRC mismatch in chunk b'IHDR'"),
+                                             (_idat_length_past_the_end, "malformed PNG: chunk at byte 33 runs past")])
+def test_png_reader_checks_crcs_and_chunk_lengths(tmp_path, corrupt, message):
+    write_png(tmp_path / "ok.png", np.full((4, 5, 3), 0.5))
+    (tmp_path / "bad.png").write_bytes(corrupt((tmp_path / "ok.png").read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_png(tmp_path / "bad.png")
 
 
 # ---------------------------------------------------------------------------
