@@ -292,11 +292,19 @@ def cmd_sweep(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     return EXIT_OK
 
 
-def _read_image(path: str) -> np.ndarray:
+def _read_image(path: str, shape: tuple, mismatch: str) -> np.ndarray:
+    """The PNG or VSGR image at `path`, which must have `shape`; `mismatch` names
+    the two shapes otherwise.  A PNG's shape is checked before its pixels are held,
+    so a small file that declares a large image asks for no more memory."""
     p = Path(path)
     if p.suffix.lower() == ".png":
-        return read_png(p)
-    values, _ = read_grid(p)
+        found = datamod._png_data(p, keep=False)[:3]
+        values = read_png(p) if found == shape else None
+    else:
+        values, _ = read_grid(p)
+        found = values.shape
+    if found != shape:
+        raise CheckpointMismatchError(mismatch.format(found, shape))
     return values
 
 
@@ -304,14 +312,10 @@ def cmd_reconstruct(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     model = load_checkpoint(ns.checkpoint)
     _check_explicit_model_keys(settings, model.config)
     cfg = model.config
-    lr = _read_image(ns.input)
-    expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
-    if lr.shape != expected:
-        raise CheckpointMismatchError(f"input shape {lr.shape} does not match checkpoint LR shape {expected}")
-    hr = None if ns.hr is None else _read_image(ns.hr)
-    hr_shape = (cfg.hr_height, cfg.hr_width, cfg.channels)
-    if hr is not None and hr.shape != hr_shape:
-        raise CheckpointMismatchError(f"HR reference shape {hr.shape} does not match output {hr_shape}")
+    lr = _read_image(ns.input, (cfg.lr_height, cfg.lr_width, cfg.channels),
+                     "input shape {} does not match checkpoint LR shape {}")
+    hr = None if ns.hr is None else _read_image(ns.hr, (cfg.hr_height, cfg.hr_width, cfg.channels),
+                                                "HR reference shape {} does not match output {}")
     with no_grad():
         recon = predict(lr, model).data
     write_png(stage / "reconstruction.png", recon)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,26 +106,39 @@ class SRPair:
 # Synthetic source fields
 # ---------------------------------------------------------------------------
 
+# Values per row block of a plane term: the scratch block (512 KB) stays in cache,
+# and a grid of up to this many values is one block.
+_BLOCK_VALUES = 1 << 16
+
+
+def _wave(xpart, ypart, scale, phase, wave, amp, out=None) -> np.ndarray:
+    """amp * wave(scale * (xpart + ypart) + phase), one in-place ufunc after another."""
+    t = np.add(xpart, ypart, out=out)
+    t *= scale
+    t += phase
+    wave(t, out=t)
+    t *= amp
+    return t
+
+
 def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     """Deterministic h x w sum of 2-d sinusoids plus an optional smooth background.
 
-    Each term is built in one scratch array: an x row broadcast against a y
-    column, then in-place ufuncs in the order of the plain expression.
+    Each term is an x row plus a y column, then ufuncs in the order of the
+    plain expression.  A term whose x or y part is all zeros is constant along
+    that axis, so it is evaluated once on a row or column and broadcast; adding
+    its zero part (with its sign) leaves every value's bits as the whole grid
+    would.  Other terms are evaluated a block of rows at a time into a scratch
+    buffer.  Terms are added into each block of the output in draw order.
     """
     rng = np.random.default_rng(seed)
     ys = ((np.arange(h) + 0.5) / h)[:, None]
     xs = (np.arange(w) + 0.5) / w
-    out = np.zeros((h, w))
-    term = np.empty((h, w))
+    terms = []  # (x part, y part, scale, phase, wave, amplitude) in draw order
     for amp, cycles, theta in spec.components:
         phase = rng.uniform(0.0, 2.0 * np.pi)
         # amp * sin(2 pi cycles (cos(theta) x + sin(theta) y) + phase)
-        np.add(np.cos(theta) * xs, np.sin(theta) * ys, out=term)
-        term *= 2.0 * np.pi * cycles
-        term += phase
-        np.sin(term, out=term)
-        term *= amp
-        out += term
+        terms.append((np.cos(theta) * xs, np.sin(theta) * ys, 2.0 * np.pi * cycles, phase, np.sin, amp))
     if spec.background_amplitude != 0.0:
         for ky in range(spec.background_max_cycles + 1):
             for kx in range(spec.background_max_cycles + 1):
@@ -135,12 +147,23 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
                 coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 # amplitude * coeff * cos(2 pi (kx x + ky y) + phase)
-                np.add(kx * xs, ky * ys, out=term)
-                term *= 2.0 * np.pi
-                term += phase
-                np.cos(term, out=term)
-                term *= spec.background_amplitude * coeff
-                out += term
+                terms.append((kx * xs, ky * ys, 2.0 * np.pi, phase, np.cos, spec.background_amplitude * coeff))
+    lines = []  # per term: its values broadcast to (h, w), or None for a plane term
+    for xpart, ypart, *rest in terms:
+        if not xpart.any():
+            lines.append(np.broadcast_to(_wave(xpart[:1], ypart, *rest), (h, w)))
+        elif not ypart.any():
+            lines.append(np.broadcast_to(_wave(xpart, ypart[:1], *rest), (h, w)))
+        else:
+            lines.append(None)
+    rows = max(1, _BLOCK_VALUES // w)
+    out = np.zeros((h, w))
+    scratch = np.empty((min(rows, h), w))
+    for r in range(0, h, rows):
+        block = out[r:r + rows]
+        for (xpart, ypart, *rest), line in zip(terms, lines):
+            block += _wave(xpart, ypart[r:r + rows], *rest, out=scratch[:len(block)]) if line is None \
+                else line[r:r + rows]
     if not np.isfinite(out).all():
         raise ValueError("synthetic field contains non-finite values: check the spectrum")
     return out
@@ -306,11 +329,17 @@ def _unfilter_paeth(cur: list, prev: list, channels: int) -> None:
         cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
 
 
-def read_png(path) -> np.ndarray:
-    """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1].
+# Bytes of PNG image data inflated at a time: a PNG that is only checked holds no more.
+_INFLATE_BLOCK = 1 << 16
 
-    Every chunk's length and CRC-32 are checked, and the image data is inflated
-    to at most the size its IHDR declares."""
+
+def _png_data(path, keep: bool) -> tuple[int, int, int, bytearray]:
+    """(height, width, channels, inflated image data) of an 8-bit gray/RGB PNG.
+
+    Every chunk's length and CRC-32 are checked.  The image data is inflated a
+    block at a time and checked to be the height x (width x channels + 1) bytes
+    that IHDR declares, each row led by a filter type of 0-4.  Without `keep`
+    each block is dropped once checked and the data returned is empty."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
@@ -340,17 +369,35 @@ def read_png(path) -> np.ndarray:
                 break
         if width is None:
             raise ValueError("PNG missing IHDR")
-        stride = width * channels
-        need = height * (stride + 1)
+        row = width * channels + 1
+        need = height * row
+        data = bytearray()
+        size = top = 0  # bytes inflated so far, largest filter type seen
         inflate = zlib.decompressobj()
-        data = inflate.decompress(idat, min(need + 1, sys.maxsize))  # one byte more than declared shows an excess
+        block = inflate.decompress(idat, _INFLATE_BLOCK)
+        while block and size <= need:  # one byte more than declared shows an excess
+            top = max(top, max(block[-size % row::row], default=0))
+            size += len(block)
+            if keep:
+                data += block
+            block = inflate.decompress(inflate.unconsumed_tail, _INFLATE_BLOCK)
     except (struct.error, zlib.error) as exc:
         raise ValueError(f"malformed PNG: {exc}") from exc
-    if len(data) != need or not inflate.eof:  # more bytes, fewer, or a stream cut short
+    if size != need or not inflate.eof:  # more bytes, fewer, or a stream cut short
         raise ValueError(f"PNG image data does not inflate to the {need} bytes {width}x{height} needs")
+    if top > 4:
+        raise ValueError(f"bad PNG filter type {top}")
+    return height, width, channels, data
+
+
+def read_png(path) -> np.ndarray:
+    """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1].
+
+    Every chunk's length and CRC-32 are checked, and the image data is inflated
+    to at most a block more than its IHDR declares."""
+    height, width, channels, data = _png_data(path, keep=True)
+    stride = width * channels
     rows = np.frombuffer(data, dtype=np.uint8).reshape(height, stride + 1)
-    if (rows[:, 0] > 4).any():
-        raise ValueError(f"bad PNG filter type {rows[:, 0].max()}")
     # uint8 arithmetic wraps mod 256, which is PNG's rule for every filter.  A run
     # of rows with one filter type is decoded at once where the type allows it.
     out = np.empty((height, stride), dtype=np.uint8)

@@ -26,8 +26,8 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
     for name, _, _ in bytecheck.MATRIX:
         assert result[f"logs/{name}.txt"] == "identical"
     for output in ("data/manifest.json", "data_custom/manifest.json", "data_odd/manifest.json",
-                   "data_odd/s000_t00_lr.vsgr", "train_visir/model.vsck",
-                   "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
+                   "data_odd/s000_t00_lr.vsgr", "data_blocks/manifest.json", "data_blocks/s000_t07_hr.vsgr",
+                   "train_visir/model.vsck", "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
                    "reconstruct_vsgr/error.png.pixels.txt", "reconstruct_png/reconstruction.png.pixels.txt",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -23,7 +24,7 @@ from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, r
 from visir.model import ModelConfig, as_mlp_baseline, init_parameters, parameter_layout
 from visir.training import TrainConfig, load_checkpoint, save_checkpoint
 
-from oracles import png_bomb
+from oracles import png_blob, png_bomb
 
 TINY_MODEL_FLAGS = [
     "--model.patch_size", "2", "--model.num_layers", "1", "--model.num_heads", "2",
@@ -678,6 +679,31 @@ def test_reconstruct_malformed_input_exits_2(tmp_path, capsys, name, make):
     assert code == EXIT_CONFIG
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("images,message", [
+    (["--input", "big.png"], "input shape (2000, 2000, 3) does not match checkpoint LR shape (4, 4, 3)"),
+    (["--input", "lr.vsgr", "--hr", "big.png"], "HR reference shape (2000, 2000, 3) does not match output (8, 8, 3)")],
+    ids=["input", "hr"])
+def test_reconstruct_large_declared_png_exits_5_before_inflating(tmp_path, monkeypatch, capsys, images, message):
+    monkeypatch.chdir(tmp_path)
+    # About 11.7 KB of zero rows that inflate to the 12 MB a 2000x2000 RGB image needs: a well-formed PNG.
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    Path("big.png").write_bytes(png_blob(2000, 2000, 3, deflate.compress(bytes(2000 * 6001)) + deflate.flush()))
+    assert Path("big.png").stat().st_size < 12_000
+    _small_checkpoint(Path("m.vsck"))
+    write_grid("lr.vsgr", np.full((4, 4, 3), 0.5))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["reconstruct", "--checkpoint", "m.vsck", *images, "--out", "r"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_MISMATCH
+    assert capsys.readouterr().err == f"checkpoint error: {message}\n"
+    assert peak < 10 * 2 ** 20
+    assert not Path("r").exists()
 
 
 def _with_config(ckpt, **changes):

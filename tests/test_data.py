@@ -27,7 +27,7 @@ from visir.data import (
     write_grid,
     write_png,
 )
-from visir.data import _subseed
+from visir.data import _BLOCK_VALUES, _subseed
 
 from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, encode_png, normalize_plain,
                      png_bomb, read_png_per_byte, synth_field_meshgrid)
@@ -239,8 +239,27 @@ def _adds_something(spec: dict) -> bool:
             or (spec["background_amplitude"] != 0.0 and spec["background_max_cycles"] >= 1))
 
 
+_WIDE = 2000  # _BLOCK_VALUES // _WIDE rows a block: this height is two whole blocks and a ragged 5-row one
+_TALL = 2 * (_BLOCK_VALUES // _WIDE) + 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=_spectra().filter(_adds_something), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
+# theta 0.0 and -0.0: sin(theta) * y is all +0.0 or all -0.0, so the component is evaluated on one row
+@example(spec=dict(components=((1.0, 5.0, 0.0),), background_amplitude=0.0, background_max_cycles=2), h=7, w=9, seed=1)
+@example(spec=dict(components=((0.7, 3.0, -0.0), (0.5, 4.0, 1.0)), background_amplitude=0.0, background_max_cycles=2),
+         h=11, w=6, seed=2)
+# theta pi/2: cos(theta) is 6e-17, not 0, so the component stays a plane term
+@example(spec=dict(components=((1.0, 6.0, math.pi / 2),), background_amplitude=0.0, background_max_cycles=2),
+         h=9, w=13, seed=3)
+@example(spec=dict(components=((0.5, 0.0, 0.4), (1.0, 2.0, 0.3)), background_amplitude=0.0, background_max_cycles=2),
+         h=8, w=8, seed=4)
+@example(spec=dict(components=((1.0, 3.0, 0.0), (0.6, 7.0, 1.2)), background_amplitude=0.4, background_max_cycles=3),
+         h=1, w=17, seed=5)
+@example(spec=dict(components=((1.0, 3.0, 0.0), (0.6, 7.0, 1.2)), background_amplitude=0.4, background_max_cycles=3),
+         h=17, w=1, seed=6)
+@example(spec=dict(components=((1.0, 2.0, 0.3), (0.35, 23.0, 0.0)), background_amplitude=0.4, background_max_cycles=3),
+         h=_TALL, w=_WIDE, seed=7)
 def test_synth_matches_meshgrid_oracle(spec, h, w, seed):
     spec = SpectrumSpec(**spec)
     assert synth_field(seed, h, w, spec).tobytes() == synth_field_meshgrid(seed, h, w, spec).tobytes()
