@@ -19,13 +19,14 @@ training arithmetic can move trained values, and every output made from them,
 in their last bits, while these files come from seed-0 parameters only.
 
 Each side also loads every `*.vsck` checkpoint it made with its own
-`load_checkpoint`, and writes `<checkpoint>.params.txt` next to it: the config
-JSON, then, per tensor in sorted-name order, its name, its shape and the
-SHA-256 of its little-endian f64 bytes.  These files compare the parameters
-themselves, so a change to the checkpoint format alone moves only the `*.vsck`
-files.  In the same way it decodes every PNG it made or read with its own
-`read_png`, and writes `<png>.pixels.txt` next to it: the shape and the SHA-256
-of the uint8 pixels.  A change to the PNG encoder alone then moves only the
+`load_checkpoint`, and writes two files next to it: `<checkpoint>.config.json`,
+its config JSON, and `<checkpoint>.params.txt`, per tensor in sorted-name order
+its name, its shape and the SHA-256 of its little-endian f64 bytes.  These files
+compare the config and the parameters apart, so a change to the checkpoint
+format alone moves only the `*.vsck` files, and one to the config schema alone
+moves the `*.config.json` files too.  In the same way it decodes every PNG it
+made or read with its own `read_png`, and writes `<png>.pixels.txt` next to it:
+the shape and the SHA-256 of the uint8 pixels.  A change to the PNG encoder alone then moves only the
 `*.png` files.
 
 Each side runs in its own interpreter with one BLAS thread, and calls
@@ -140,14 +141,17 @@ def _run_commands(src: Path, work: Path) -> None:
 
 
 def _digest_checkpoints(work: Path) -> None:
-    """Child side: `<checkpoint>.params.txt` next to every checkpoint under `work`, loaded with
-    this side's `load_checkpoint`: its config JSON, then one line per tensor in sorted-name
-    order with its name, its shape and the SHA-256 of its `<f8` bytes."""
+    """Child side: next to every checkpoint under `work`, loaded with this side's
+    `load_checkpoint`, `<checkpoint>.config.json`, its config JSON, and
+    `<checkpoint>.params.txt`, one line per tensor in sorted-name order with its
+    name, its shape and the SHA-256 of its `<f8` bytes."""
     from visir.training import load_checkpoint
 
     for path in sorted(work.rglob("*.vsck")):
         model = load_checkpoint(path)
-        lines = [json.dumps(asdict(model.config), sort_keys=True)]
+        path.with_name(path.name + ".config.json").write_text(
+            json.dumps(asdict(model.config), sort_keys=True) + "\n", encoding="utf-8")
+        lines = []
         for name in sorted(model.params):
             data = model.params[name].data
             digest = hashlib.sha256(data.astype("<f8").tobytes()).hexdigest()
@@ -200,7 +204,7 @@ def _run_library(out: Path) -> None:
             write_grid(out / f"predict_{name}_{variant_cfg.variant}.vsgr", recon)
     # Each overflow case: one weight of the untrained CLI-default model set to a finite 1e307.
     cfg = inputs["cli"][0]
-    for variant_cfg, name in ((cfg, "embed.weight"), (cfg, "decoder.w0"), (cfg, f"decoder.w{cfg.decoder_depth}"),
+    for variant_cfg, name in ((cfg, "embed.weight"), (cfg, "decoder.w0"), (cfg, f"decoder.w{cfg.siren_hidden_layers}"),
                               (as_mlp_baseline(cfg), "embed.weight")):
         model = init_parameters(variant_cfg, seed=0)
         model.params[name] = Tensor(np.full(model.params[name].shape, 1e307))

@@ -48,8 +48,8 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--learning-rate", type=float, default=1e-3)
     parser.add_argument("--pairs", type=int, default=8)
-    parser.add_argument("--frequencies", type=str, default="10,20,30,40,50,60")
-    parser.add_argument("--layers", type=str, default="1,2,3,4,5,6")
+    parser.add_argument("--frequencies", type=str, default=",".join(f"{f:g}" for f in DEFAULT_FREQUENCIES))
+    parser.add_argument("--layers", type=str, default=",".join(map(str, DEFAULT_LAYER_COUNTS)))
     parser.add_argument("--out", type=str, default="out/sweep.csv")
     args = parser.parse_args()
 

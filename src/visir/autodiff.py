@@ -14,7 +14,12 @@ of one vector each, laid out in ``params`` order.
 tape entry for what would otherwise be a chain of them.  ``affine`` and
 ``attention`` take any leading axes (a batch, and inside ``attention`` the
 heads) as a stack of separate products, so an image's result does not depend
-on the batch it is in.  ``matmul`` stays 2-d only.
+on the batch it is in.
+
+Deprecated: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul`` (2-d only),
+``narrow``, ``concat``, ``tensor_sum`` and ``softmax``.  No model calls them and
+they are out of ``__all__``; they stay defined until the benchmark's tracer stops
+looking them up, and then they are deleted.
 
 Primitives do not check for NaN or infinity.  ``Tensor(...)`` checks data from outside,
 ``unit_sine`` its output (``omega0 * x`` overflows where ``x`` is finite), ``sigmoid`` its
@@ -40,22 +45,13 @@ __all__ = [
     "tape_length",
     "backward",
     "add",
-    "sub",
-    "mul",
-    "neg",
-    "scale",
-    "matmul",
     "transpose",
     "reshape",
-    "narrow",
-    "concat",
-    "tensor_sum",
     "mean",
     "sine_activation",
     "unit_sine",
     "gelu",
     "sigmoid",
-    "softmax",
     "layer_norm",
     "affine",
     "attention",

@@ -59,10 +59,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional_int(text: str):
-    return None if text.strip().lower() in ("", "none") else int(text)
-
-
 def _parse_grid(conv, name: str):
     """Comma-separated values of the ModelConfig field `name`, each checked by ModelConfig."""
     def parse(text: str) -> tuple:
@@ -74,7 +70,7 @@ def _parse_grid(conv, name: str):
 
 
 # Field type hint (a string under postponed annotations) -> CLI value parser.
-_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool, "int | None": _parse_optional_int}
+_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
 def _key_fields(cls) -> list:
@@ -92,8 +88,9 @@ KEYS: dict[str, tuple] = {
     **_field_keys("model", ModelConfig),
     **_field_keys("train", TrainConfig),
     **_field_keys("data", DataConfig),
-    # SpectrumSpec as text; its default is DEFAULT_SPECTRUM in whole degrees (deriving it changes build-data's bytes).
-    "data.components": (str, "1.0:2:17,0.6:7:69,0.35:23:0,0.25:31:52",
+    # SpectrumSpec as text; _spectrum parses its default back to DEFAULT_SPECTRUM.
+    "data.components": (str, ",".join(f"{amp}:{cycles:g}:{math.degrees(theta):g}"
+                                      for amp, cycles, theta in DEFAULT_SPECTRUM.components),
                         "sinusoid components amp:cycles:angle_deg, comma separated"),
     "data.background": (float, DEFAULT_SPECTRUM.background_amplitude, "smooth background amplitude"),
     "data.background_cycles": (int, DEFAULT_SPECTRUM.background_max_cycles, "max integer frequency of the background"),

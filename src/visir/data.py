@@ -227,8 +227,6 @@ def bicubic_downsample(img: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"scale must be >= 1, got {s}")
     if img.shape[0] % s != 0 or img.shape[1] % s != 0:
         raise ValueError(f"scale {s} does not divide image {img.shape[0]}x{img.shape[1]}")
-    if s == 1:
-        return img.copy()
     out = _downsample_axis(img, s, axis=0)
     out = _downsample_axis(out, s, axis=1)
     return np.clip(out, 0.0, 1.0)
@@ -431,8 +429,10 @@ def read_png(path) -> np.ndarray:
 # Dataset build
 # ---------------------------------------------------------------------------
 
+# Whole-degree angles: the CLI's default `data.components` is this spectrum as text.
 DEFAULT_SPECTRUM = SpectrumSpec(
-    components=((1.0, 2.0, 0.3), (0.6, 7.0, 1.2), (0.35, 23.0, 0.0), (0.25, 31.0, 0.9)),
+    components=((1.0, 2.0, math.radians(17)), (0.6, 7.0, math.radians(69)), (0.35, 23.0, 0.0),
+                (0.25, 31.0, math.radians(52))),
     background_amplitude=0.4,
     background_max_cycles=3,
 )

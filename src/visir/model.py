@@ -74,8 +74,6 @@ class ModelConfig:
     channels: int = 3
     variant: str = field(default="visir", metadata={"help": "visir | vit_mlp"})
     post_norm: bool = field(default=False, metadata={"help": "literal residual-then-norm block ordering"})
-    decoder_hidden_layers: int | None = field(
-        default=None, metadata={"help": "decoder depth override (default: same as stacks)"})
 
     def __post_init__(self):
         for name in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim",
@@ -93,8 +91,6 @@ class ModelConfig:
             raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
-        if self.decoder_hidden_layers is not None and self.decoder_hidden_layers < 0:
-            raise ValueError("decoder_hidden_layers must be >= 0")
         if self.decoder_mode not in DECODER_MODES:
             raise ValueError(f"decoder_mode must be one of {DECODER_MODES}")
         if self.variant not in VARIANTS:
@@ -123,10 +119,6 @@ class ModelConfig:
     @property
     def hr_width(self) -> int:
         return self.lr_width * self.scale
-
-    @property
-    def decoder_depth(self) -> int:
-        return self.decoder_hidden_layers if self.decoder_hidden_layers is not None else self.siren_hidden_layers
 
     @property
     def decoder_out_dim(self) -> int:
@@ -344,7 +336,7 @@ def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], fl
             layout[f"block{i}.{name}"] = ((d,), None)
         ffn_dims = [d] + [cfg.siren_hidden_dim] * cfg.siren_hidden_layers + [d]
         layout.update(_stack_layout(f"block{i}.ffn.", ffn_dims, cfg.omega0, sine_init))
-    dec_dims = [d] + [cfg.siren_hidden_dim] * cfg.decoder_depth + [cfg.decoder_out_dim]
+    dec_dims = [d] + [cfg.siren_hidden_dim] * cfg.siren_hidden_layers + [cfg.decoder_out_dim]
     layout.update(_stack_layout("decoder.", dec_dims, cfg.omega0, sine_init))
     return layout
 

@@ -172,7 +172,7 @@ def test_sine_quarter_period():
 def test_sine_gradient_at_zero_is_omega0():
     x = Tensor([0.0])
     out = ad.sine_activation(x, 20.0)
-    grads = ad.backward(ad.tensor_sum(out), {"x": x})
+    grads = ad.backward(ad.mse_loss(out, np.array([-0.5])), {"x": x})  # d/dout (out + 1/2)^2 = 1 at out = 0
     assert grads["x"][0] == pytest.approx(20.0, abs=1e-12)
 
 
@@ -190,21 +190,21 @@ def test_sine_output_bounded(x, omega0):
 
 def test_backward_square():
     x = Tensor([3.0])
-    loss = ad.tensor_sum(ad.mul(x, x))
+    loss = ad.mse_loss(x, np.zeros(1))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_sine_chain():
     x = Tensor([0.0])
-    loss = ad.tensor_sum(ad.sine_activation(x, 20.0))
+    loss = ad.mse_loss(ad.sine_activation(x, 20.0), np.array([-0.5]))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(20.0)
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0])
-    y = ad.mul(x, x)
+    y = ad.add(x, x)
     with pytest.raises(ShapeError):
         ad.backward(y, {"x": x})
     assert ad.tape_length() == 0  # consumed even on failure
@@ -212,16 +212,16 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_clears_tape():
     x = Tensor([2.0])
-    ad.backward(ad.tensor_sum(ad.mul(x, x)), {"x": x})
+    ad.backward(ad.mse_loss(x, np.zeros(1)), {"x": x})
     assert ad.tape_length() == 0
 
 
 def test_backward_accumulates_shared_leaf():
     x = Tensor([2.0])
-    # f = x*x + 3x -> f' = 2x + 3 = 7
-    loss = ad.tensor_sum(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))
+    # x reaches the loss three times through two entries: f = (3x - 1)^2 -> f' = 6(3x - 1) = 30
+    loss = ad.mse_loss(ad.add(ad.add(x, x), x), np.ones(1))
     grads = ad.backward(loss, {"x": x})
-    assert grads["x"][0] == pytest.approx(7.0)
+    assert grads["x"][0] == 30.0
 
 
 def test_tensor_has_no_gradient_slot():
@@ -236,42 +236,43 @@ def test_backward_returns_grads_keyed_as_given():
     x = Tensor([3.0, -1.0])
     unused = Tensor(np.ones((2, 2)))
     frozen = Tensor([5.0, 5.0])
-    loss = ad.tensor_sum(ad.mul(ad.mul(x, x), frozen))
+    # f = mean((2x + frozen - t)^2) over 2 values, 2x + frozen - t = [2, 1]: frozen's
+    # gradient is [2, 1] and x's is twice that, so a swapped or cross-wired name shows.
+    loss = ad.mse_loss(ad.add(ad.add(x, x), frozen), np.array([9.0, 2.0]))
     grads = ad.backward(loss, {"a": x, "unused": unused, "frozen": frozen, "b": x})
     assert list(grads) == ["a", "unused", "frozen", "b"]
-    assert np.array_equal(grads["a"], [30.0, -10.0])
+    assert np.array_equal(grads["a"], [4.0, 2.0])
     assert np.array_equal(grads["b"], grads["a"])
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
-    assert np.array_equal(grads["frozen"], [9.0, 1.0])
+    assert np.array_equal(grads["frozen"], [2.0, 1.0])
 
 
 def test_params_alone_decide_what_is_differentiated():
     # A plain Tensor, made with no flag, gets its exact gradient once it is named in
-    # params, and Adam moves it toward the minimum of sum((w - t)^2) on every step.
+    # params, and Adam moves it toward the minimum of mean((w - t)^2) on every step.
     params = {"w": Tensor([1.0, -2.0])}
-    target = Tensor([3.0, 0.5])
+    target = np.array([3.0, 0.5])
     state = ad.init_adam(params, lr=0.1)
     for _ in range(3):
-        diff = ad.sub(params["w"], target)
-        grads = ad.backward(ad.tensor_sum(ad.mul(diff, diff)), params)
-        assert np.array_equal(grads["w"], 2.0 * (params["w"].data - target.data))
+        grads = ad.backward(ad.mse_loss(params["w"], target), params)
+        assert np.array_equal(grads["w"], params["w"].data - target)  # 2 (w - t) / 2
         stepped = ad.adam_step(params, state, grads)
-        assert np.all(np.abs(stepped["w"].data - target.data) < np.abs(params["w"].data - target.data))
+        assert np.all(np.abs(stepped["w"].data - target) < np.abs(params["w"].data - target))
         params = stepped
     assert state.step == 3
 
 
 def test_backward_frees_an_intermediate_before_reaching_its_inputs():
-    # Tape: [u = 3x, v = sin(u), t = 2v, loss = sum(t)].  Once the sweep has passed
-    # the entries that use and make t, nothing holds t: it is freed while the
+    # Tape: [u = 2x, v = sin(1.5u), t = 2v, loss = mean(t^2)].  Once the sweep has
+    # passed the entries that use and make t, nothing holds t: it is freed while the
     # entries that made its input v (and u) are still on the tape, unreached.
     # Tensor has no __weakref__ slot, so the reference is to t's value array,
     # which only t holds.
     ad.clear_tape()
     x = Tensor(np.linspace(0.0, 1.0, 4))
-    v = ad.sine_activation(ad.scale(x, 3.0), 1.0)
-    t = ad.scale(v, 2.0)
-    loss = ad.tensor_sum(t)
+    v = ad.sine_activation(ad.add(x, x), 1.5)
+    t = ad.add(v, v)
+    loss = ad.mse_loss(t, np.zeros(4))
     del v
     tape_when_freed = []
     ref = weakref.ref(t.data, lambda _: tape_when_freed.append(ad.tape_length()))
@@ -280,16 +281,17 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     grads = ad.backward(loss, {"x": x})
     assert ref() is None
     assert tape_when_freed == [2]
-    assert np.allclose(grads["x"], 6.0 * np.cos(3.0 * x.data), rtol=0, atol=1e-12)
+    # d/dx mean(4 sin(3x)^2) = 6 sin(3x) cos(3x) = 3 sin(6x)
+    assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
 
 
 def test_no_grad_suppresses_tape():
     ad.clear_tape()
     x = Tensor([1.0])
     with ad.no_grad():
-        ad.mul(x, x)
+        ad.add(x, x)
     assert ad.tape_length() == 0
-    ad.mul(x, x)  # outside no_grad every primitive is recorded
+    ad.add(x, x)  # outside no_grad every primitive is recorded
     assert ad.tape_length() == 1
     ad.clear_tape()
 
@@ -303,7 +305,7 @@ def test_no_grad_and_tape_are_per_thread():
         with ad.no_grad():
             inside.set()
             release.wait(timeout=10)
-            ad.scale(Tensor([1.0]), 2.0)
+            ad.add(Tensor([1.0]), Tensor([2.0]))
             seen["inside"] = ad.tape_length()
         seen["tape"] = ad.tape_length()
 
@@ -312,7 +314,7 @@ def test_no_grad_and_tape_are_per_thread():
     other.start()
     try:
         assert inside.wait(timeout=10)
-        ad.scale(Tensor(np.ones(3)), 2.0)
+        ad.add(Tensor(np.ones(3)), Tensor(np.ones(3)))
         assert ad.tape_length() == 1
     finally:
         release.set()
@@ -328,12 +330,12 @@ def test_concurrent_trainers_keep_their_own_tapes():
 
     def work(k):
         for i in range(50):
-            x = Tensor(np.full(3, float(k + i)))
+            x = Tensor(np.full(4, float(k + i)))
             if k % 2:
                 with ad.no_grad():
-                    ad.scale(x, 2.0)
-            grads = ad.backward(ad.tensor_sum(ad.mul(x, x)), {"x": x})
-            if not np.array_equal(grads["x"], 2.0 * x.data):
+                    ad.add(x, x)
+            grads = ad.backward(ad.mse_loss(x, np.zeros(4)), {"x": x})
+            if not np.array_equal(grads["x"], 0.5 * x.data):  # 2x / 4
                 wrong.append((k, i))
         finished.append(k)
 
@@ -353,8 +355,8 @@ def test_concurrent_trainers_keep_their_own_tapes():
 
 
 def test_trainers_share_parameter_tensors():
-    # Each thread takes its own loss k * sum(x * x) over the same tensors; the
-    # gradient is the return value, so each must be exactly 2k * x.  Each thread also
+    # Each thread takes its own loss, the sum of mean((p - k)^2) over the same tensors p;
+    # the gradient is the return value, so each must be exactly (p - k) * (2 / p.size).  Each thread also
     # trains its own copy, starting from those tensors, with its own Adam state, and
     # must end with the bytes the same steps give on one thread: no scratch vector
     # is shared between states.
@@ -363,14 +365,13 @@ def test_trainers_share_parameter_tensors():
     wrong, finished, trained = [], [], {}
 
     def loss(k, tensors):
-        terms = [ad.tensor_sum(ad.mul(p, p)) for p in tensors.values()]
-        return ad.scale(ad.add(*terms), float(k))
+        return ad.add(*(ad.mse_loss(p, np.full(p.shape, float(k))) for p in tensors.values()))
 
     def train(k):
         own, state = params, ad.init_adam(params, lr=0.1)
         for i in range(50):
             grads = ad.backward(loss(k, params), params)
-            if any(not np.array_equal(grads[n], 2.0 * k * p.data) for n, p in params.items()):
+            if any(not np.array_equal(grads[n], (p.data - k) * (2.0 / p.size)) for n, p in params.items()):
                 wrong.append((k, i))
             own = ad.adam_step(own, state, ad.backward(loss(k, own), own))
         return own, state
@@ -424,9 +425,10 @@ def _check_op(build, shapes, seed, points=10):
 
 
 def _weighted(x):
-    # Fixed weights make the scalarization sensitive to every output entry.
-    w = np.linspace(0.5, 1.5, x.size).reshape(x.shape)
-    return ad.tensor_sum(ad.mul(x, Tensor(w)))
+    # A seeded target t = -(n/2) w, w in [2, 3], the same at every evaluation: each output's
+    # cotangent 2 (x - t) / n = w + 2x / n stays near w, away from zero, whatever the size n.
+    w = np.random.default_rng(x.size).uniform(2.0, 3.0, x.shape)
+    return ad.mse_loss(x, -0.5 * x.size * w)
 
 
 @pytest.mark.parametrize("name,build,shapes", [

@@ -32,6 +32,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
                    "reconstruct_vsgr/error.png.pixels.txt", "reconstruct_png/reconstruction.png.pixels.txt",
                    "library/siren_inr.vsgr", "library/c5_visir.vsck",
                    "train_visir/model.vsck.params.txt", "library/c5_visir.vsck.params.txt",
+                   "train_visir/model.vsck.config.json",
                    "library/predict_cli_visir.vsgr", "library/predict_cli_vit_mlp.vsgr",
                    "library/predict_c5_visir.vsgr", "library/predict_c5_vit_mlp.vsgr",
                    "library/non_finite_visir_embed.weight.txt", "library/non_finite_visir_decoder.w0.txt",

@@ -20,7 +20,8 @@ from visir import cli, training
 from visir.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_MISMATCH, EXIT_OK, KEYS, _config, _geometry,
                        _spectrum, build_parser, load_settings, main)
 from visir.autodiff import Tensor
-from visir.data import DataConfig, DatasetManifest, load_manifest, load_pairs, read_png, write_grid, write_png
+from visir.data import (DataConfig, DatasetManifest, build_dataset, load_manifest, load_pairs, read_png, write_grid,
+                        write_png)
 from visir.model import ModelConfig, as_mlp_baseline, init_parameters, parameter_layout
 from visir.training import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -175,6 +176,20 @@ def test_key_defaults_are_the_config_defaults():
         assert keys
         for key in keys:
             assert settings[key] == getattr(config, key.split(".", 1)[1]), key
+    assert _spectrum(settings) == DataConfig().spectrum  # data.components, data.background, ...
+
+
+def test_build_data_defaults_write_what_data_config_builds(tmp_path):
+    # One spectrum: the CLI's default data.components and DataConfig()'s spectrum make the same bytes.
+    sizes = dict(sources=1, source_height=48, source_width=96, tile=24, scale=2)
+    flags = [item for key, value in sizes.items() for item in (f"--data.{key}", str(value))]
+    assert main(["build-data", *flags, "--seed", "0", "--out", str(tmp_path / "cli")]) == EXIT_OK
+    build_dataset(DataConfig(**sizes, seed=0), tmp_path / "lib")
+    files = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert "manifest.json" in files and any(name.endswith("_hr.vsgr") for name in files)
+    assert files == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in files:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flag", ["--model.patch_size", "--model.num_heads", "--model.embed_dim",
@@ -785,6 +800,16 @@ def test_reconstruct_version_1_checkpoint_exits_5(tmp_path, capsys):
     code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
     assert err == "checkpoint error: unsupported checkpoint version 1\n"
+
+
+def test_reconstruct_checkpoint_with_decoder_override_exits_5(tmp_path, capsys):
+    # Checkpoints written while ModelConfig had a decoder_hidden_layers field store it, as null;
+    # the decoder is now as deep as the sine stacks, and such a file is retrained, not read.
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), decoder_hidden_layers=None)
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+    assert code == EXIT_MISMATCH
+    assert err == ("checkpoint error: bad checkpoint config: missing fields [], "
+                   "unknown fields ['decoder_hidden_layers']\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct"])

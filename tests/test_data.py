@@ -178,9 +178,9 @@ def test_bicubic_odd_factor_decimates():
 def test_bicubic_matches_per_sample_kernel():
     # The library keeps one weight vector for even factors and one for odd; the oracle
     # evaluates the kernel for every output sample.  -0.0, NaN and values outside [0, 1]
-    # go through the same arithmetic, so they give the same bytes too.
+    # go through the same arithmetic, so they give the same bytes too; s = 1 included.
     rng = np.random.default_rng(7)
-    for s in range(2, 9):
+    for s in range(1, 9):
         for c in (1, 3):
             img = rng.uniform(-0.5, 1.5, (s * int(rng.integers(1, 6)), s * int(rng.integers(1, 6)), c))
             if c == 1:
@@ -188,6 +188,9 @@ def test_bicubic_matches_per_sample_kernel():
             else:
                 img[int(rng.integers(img.shape[0])), int(rng.integers(img.shape[1])), 1] = np.nan
             assert bicubic_downsample(img, s).tobytes() == bicubic_downsample_per_sample(img, s).tobytes()
+    # At s = 1 the (0, 1, 0, 0) kernel keeps the bits of values in [0, 1] and clamps the others.
+    img = np.array([[-0.25, 0.0, 0.3], [1.5, 1.0, 0.7]])
+    assert bicubic_downsample(img, 1).tobytes() == np.array([[0.0, 0.0, 0.3], [1.0, 1.0, 0.7]]).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="omega0"):
             ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, lr_height=8, lr_width=8,
                         omega0=omega0)
-    with pytest.raises(ValueError, match="decoder_hidden_layers"):
-        ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8, lr_height=8, lr_width=8,
-                    decoder_hidden_layers=-1)
 
 
 def test_config_token_arithmetic():
@@ -255,7 +252,7 @@ def test_siren_ffn_gradients_two_hidden_layers():
     def run(arrs):
         stack = {name: Tensor(arr) for name, arr in arrs.items()}
         out = apply_stack(Tensor(x), stack, "", omega0=20.0)
-        return ad.mean(ad.mul(out, out)), stack
+        return ad.mse_loss(out, np.zeros((4, 2))), stack  # mean(out^2)
 
     ad.clear_tape()
     loss, stack = run(arrays)
@@ -323,8 +320,7 @@ def test_pool_tokens():
 
 def test_decode_zero_weights_gives_half():
     model = init_parameters(TINY, seed=0)
-    depth = TINY.decoder_depth
-    for j in range(depth + 1):
+    for j in range(TINY.siren_hidden_layers + 1):  # the decoder is as deep as the sine stacks
         model.params[f"decoder.w{j}"] = Tensor(np.zeros(model.params[f"decoder.w{j}"].shape))
         model.params[f"decoder.b{j}"] = Tensor(np.zeros(model.params[f"decoder.b{j}"].shape))
     out = predict(tiny_image(3), model)
@@ -393,8 +389,7 @@ def test_forward_gradients_spot_check():
 
     ad.clear_tape()
     out = predict(img, model)
-    diff = ad.sub(out, Tensor(target))
-    grads = ad.backward(ad.mean(ad.mul(diff, diff)), model.params)
+    grads = ad.backward(ad.mse_loss(out, target), model.params)
     analytic = {name: grads[name] for name in ("embed.weight", "block0.attn.wq", "decoder.w1")}
 
     for name in analytic:
