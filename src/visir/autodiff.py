@@ -10,6 +10,16 @@ threads may share parameter tensors for training as well as for inference.
 ``backward``'s gradients, and the parameters ``adam_step`` returns, are views
 of one vector each, laid out in ``params`` order.
 
+An entry holds no tensor.  It names its output and its parents by their
+``key``, an integer no other tensor of the process has, and its pull closes
+over only what the pull reads: ``add``, ``reshape`` and ``mean`` keep shapes,
+``affine`` its input rows, ``attention`` its per-head operands and weights,
+the sine primitives their input (``omega0 * x`` is computed again in the pull:
+one multiply, with the same bits), and ``mse_loss`` its residual, which the
+pull turns into the gradient in place.  So an intermediate that no pull reads,
+such as the network's output, is freed as soon as its caller drops it, and
+what a pull reads is freed when ``backward`` pops its entry.
+
 ``affine``, ``attention``, ``mse_loss`` and ``unit_sine`` are fused: each is one
 tape entry for what would otherwise be a chain of them.  ``affine`` and
 ``attention`` take any leading axes (a batch, and inside ``attention`` the
@@ -29,6 +39,7 @@ input (it maps an infinity to 0 or 1) and ``adam_step`` the vector every gradien
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -70,15 +81,21 @@ class NonFiniteError(ArithmeticError):
     """A NaN or Inf appeared where only finite values are legal."""
 
 
-class Tensor:
-    """Immutable dense array of float64 values."""
+# One counter for the process, so that a key is unique across threads too; each call
+# is one C call, which the interpreter lock does not split.
+_next_key = itertools.count().__next__
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """Immutable dense array of float64 values; ``key`` names it on the tape."""
+
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         self.data = np.array(data, dtype=np.float64)
         _check_finite(self.data)
         self.data.setflags(write=False)
+        self.key = _next_key()
 
     @classmethod
     def _view(cls, arr: np.ndarray) -> "Tensor":
@@ -86,6 +103,7 @@ class Tensor:
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out.data = arr
+        out.key = _next_key()
         return out
 
     @property
@@ -121,7 +139,9 @@ def _check_finite(arr: np.ndarray) -> None:
 class _TapeEntry:
     __slots__ = ("out", "parents", "pull")
 
-    def __init__(self, out: Tensor, parents: tuple[Tensor, ...], pull: Callable[[np.ndarray], tuple]):
+    def __init__(self, out: int, parents: tuple[int, ...], pull: Callable[[np.ndarray], tuple]):
+        # The keys of the output and of each parent, never the tensors, so that the tape
+        # keeps alive only what the pulls read.
         self.out = out
         self.parents = parents
         # Maps the gradient at `out` to the gradient at each parent.
@@ -157,10 +177,11 @@ def tape_length() -> int:
     return len(_state.tape)
 
 
-def _make(arr: np.ndarray, parents: tuple[Tensor, ...], pull) -> Tensor:
+def _make(arr: np.ndarray, parents: tuple[int, ...], pull) -> Tensor:
+    """The tensor of `arr`, recorded with the keys of its `parents` and its `pull`."""
     out = Tensor._view(np.asarray(arr))  # numpy gives a 0-d result as a scalar, not an array
     if _state.grad_enabled:
-        _state.tape.append(_TapeEntry(out, parents, pull))
+        _state.tape.append(_TapeEntry(out.key, parents, pull))
     return out
 
 
@@ -174,11 +195,10 @@ def _views(flat: np.ndarray, tensors) -> list[np.ndarray]:
 
 
 def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entry: _TapeEntry) -> None:
-    g = grads.pop(id(entry.out), None)
+    g = grads.pop(entry.out, None)
     if g is None:
         return
-    for parent, pg in zip(entry.parents, entry.pull(g)):
-        key = id(parent)
+    for key, pg in zip(entry.parents, entry.pull(g)):
         if key in leaves:
             leaves[key] += pg
         elif key in grads:  # never in place: a pull may hand one array to two parents
@@ -192,9 +212,9 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     as given; zeros for a tensor that does not feed the loss.  The tensors in
     ``params`` must be leaves, made by no primitive on the tape.
 
-    The tape is popped one entry at a time, so an intermediate and its gradient are
-    freed once the sweep has passed the entries that use and make it; the rest of
-    the tape is cleared whether or not the sweep succeeds.
+    The tape is popped one entry at a time, so what a pull reads is freed with its
+    entry, and a gradient once the sweep has passed the entries that use and make
+    it; the rest of the tape is cleared whether or not the sweep succeeds.
     """
     try:
         if loss.data.size != 1:
@@ -202,13 +222,13 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         # One zeroed vector, made before the sweep frees the forward's memory and kept until the next
         # call, so that malloc keeps that memory for the next step instead of returning it and
         # faulting it in again.  A tensor named twice has one slot.
-        tensors = {id(p): p for p in params.values()}
+        tensors = {p.key: p for p in params.values()}
         flat = _state.last_grads = np.zeros(sum(p.size for p in tensors.values()))
         leaves = dict(zip(tensors, _views(flat, tensors.values())))
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         while _state.tape:
             _pull_into(grads, leaves, _state.tape.pop())
-        return {name: leaves[id(p)] for name, p in params.items()}
+        return {name: leaves[p.key] for name, p in params.items()}
     finally:
         clear_tape()
 
@@ -232,11 +252,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _make(out, (a, b), pull)
+    return _make(out, (a.key, b.key), pull)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -244,11 +265,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         out = a.data - b.data
     except ValueError as exc:
         raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
-    return _make(out, (a, b), pull)
+    return _make(out, (a.key, b.key), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -256,20 +278,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
+    x, y = a.data, b.data
 
     def pull(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _make(out, (a, b), pull)
+    return _make(out, (a.key, b.key), pull)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
+    return _make(-a.data, (a.key,), lambda g: (-g,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+    return _make(a.data * c, (a.key,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -277,12 +300,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents disagree, {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    x, y = a.data, b.data
+    out = x @ y
 
     def pull(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ y.T, x.T @ g
 
-    return _make(out, (a, b), pull)
+    return _make(out, (a.key, b.key), pull)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -292,16 +316,17 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     def pull(g):
         return (np.transpose(g, inv).copy(),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)  # a view: tensors are immutable
+    a_shape = a.shape
 
     def pull(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -312,13 +337,14 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     out = a.data[index].copy()
+    a_shape = a.shape
 
     def pull(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(a_shape)
         full[index] = g
         return (full,)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -330,53 +356,67 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     def pull(g):
         return tuple(piece for piece in np.split(g, splits, axis=axis))
 
-    return _make(out, tuple(parts), pull)
+    return _make(out, tuple(p.key for p in parts), pull)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     out = a.data.sum()
+    a_shape = a.shape
 
     def pull(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     out = a.data.mean(axis=axis)
-    count = a.size if axis is None else a.shape[axis]
+    a_shape = a.shape
+    count = a.size if axis is None else a_shape[axis]
 
     def pull(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        return (np.broadcast_to(g / count, a_shape).copy(),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
+
+
+def _scaled(x: np.ndarray, c: float) -> np.ndarray:
+    """c * x, with the same bits, as a new array that a ufunc may overwrite: numpy would
+    give a scalar for a 0-d x."""
+    return np.multiply(x, c, out=np.empty(x.shape))
 
 
 def sine_activation(a: Tensor, omega0: float) -> Tensor:
     """Elementwise sin(omega0 * x); omega0 tunes the represented frequency band."""
     omega0 = float(omega0)
-    inner = omega0 * a.data
-    out = np.sin(inner)
+    x = a.data
+    out = _scaled(x, omega0)
+    np.sin(out, out=out)
 
-    def pull(g):
-        return (g * omega0 * np.cos(inner),)
+    def pull(g):  # omega0 * x again rather than kept: one multiply, the same bits
+        c = _scaled(x, omega0)
+        return (g * omega0 * np.cos(c, out=c),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def unit_sine(a: Tensor, omega0: float) -> Tensor:
     """(sin(omega0 * x) + 1) / 2: the sine activation mapped onto [0, 1]."""
     omega0 = float(omega0)
-    inner = omega0 * a.data
-    out = (np.sin(inner) + 1.0) * 0.5
+    x = a.data
+    out = _scaled(x, omega0)
+    np.sin(out, out=out)
+    out += 1.0
+    out *= 0.5
     _check_finite(out)  # the output: omega0 * x overflows even where x is finite
 
-    def pull(g):
-        return (g * 0.5 * omega0 * np.cos(inner),)
+    def pull(g):  # as in sine_activation
+        c = _scaled(x, omega0)
+        return (g * 0.5 * omega0 * np.cos(c, out=c),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -391,7 +431,7 @@ def gelu(a: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         return (g * (cdf + x * pdf),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -401,7 +441,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def pull(g):
         return (g * out * (1.0 - out),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -413,7 +453,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _make(out, (a,), pull)
+    return _make(out, (a.key,), pull)
 
 
 def layer_norm(a: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
@@ -423,17 +463,19 @@ def layer_norm(a: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv
-    out = gain.data * xhat + shift.data
+    gamma = gain.data
+    out = gamma * xhat + shift.data
+    shift_shape = shift.shape
 
     def pull(g):
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dshift = _unbroadcast(g, shift.shape)
-        dxhat = g * gain.data
+        dgain = _unbroadcast(g * xhat, gamma.shape)
+        dshift = _unbroadcast(g, shift_shape)
+        dxhat = g * gamma
         # mu and var are both functions of x; their terms fold into the means.
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         return term * inv, dgain, dshift
 
-    return _make(out, (a, gain, shift), pull)
+    return _make(out, (a.key, gain.key, shift.key), pull)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -443,14 +485,15 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     the rows beside it (small and large GEMMs round differently)."""
     if x.ndim == 0 or weight.ndim != 2 or x.shape[-1] != weight.shape[1] or bias.shape != weight.shape[:1]:
         raise ShapeError(f"affine: rows {x.shape}, weight {weight.shape}, bias {bias.shape}")
+    xs = x.data
     wt = np.ascontiguousarray(weight.data.T)
-    out = x.data @ wt + bias.data
+    out = xs @ wt + bias.data
 
     def pull(g):
-        rows, g_rows = x.data.reshape(-1, x.shape[-1]), g.reshape(-1, weight.shape[0])
+        rows, g_rows = xs.reshape(-1, wt.shape[0]), g.reshape(-1, wt.shape[1])
         return g @ wt.T, (rows.T @ g_rows).T, g_rows.sum(axis=0)
 
-    return _make(out, (x, weight, bias), pull)
+    return _make(out, (x.key, weight.key, bias.key), pull)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
@@ -460,7 +503,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     Heads and leading axes are stack axes of np.matmul, one contiguous product per head."""
     if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal (..., N, D) operands, got {q.shape}, {k.shape}, {v.shape}")
-    *lead, n, d = q.shape
+    shape = q.shape
+    *lead, n, d = shape
     if d % num_heads != 0:
         raise ShapeError(f"token dim {d} not divisible by {num_heads} heads")
     dh = d // num_heads
@@ -470,7 +514,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         return np.swapaxes(a.reshape(*lead, n, num_heads, dh), -2, -3)
 
     def merge(a):  # (..., H, N, dh) -> (..., N, D), C order as the sums of later pulls assume
-        return np.ascontiguousarray(np.swapaxes(a, -2, -3)).reshape(q.shape)
+        return np.ascontiguousarray(np.swapaxes(a, -2, -3)).reshape(shape)
 
     # Contiguous per-head operands, keys transposed in memory: each product is the 2-d GEMM
     # that one head alone would make, with the same rounding.
@@ -489,20 +533,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
         return merge(dscores @ np.swapaxes(kt, -1, -2)), merge(np.swapaxes(dkt, -1, -2)), \
             merge(np.swapaxes(w, -1, -2) @ gh)
 
-    return _make(out, (q, k, v), pull)
+    return _make(out, (q.key, k.key, v.key), pull)
 
 
 def mse_loss(out: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error of `out` against a constant array of its shape."""
     if target.shape != out.shape:
         raise ShapeError(f"mse_loss: output {out.shape}, target {target.shape}")
-    diff = out.data - target
+    diff = np.asarray(out.data - target)  # an array even at 0-d, so the pull can scale it in place
     count = diff.size
 
-    def pull(g):
-        return (diff * (g * (2.0 / count)),)
+    def pull(g):  # backward calls it once: the residual becomes the gradient
+        return (np.multiply(diff, g * (2.0 / count), out=diff),)
 
-    return _make((diff * diff).mean(), (out,), pull)
+    return _make((diff * diff).mean(), (out.key,), pull)
 
 
 # ---------------------------------------------------------------------------

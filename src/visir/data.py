@@ -169,14 +169,15 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     return out
 
 
-def normalize_field(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """Affine map to [0, 1]; returns the channel and the (min, max) range."""
+def normalize_field(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[float, float]]:
+    """Affine map to [0, 1]; returns the channel and the (min, max) range.  The channel
+    is written into `out` (say, one channel of an RGB grid) when it is given."""
     v = np.asarray(f, dtype=np.float64)
     lo = float(v.min())
     hi = float(v.max())
     if hi <= lo:
         raise ValueError(f"degenerate field range [{lo}, {hi}]: cannot normalize a constant field")
-    out = np.subtract(v, lo)
+    out = np.subtract(v, lo, out=out)
     out /= hi - lo
     return out, (lo, hi)
 
@@ -535,8 +536,9 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
         source_id = f"s{s:03d}"
         ranges = []
         for k in range(len(CHANNEL_NAMES)):  # R, G, B in the order of CHANNEL_NAMES
-            rgb[:, :, k], bounds = normalize_field(synth_field(
-                _subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum))
+            _, bounds = normalize_field(
+                synth_field(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum),
+                out=rgb[:, :, k])
             ranges.append(bounds)
         normalization[source_id] = ranges
         for i, hr in enumerate(tile_image(rgb, cfg.tile, cfg.tile)):

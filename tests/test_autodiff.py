@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 import zlib
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
-from visir.model import ModelConfig, parameter_layout
+from visir.model import ModelConfig, init_parameters, parameter_layout, predict
 
 from oracles import (
     adam_step_per_tensor,
@@ -225,7 +226,7 @@ def test_backward_accumulates_shared_leaf():
 
 
 def test_tensor_has_no_gradient_slot():
-    assert Tensor.__slots__ == ("data",)
+    assert "grad" not in Tensor.__slots__
     with pytest.raises(AttributeError):
         Tensor([1.0]).grad = np.ones(1)
 
@@ -263,26 +264,53 @@ def test_params_alone_decide_what_is_differentiated():
 
 
 def test_backward_frees_an_intermediate_before_reaching_its_inputs():
-    # Tape: [u = 2x, v = sin(1.5u), t = 2v, loss = mean(t^2)].  Once the sweep has
-    # passed the entries that use and make t, nothing holds t: it is freed while the
-    # entries that made its input v (and u) are still on the tape, unreached.
-    # Tensor has no __weakref__ slot, so the reference is to t's value array,
-    # which only t holds.
+    # Tape: [u = 2x, v = sin(1.5u), t = 2v, loss = mean(t^2)].  An output that no pull
+    # reads is freed when its caller drops it: v (t's pull keeps shapes) and t (the
+    # loss's pull keeps the residual) go before backward starts.  An input that a pull
+    # reads is freed when backward pops that entry: u, which the sine's pull reads, goes
+    # while the entry that made u is still on the tape, unreached.
+    # Tensor has no __weakref__ slot, so the references are to the value arrays, which
+    # only the tensors and the pulls hold.
     ad.clear_tape()
     x = Tensor(np.linspace(0.0, 1.0, 4))
-    v = ad.sine_activation(ad.add(x, x), 1.5)
+    u = ad.add(x, x)
+    v = ad.sine_activation(u, 1.5)
     t = ad.add(v, v)
     loss = ad.mse_loss(t, np.zeros(4))
-    del v
-    tape_when_freed = []
-    ref = weakref.ref(t.data, lambda _: tape_when_freed.append(ad.tape_length()))
-    del t
-    assert ad.tape_length() == 4
+    freed = []
+    refs = [weakref.ref(z.data, lambda _, name=name: freed.append((name, ad.tape_length())))
+            for name, z in (("u", u), ("v", v), ("t", t))]
+    del u, v, t
+    assert freed == [("v", 4), ("t", 4)]
     grads = ad.backward(loss, {"x": x})
-    assert ref() is None
-    assert tape_when_freed == [2]
+    assert freed == [("v", 4), ("t", 4), ("u", 1)]
+    assert all(ref() is None for ref in refs)
     # d/dx mean(4 sin(3x)^2) = 6 sin(3x) cos(3x) = 3 sin(6x)
     assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
+
+
+def test_training_step_peak_memory_is_below_five_and_a_half_outputs():
+    # One batch-4 step of a per_token model whose 96x96x3 output dwarfs its 16-d tokens.
+    # The peak, about 4.7 output batches, is in unit_sine's pull: the gradient that
+    # reaches it, the decoder's last affine output (which the pull reads), the cosine
+    # and the result are live.  The forward's, inside mse_loss, is about 4.6.  A tape
+    # that kept omega0 * x, or the outputs that no pull reads, passes 5.5 (6.9 when it
+    # kept both).
+    cfg = ModelConfig(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_layers=1, num_heads=2,
+                      siren_hidden_dim=16, siren_hidden_layers=1, decoder_mode="per_token")
+    model = init_parameters(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    lr, hr = rng.uniform(0.0, 1.0, (4, 24, 24, 3)), rng.uniform(0.0, 1.0, (4, 96, 96, 3))
+    state = ad.init_adam(model.params)
+    ad.clear_tape()
+    tracemalloc.start()
+    try:
+        loss = ad.mse_loss(predict(lr, model), hr)
+        model.params = ad.adam_step(model.params, state, ad.backward(loss, model.params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * hr.nbytes, peak / hr.nbytes
 
 
 def test_no_grad_suppresses_tape():
@@ -492,6 +520,38 @@ def test_fused_primitives_reject_bad_shapes():
 def test_sine_gradient_high_frequency():
     # Steep slopes (omega0 * cos) still match finite differences.
     _check_op(lambda t: _weighted(ad.sine_activation(t["a"], 60.0)), {"a": (2, 2)}, seed=3)
+
+
+def _pull_of_last_entry(g):
+    (grad,) = ad._state.tape.pop().pull(g)
+    return grad
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 5, 3)], ids=["0d", "1d", "bnd"])
+def test_sine_and_mse_pulls_have_the_bits_of_the_plain_formulas(shape):
+    # The sine pulls compute omega0 * x again instead of keeping it, and mse_loss's pull
+    # scales its residual in place: each gives the bits of the plain expression.  A 0-d
+    # operand is where an in-place ufunc on `omega0 * x`, a numpy scalar there, fails.
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    x, g = rng.uniform(-3.0, 3.0, shape), rng.normal(size=shape)
+    ad.clear_tape()
+    try:
+        for omega0 in (1.5, 30.0):
+            out = ad.sine_activation(Tensor(x), omega0)
+            assert np.array_equal(out.data, np.sin(omega0 * x))
+            assert np.array_equal(_pull_of_last_entry(g), g * omega0 * np.cos(omega0 * x))
+            out = ad.unit_sine(Tensor(x), omega0)
+            assert np.array_equal(out.data, (np.sin(omega0 * x) + 1.0) * 0.5)
+            assert np.array_equal(_pull_of_last_entry(g), g * 0.5 * omega0 * np.cos(omega0 * x))
+        target = rng.uniform(-1.0, 1.0, shape)
+        diff, n = x - target, x.size
+        loss = ad.mse_loss(Tensor(x), target)
+        assert np.array_equal(loss.data, (diff * diff).mean())
+        target += 100.0  # the caller's array: the pull must not read it again
+        g0 = rng.normal(size=())
+        assert np.array_equal(_pull_of_last_entry(g0), diff * (g0 * (2 / n)))
+    finally:
+        ad.clear_tape()
 
 
 # ---------------------------------------------------------------------------

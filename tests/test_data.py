@@ -571,9 +571,12 @@ def test_build_dataset_tiles_are_hxwx3(tmp_path):
 
 def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
     # One RGB grid for the whole build, plus one field and its scratch while a
-    # channel is made: about 1.7 grids.  Full-size coordinate grids, per-term
-    # temporaries or tile copies would pass 2.
+    # channel is made, normalized straight into the grid: about 1.46 grids.  A
+    # normalized copy of the field (1.7), full-size coordinate grids, per-term
+    # temporaries or tile copies would pass 1.5.  numpy loads numpy.random (0.06
+    # grids of module objects) on first use, so it is loaded before tracing starts.
     cfg = DataConfig(sources=2, source_height=480, source_width=960, tile=240, scale=4, seed=1)
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -582,7 +585,7 @@ def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
     finally:
         tracemalloc.stop()
     rgb_bytes = 480 * 960 * 3 * 8
-    assert peak <= 2.0 * rgb_bytes, peak / rgb_bytes
+    assert peak <= 1.5 * rgb_bytes, peak / rgb_bytes
 
 
 @pytest.mark.parametrize("named,bad", [
