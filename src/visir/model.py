@@ -24,11 +24,10 @@ from .autodiff import (
     gelu,
     layer_norm,
     mean,
+    output_head,
     reshape,
-    sigmoid,
     sine_activation,
     transpose,
-    unit_sine,
 )
 
 __all__ = [
@@ -41,6 +40,8 @@ __all__ = [
     "decode_hr",
     "siren_inr_forward",
     "predict",
+    "predict_loss",
+    "siren_inr_loss",
     "coordinate_grid",
     "init_parameters",
     "init_siren_stack",
@@ -150,7 +151,9 @@ def _grid_axes(lead: int) -> tuple[int, ...]:
 
 
 def extract_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
-    """Row-major non-overlapping patches of (..., H, W, C) images: (..., N, P*P*C)."""
+    """Row-major non-overlapping patches of (..., H, W, C) images: (..., N, P*P*C).
+
+    A copy when P > 1: the last reshape merges axes that the transpose left apart in memory."""
     p = patch_size
     if img.ndim < 3 or img.shape[-3] % p != 0 or img.shape[-2] % p != 0:
         raise ShapeError(f"patch size {p} does not tile an H x W x C image of shape {img.shape}")
@@ -180,31 +183,30 @@ def mhsa(tokens: Tensor, params: dict[str, Tensor], prefix: str, num_heads: int)
     return affine(attention(q, k, v, num_heads), params[f"{prefix}wo"], params[f"{prefix}bo"])
 
 
-def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
-                hidden: str = "sine", final: str = "affine") -> Tensor:
-    """Run the affine layers params[prefix + "w0"], params[prefix + "b0"], ... in order.
-
-    The stack is as deep as the "w{j}" keys under `prefix` reach; weights are out x in.
-    hidden: "sine" (at frequency omega0) or "gelu", applied after every layer but the last.
-    final: "affine" (unbounded, residual-friendly), "sine" mapped onto [0, 1]
-    as (sin + 1) / 2, or "sigmoid".
-    """
+def _hidden_rows(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
+                 hidden: str) -> tuple[Tensor, Tensor, Tensor]:
+    """Every layer of the stack under `prefix` but the last, each followed by its
+    activation; and the last layer's weight and bias."""
     if hidden not in ("sine", "gelu"):
         raise ValueError(f"hidden must be one of ('sine', 'gelu'), got {hidden!r}")
-    if final not in ("affine", "sine", "sigmoid"):
-        raise ValueError(f"final must be one of ('affine', 'sine', 'sigmoid'), got {final!r}")
     depth = 0
     while f"{prefix}w{depth + 1}" in params:
         depth += 1
-    for j in range(depth + 1):
+    for j in range(depth):
         x = affine(x, params[f"{prefix}w{j}"], params[f"{prefix}b{j}"])
-        if j < depth:
-            x = sine_activation(x, omega0) if hidden == "sine" else gelu(x)
-    if final == "sine":
-        x = unit_sine(x, omega0)
-    elif final == "sigmoid":
-        x = sigmoid(x)
-    return x
+        x = sine_activation(x, omega0) if hidden == "sine" else gelu(x)
+    return x, params[f"{prefix}w{depth}"], params[f"{prefix}b{depth}"]
+
+
+def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
+                hidden: str = "sine") -> Tensor:
+    """Run the affine layers params[prefix + "w0"], params[prefix + "b0"], ... in order.
+
+    The stack is as deep as the "w{j}" keys under `prefix` reach; weights are out x in.
+    hidden: "sine" (at frequency omega0) or "gelu", applied after every layer but the
+    last, whose output is affine (unbounded, residual-friendly).
+    """
+    return affine(*_hidden_rows(x, params, prefix, omega0, hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,30 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
     return tokens
 
 
+def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | None = None) -> Tensor:
+    """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C) per_token or
+    (..., 1, H'*W'*C) global_pooled; given the HR image(s) `hr`, its MSE against them."""
+    cfg = model.config
+    lead = tokens.shape[:-2]
+    if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
+        raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
+    target = None
+    if hr is not None:
+        expected = lead + (cfg.hr_height, cfg.hr_width, cfg.channels)
+        if hr.shape != expected:
+            raise ShapeError(f"HR target of shape {hr.shape}, model output {expected}")
+        if cfg.decoder_mode == "per_token":  # a view in token order, not extract_patches' copy
+            p = cfg.patch_size * cfg.scale
+            target = hr.reshape(lead + (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels))
+            target = target.transpose(_grid_axes(len(lead)))
+        else:
+            target = hr.reshape(lead + (1, -1))
+    if cfg.decoder_mode == "global_pooled":
+        tokens = reshape(mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
+    rows, weight, bias = _hidden_rows(tokens, model.params, "decoder.", cfg.omega0, _hidden_act(cfg))
+    return output_head(rows, weight, bias, cfg.omega0, "sine" if cfg.variant == "visir" else "sigmoid", target)
+
+
 def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     """Tokens, (N, D) or (B, N, D) -> HR image in [0, 1], (H, W, C) or (B, H, W, C).
 
@@ -255,16 +281,10 @@ def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     to the whole HR image at once.
     """
     cfg = model.config
-    lead = tokens.shape[:-2]
-    if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
-        raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
-    if cfg.decoder_mode == "global_pooled":
-        tokens = reshape(mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
-    out = apply_stack(tokens, model.params, "decoder.", cfg.omega0, hidden=_hidden_act(cfg),
-                      final="sine" if cfg.variant == "visir" else "sigmoid")
+    out = _decode(tokens, model)
     if cfg.decoder_mode == "per_token":
         return patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
-    return reshape(out, lead + (cfg.hr_height, cfg.hr_width, cfg.channels))
+    return reshape(out, tokens.shape[:-2] + (cfg.hr_height, cfg.hr_width, cfg.channels))
 
 
 def predict(img: np.ndarray, model: VisirModel) -> Tensor:
@@ -272,6 +292,14 @@ def predict(img: np.ndarray, model: VisirModel) -> Tensor:
     (B, H', W', C), differentiable; the forward pass of both variants (sine stacks and output,
     or the MLP baseline's GELU stacks and sigmoid output).  A batch gives each image's own output."""
     return decode_hr(encode(img, model), model)
+
+
+def predict_loss(img: np.ndarray, hr: np.ndarray, model: VisirModel) -> Tensor:
+    """Mean squared error of predict(img, model) against `hr`, of predict's output shape.
+
+    The same encoder and decoder as predict, but the decoder's last layer, output and loss
+    are one autodiff.output_head entry, so the HR image is never made."""
+    return _decode(encode(img, model), model, hr)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +314,31 @@ def coordinate_grid(h: int, w: int) -> np.ndarray:
     return np.stack([yy, xx], axis=-1)
 
 
+def _coordinate_rows(coords: np.ndarray, params: dict[str, Tensor],
+                     omega0: float) -> tuple[Tensor, Tensor, Tensor]:
+    in_dim = params["w0"].shape[1]
+    if coords.shape[-1] != in_dim:
+        raise ShapeError(f"coordinates have dim {coords.shape[-1]}, stack expects {in_dim}")
+    return _hidden_rows(Tensor(coords.reshape(-1, in_dim)), params, "", omega0, "sine")
+
+
 def siren_inr_forward(coords: np.ndarray, params: dict[str, Tensor], omega0: float) -> Tensor:
     """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1].
 
     `params` is a sine stack as init_siren_stack draws it ("w0", "b0", ...).
     """
-    in_dim = params["w0"].shape[1]
-    if coords.shape[-1] != in_dim:
-        raise ShapeError(f"coordinates have dim {coords.shape[-1]}, stack expects {in_dim}")
-    out = apply_stack(Tensor(coords.reshape(-1, in_dim)), params, "", omega0, hidden="sine", final="sine")
+    out = output_head(*_coordinate_rows(coords, params, omega0), omega0, "sine")
     return reshape(out, coords.shape[:-1] + out.shape[-1:])
+
+
+def siren_inr_loss(coords: np.ndarray, target: np.ndarray, params: dict[str, Tensor], omega0: float) -> Tensor:
+    """Mean squared error of siren_inr_forward(coords, params, omega0) against `target`, (..., C),
+    through one autodiff.output_head entry."""
+    rows, weight, bias = _coordinate_rows(coords, params, omega0)
+    expected = coords.shape[:-1] + weight.shape[:1]
+    if target.shape != expected:
+        raise ShapeError(f"target of shape {target.shape}, coordinate-net output {expected}")
+    return output_head(rows, weight, bias, omega0, "sine", target)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .autodiff import (
     clear_tape,
     init_adam,
     adam_step,
-    mse_loss,
     no_grad,
 )
 from .data import SRPair
@@ -37,7 +36,9 @@ from .model import (
     init_siren_stack,
     parameter_layout,
     predict,
+    predict_loss,
     siren_inr_forward,
+    siren_inr_loss,
 )
 
 __all__ = [
@@ -135,7 +136,7 @@ def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
     for step in range(1, cfg.steps + 1):
         batch = [pairs[i] for i in rng.integers(0, len(pairs), size=cfg.batch_size)]
         lr, hr = np.stack([p.lr for p in batch]), np.stack([p.hr for p in batch])
-        model.params, value = _adam_update(model.params, opt, lambda: mse_loss(predict(lr, model), hr), step)
+        model.params, value = _adam_update(model.params, opt, lambda: predict_loss(lr, hr, model), step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
             _, summary = evaluate(model, eval_pairs)
@@ -265,7 +266,7 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
 
     def loss() -> Tensor:
-        return mse_loss(siren_inr_forward(lr_coords, params, omega0), pair.lr)
+        return siren_inr_loss(lr_coords, pair.lr, params, omega0)
 
     for step in range(1, steps + 1):
         params, _ = _adam_update(params, opt, loss, step)

@@ -91,6 +91,51 @@ def adam_step_per_tensor(params: dict[str, np.ndarray], state, grads: dict[str, 
     return out
 
 
+def output_chain_unfused(xs: np.ndarray, w: np.ndarray, b: np.ndarray, omega0: float, final: str,
+                         grid=None, target=None):
+    """A decoder's output as the separate steps the library ran before they became one
+    `output_head` entry: affine, the final activation, the patch merge and the MSE, each
+    computed as it was, in plain numpy.
+
+    `grid` = (grid_rows, grid_cols, p_out, channels) merges (..., N, P*P*C) tokens into
+    (..., H, W, C) images (reshape, transposed copy, reshape); None keeps the rows.  Without
+    a target, returns the output.  With one (in the output's layout), returns (loss, pull),
+    where pull(g) gives the gradients at xs, w and b."""
+    wt = np.ascontiguousarray(w.T)
+    z = xs @ wt + b
+    s = (np.sin(omega0 * z) + 1.0) * 0.5 if final == "sine" else 1.0 / (1.0 + np.exp(-z))
+    lead = z.shape[:-2]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + a for a in (0, 2, 1, 3, 4))  # its own inverse
+    out = s
+    if grid is not None:
+        rows, cols, p, c = grid
+        out = s.reshape(lead + (rows, cols, p, p, c)).transpose(axes).copy().reshape(lead + (rows * p, cols * p, c))
+    if target is None:
+        return out
+    diff = out - target
+
+    def pull(g):
+        g_out = diff * (g * (2.0 / diff.size))
+        if grid is not None:
+            g_out = g_out.reshape(lead + (rows, p, cols, p, c)).transpose(axes).copy().reshape(z.shape)
+        gz = g_out * 0.5 * omega0 * np.cos(omega0 * z) if final == "sine" else g_out * s * (1.0 - s)
+        x_rows, g_rows = xs.reshape(-1, wt.shape[0]), gz.reshape(-1, wt.shape[1])
+        return gz @ wt.T, (x_rows.T @ g_rows).T, g_rows.sum(axis=0)
+
+    return (diff * diff).mean(), pull
+
+
+def mse_entry(out, target: np.ndarray):
+    """mean((out - target)^2) of a tensor against a constant array of its shape, as one tape
+    entry: the loss of tests whose subject is not the loss (the library's one loss is fused
+    into its output head)."""
+    from visir import autodiff as ad
+
+    assert out.shape == np.shape(target), (out.shape, np.shape(target))
+    diff = np.asarray(out.data - target)
+    return ad._make((diff * diff).mean(), (out.key,), lambda g: (diff * (g * (2.0 / diff.size)),))
+
+
 def finite_difference_grads(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central differences of a scalar function of a dict of arrays."""
     grads = {}

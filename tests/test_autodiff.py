@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
-from visir.model import ModelConfig, init_parameters, parameter_layout, predict
+from visir.model import ModelConfig, init_parameters, parameter_layout, predict_loss
 
 from oracles import (
     adam_step_per_tensor,
@@ -25,6 +25,7 @@ from oracles import (
     grads_close,
     layer_norm_two_pass,
     matmul_triple_loop,
+    mse_entry,
 )
 
 finite_elements = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -48,8 +49,9 @@ def test_tensor_rejects_non_finite():
 def test_scalar_results_are_read_only_arrays():
     # numpy returns the sum of two 0-d arrays as a scalar; a tensor still holds an ndarray.
     a, b = Tensor(2.0), Tensor(3.0)
-    for t in (ad.add(a, b), ad.mul(a, b), ad.neg(a), ad.unit_sine(a, 1.0), ad.sigmoid(a), ad.tensor_sum(a),
-              ad.mean(a), ad.mse_loss(a, np.zeros(()))):
+    heads = [ad.output_head(Tensor([2.0]), Tensor([[3.0]]), Tensor([0.5]), 1.0, final, np.zeros(1))
+             for final in ("sine", "sigmoid")]
+    for t in (ad.add(a, b), ad.mul(a, b), ad.neg(a), ad.sigmoid(a), ad.tensor_sum(a), ad.mean(a), *heads):
         assert type(t.data) is np.ndarray and t.shape == () and not t.data.flags.writeable
 
 
@@ -173,7 +175,7 @@ def test_sine_quarter_period():
 def test_sine_gradient_at_zero_is_omega0():
     x = Tensor([0.0])
     out = ad.sine_activation(x, 20.0)
-    grads = ad.backward(ad.mse_loss(out, np.array([-0.5])), {"x": x})  # d/dout (out + 1/2)^2 = 1 at out = 0
+    grads = ad.backward(mse_entry(out, np.array([-0.5])), {"x": x})  # d/dout (out + 1/2)^2 = 1 at out = 0
     assert grads["x"][0] == pytest.approx(20.0, abs=1e-12)
 
 
@@ -191,14 +193,14 @@ def test_sine_output_bounded(x, omega0):
 
 def test_backward_square():
     x = Tensor([3.0])
-    loss = ad.mse_loss(x, np.zeros(1))
+    loss = mse_entry(x, np.zeros(1))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_sine_chain():
     x = Tensor([0.0])
-    loss = ad.mse_loss(ad.sine_activation(x, 20.0), np.array([-0.5]))
+    loss = mse_entry(ad.sine_activation(x, 20.0), np.array([-0.5]))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == pytest.approx(20.0)
 
@@ -213,14 +215,14 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_clears_tape():
     x = Tensor([2.0])
-    ad.backward(ad.mse_loss(x, np.zeros(1)), {"x": x})
+    ad.backward(mse_entry(x, np.zeros(1)), {"x": x})
     assert ad.tape_length() == 0
 
 
 def test_backward_accumulates_shared_leaf():
     x = Tensor([2.0])
     # x reaches the loss three times through two entries: f = (3x - 1)^2 -> f' = 6(3x - 1) = 30
-    loss = ad.mse_loss(ad.add(ad.add(x, x), x), np.ones(1))
+    loss = mse_entry(ad.add(ad.add(x, x), x), np.ones(1))
     grads = ad.backward(loss, {"x": x})
     assert grads["x"][0] == 30.0
 
@@ -239,7 +241,7 @@ def test_backward_returns_grads_keyed_as_given():
     frozen = Tensor([5.0, 5.0])
     # f = mean((2x + frozen - t)^2) over 2 values, 2x + frozen - t = [2, 1]: frozen's
     # gradient is [2, 1] and x's is twice that, so a swapped or cross-wired name shows.
-    loss = ad.mse_loss(ad.add(ad.add(x, x), frozen), np.array([9.0, 2.0]))
+    loss = mse_entry(ad.add(ad.add(x, x), frozen), np.array([9.0, 2.0]))
     grads = ad.backward(loss, {"a": x, "unused": unused, "frozen": frozen, "b": x})
     assert list(grads) == ["a", "unused", "frozen", "b"]
     assert np.array_equal(grads["a"], [4.0, 2.0])
@@ -255,7 +257,7 @@ def test_params_alone_decide_what_is_differentiated():
     target = np.array([3.0, 0.5])
     state = ad.init_adam(params, lr=0.1)
     for _ in range(3):
-        grads = ad.backward(ad.mse_loss(params["w"], target), params)
+        grads = ad.backward(mse_entry(params["w"], target), params)
         assert np.array_equal(grads["w"], params["w"].data - target)  # 2 (w - t) / 2
         stepped = ad.adam_step(params, state, grads)
         assert np.all(np.abs(stepped["w"].data - target) < np.abs(params["w"].data - target))
@@ -276,7 +278,7 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     u = ad.add(x, x)
     v = ad.sine_activation(u, 1.5)
     t = ad.add(v, v)
-    loss = ad.mse_loss(t, np.zeros(4))
+    loss = mse_entry(t, np.zeros(4))
     freed = []
     refs = [weakref.ref(z.data, lambda _, name=name: freed.append((name, ad.tape_length())))
             for name, z in (("u", u), ("v", v), ("t", t))]
@@ -289,13 +291,11 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
 
 
-def test_training_step_peak_memory_is_below_five_and_a_half_outputs():
+def test_training_step_peak_memory_is_below_three_and_a_half_outputs():
     # One batch-4 step of a per_token model whose 96x96x3 output dwarfs its 16-d tokens.
-    # The peak, about 4.7 output batches, is in unit_sine's pull: the gradient that
-    # reaches it, the decoder's last affine output (which the pull reads), the cosine
-    # and the result are live.  The forward's, inside mse_loss, is about 4.6.  A tape
-    # that kept omega0 * x, or the outputs that no pull reads, passes 5.5 (6.9 when it
-    # kept both).
+    # The forward pass peaks at about 2.7 output batches and the step at about 2.95, after
+    # the loss.  When the last affine, the final sine, the patch merge and the MSE were six
+    # entries, the step peaked at 4.73 batches.
     cfg = ModelConfig(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_layers=1, num_heads=2,
                       siren_hidden_dim=16, siren_hidden_layers=1, decoder_mode="per_token")
     model = init_parameters(cfg, seed=0)
@@ -305,12 +305,12 @@ def test_training_step_peak_memory_is_below_five_and_a_half_outputs():
     ad.clear_tape()
     tracemalloc.start()
     try:
-        loss = ad.mse_loss(predict(lr, model), hr)
+        loss = predict_loss(lr, hr, model)
         model.params = ad.adam_step(model.params, state, ad.backward(loss, model.params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * hr.nbytes, peak / hr.nbytes
+    assert peak <= 3.5 * hr.nbytes, peak / hr.nbytes
 
 
 def test_no_grad_suppresses_tape():
@@ -362,7 +362,7 @@ def test_concurrent_trainers_keep_their_own_tapes():
             if k % 2:
                 with ad.no_grad():
                     ad.add(x, x)
-            grads = ad.backward(ad.mse_loss(x, np.zeros(4)), {"x": x})
+            grads = ad.backward(mse_entry(x, np.zeros(4)), {"x": x})
             if not np.array_equal(grads["x"], 0.5 * x.data):  # 2x / 4
                 wrong.append((k, i))
         finished.append(k)
@@ -393,7 +393,7 @@ def test_trainers_share_parameter_tensors():
     wrong, finished, trained = [], [], {}
 
     def loss(k, tensors):
-        return ad.add(*(ad.mse_loss(p, np.full(p.shape, float(k))) for p in tensors.values()))
+        return ad.add(*(mse_entry(p, np.full(p.shape, float(k))) for p in tensors.values()))
 
     def train(k):
         own, state = params, ad.init_adam(params, lr=0.1)
@@ -452,11 +452,26 @@ def _check_op(build, shapes, seed, points=10):
                 f"{name} gradient mismatch at point {point}"
 
 
+def _head_loss(t, final, target):
+    # The head's own loss against a seeded target in [0, 1], or a weighted loss of its activation.
+    if not target:
+        return _weighted(ad.output_head(t["x"], t["w"], t["b"], 20.0, final))
+    shape = t["x"].shape[:-1] + t["w"].shape[:1]
+    return ad.output_head(t["x"], t["w"], t["b"], 20.0, final, np.random.default_rng(len(shape)).uniform(0, 1, shape))
+
+
+def _token_view_target():
+    # Two 4x4x1 images as 2x2 grids of 2x2 patches, in token order: not C-contiguous.
+    view = np.random.default_rng(6).uniform(0, 1, (2, 4, 4, 1)).reshape(2, 2, 2, 2, 2, 1).transpose(0, 1, 3, 2, 4, 5)
+    assert not view.flags.c_contiguous
+    return view
+
+
 def _weighted(x):
     # A seeded target t = -(n/2) w, w in [2, 3], the same at every evaluation: each output's
     # cotangent 2 (x - t) / n = w + 2x / n stays near w, away from zero, whatever the size n.
     w = np.random.default_rng(x.size).uniform(2.0, 3.0, x.shape)
-    return ad.mse_loss(x, -0.5 * x.size * w)
+    return mse_entry(x, -0.5 * x.size * w)
 
 
 @pytest.mark.parametrize("name,build,shapes", [
@@ -487,8 +502,14 @@ def _weighted(x):
        lambda t, heads=heads: _weighted(ad.attention(t["q"], t["k"], t["v"], heads)),
        {"q": shape, "k": shape, "v": shape})
       for heads in (1, 2, 4) for shape in ((3, 4), (2, 3, 4))],
-    ("mse_loss", lambda t: ad.mse_loss(t["a"], np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)), {"a": (2, 3, 2)}),
-    ("unit_sine", lambda t: _weighted(ad.unit_sine(t["a"], 20.0)), {"a": (2, 3)}),
+    *[(f"output_head_{final}{'_batched' if len(x) == 3 else ''}{'_target' if target else ''}",
+       lambda t, final=final, target=target: _head_loss(t, final, target),
+       {"x": x, "w": (5, x[-1]), "b": (5,)})
+      for target in (True, False) for final in ("sine", "sigmoid") for x in ((4, 3), (2, 3, 4))],
+    # The per_token target: a (B, rows, cols, P, P, C) transposed view of (B, H, W, C) images.
+    ("output_head_sine_token_view_target",
+     lambda t: ad.output_head(t["x"], t["w"], t["b"], 20.0, "sine", _token_view_target()),
+     {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}),
 ])
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     # crc32, not hash(): str hashes are salted per process, so the drawn points would change every run.
@@ -513,8 +534,13 @@ def test_fused_primitives_reject_bad_shapes():
         ad.attention(x, x, Tensor(np.zeros((2, 4))), 1)
     with pytest.raises(ShapeError):
         ad.attention(x, x, x, 2)
+    w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
-        ad.mse_loss(x, np.zeros((3, 2)))
+        ad.output_head(x, Tensor(np.zeros((4, 2))), b, 1.0, "sine")
+    with pytest.raises(ShapeError):
+        ad.output_head(x, w, b, 1.0, "sine", np.zeros((3, 2)))  # 6 targets for 2 x 4 outputs
+    with pytest.raises(ShapeError):
+        ad.output_head(x, w, b, 1.0, "sigmoid", np.zeros(7))
 
 
 def test_sine_gradient_high_frequency():
@@ -522,34 +548,55 @@ def test_sine_gradient_high_frequency():
     _check_op(lambda t: _weighted(ad.sine_activation(t["a"], 60.0)), {"a": (2, 2)}, seed=3)
 
 
-def _pull_of_last_entry(g):
-    (grad,) = ad._state.tape.pop().pull(g)
-    return grad
+def _affine_pull_plain(x, w, gz):
+    wt = np.ascontiguousarray(w.T)
+    rows, g_rows = x.reshape(-1, wt.shape[0]), gz.reshape(-1, wt.shape[1])
+    return gz @ wt.T, (rows.T @ g_rows).T, g_rows.sum(axis=0)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (2, 5, 3)], ids=["0d", "1d", "bnd"])
 def test_sine_and_mse_pulls_have_the_bits_of_the_plain_formulas(shape):
-    # The sine pulls compute omega0 * x again instead of keeping it, and mse_loss's pull
-    # scales its residual in place: each gives the bits of the plain expression.  A 0-d
-    # operand is where an in-place ufunc on `omega0 * x`, a numpy scalar there, fails.
+    # sine_activation computes omega0 * x again instead of keeping it, and output_head
+    # computes its output, loss and pull in place: each gives the bits of the plain
+    # expression.  A 0-d operand is where an in-place ufunc on `omega0 * x`, a numpy scalar
+    # there, fails; the head's rows of 3 features have the extra axis.
     rng = np.random.default_rng(sum(shape) + len(shape))
     x, g = rng.uniform(-3.0, 3.0, shape), rng.normal(size=shape)
+    rows, w, b = rng.uniform(-1.0, 1.0, shape + (3,)), rng.uniform(-1.0, 1.0, (4, 3)), rng.uniform(-1.0, 1.0, 4)
+    z = rows @ np.ascontiguousarray(w.T) + b
+    gs = rng.normal(size=z.shape)
+    target = rng.uniform(0.0, 1.0, z.shape)
     ad.clear_tape()
     try:
         for omega0 in (1.5, 30.0):
             out = ad.sine_activation(Tensor(x), omega0)
             assert np.array_equal(out.data, np.sin(omega0 * x))
-            assert np.array_equal(_pull_of_last_entry(g), g * omega0 * np.cos(omega0 * x))
-            out = ad.unit_sine(Tensor(x), omega0)
-            assert np.array_equal(out.data, (np.sin(omega0 * x) + 1.0) * 0.5)
-            assert np.array_equal(_pull_of_last_entry(g), g * 0.5 * omega0 * np.cos(omega0 * x))
-        target = rng.uniform(-1.0, 1.0, shape)
-        diff, n = x - target, x.size
-        loss = ad.mse_loss(Tensor(x), target)
-        assert np.array_equal(loss.data, (diff * diff).mean())
-        target += 100.0  # the caller's array: the pull must not read it again
-        g0 = rng.normal(size=())
-        assert np.array_equal(_pull_of_last_entry(g0), diff * (g0 * (2 / n)))
+            (grad,) = ad._state.tape.pop().pull(g)
+            assert np.array_equal(grad, g * omega0 * np.cos(omega0 * x))
+            for final in ("sine", "sigmoid"):
+                if final == "sine":
+                    s = (np.sin(omega0 * z) + 1.0) * 0.5
+
+                    def ds(gs_):
+                        return gs_ * 0.5 * omega0 * np.cos(omega0 * z)
+                else:
+                    s = 1.0 / (1.0 + np.exp(-z))
+
+                    def ds(gs_):
+                        return gs_ * s * (1.0 - s)
+                head = ad.output_head(Tensor(rows), Tensor(w), Tensor(b), omega0, final)
+                assert np.array_equal(head.data, s)
+                pulled = ad._state.tape.pop().pull(gs)
+                assert all(map(np.array_equal, pulled, _affine_pull_plain(rows, w, ds(gs))))
+                caller_target = target.copy()
+                loss = ad.output_head(Tensor(rows), Tensor(w), Tensor(b), omega0, final, caller_target)
+                diff = s - target
+                assert loss.item() == pytest.approx((diff * diff).mean(), rel=1e-14, abs=0.0)
+                caller_target += 100.0  # the caller's array: the pull must not read it again
+                g0 = rng.normal(size=())
+                pulled = ad._state.tape.pop().pull(g0)
+                expected = _affine_pull_plain(rows, w, ds(diff * (g0 * (2 / diff.size))))
+                assert all(map(np.array_equal, pulled, expected))
     finally:
         ad.clear_tape()
 

@@ -23,10 +23,12 @@ from visir.model import (
     parameter_count,
     patches_to_image,
     predict,
+    predict_loss,
     siren_inr_forward,
+    siren_inr_loss,
 )
 
-from oracles import attention_single_head, finite_difference_grads, grads_close
+from oracles import attention_single_head, finite_difference_grads, grads_close, mse_entry, output_chain_unfused
 
 TINY = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
                    lr_height=8, lr_width=8, omega0=20.0, siren_hidden_layers=1,
@@ -230,14 +232,22 @@ def test_apply_stack_depth_follows_prefix_keys():
     assert out.data[0, 0] == 7.0  # one affine layer, no activation
 
 
-@pytest.mark.parametrize("kwargs,named", [({"hidden": "sin"}, "hidden"), ({"final": "sigmiod"}, "final"),
-                                          ({"hidden": "sin", "final": "sigmiod"}, "hidden")])
+@pytest.mark.parametrize("kwargs,named", [({"hidden": "sin"}, "hidden"), ({"hidden": "relu"}, "hidden"),
+                                          ({"hidden": "Sine"}, "hidden")])
 def test_apply_stack_rejects_unknown_activation_names(kwargs, named):
-    # An unknown name is an error, not GELU or the affine output.
+    # An unknown name is an error, not GELU: a misspelling, another library's activation, another case.
     stack = {"w0": Tensor([[1.0]]), "b0": Tensor([0.0]), "w1": Tensor([[1.0]]), "b1": Tensor([0.0])}
     with pytest.raises(ValueError, match=named) as err:
         apply_stack(Tensor([[0.1]]), stack, "", omega0=20.0, **kwargs)
     assert "'sine'" in str(err.value)  # the accepted names are listed
+
+
+@pytest.mark.parametrize("target", [None, np.zeros((1, 1))], ids=["output", "loss"])
+def test_output_head_rejects_unknown_final_names(target):
+    # An unknown final is an error, not the sigmoid or the affine output.
+    with pytest.raises(ValueError, match="final") as err:
+        ad.output_head(Tensor([[0.1]]), Tensor([[1.0]]), Tensor([0.0]), 20.0, "sigmiod", target)
+    assert "'sine'" in str(err.value) and "'sigmoid'" in str(err.value)
 
 
 def test_siren_ffn_gradients_two_hidden_layers():
@@ -252,7 +262,7 @@ def test_siren_ffn_gradients_two_hidden_layers():
     def run(arrs):
         stack = {name: Tensor(arr) for name, arr in arrs.items()}
         out = apply_stack(Tensor(x), stack, "", omega0=20.0)
-        return ad.mse_loss(out, np.zeros((4, 2))), stack  # mean(out^2)
+        return mse_entry(out, np.zeros((4, 2))), stack  # mean(out^2)
 
     ad.clear_tape()
     loss, stack = run(arrays)
@@ -388,8 +398,7 @@ def test_forward_gradients_spot_check():
     target = np.random.default_rng(15).uniform(0, 1, (16, 16, 1))
 
     ad.clear_tape()
-    out = predict(img, model)
-    grads = ad.backward(ad.mse_loss(out, target), model.params)
+    grads = ad.backward(predict_loss(img, target, model), model.params)
     analytic = {name: grads[name] for name in ("embed.weight", "block0.attn.wq", "decoder.w1")}
 
     for name in analytic:
@@ -462,12 +471,14 @@ def test_predict_tape_entries_all_reach_a_parameter(variant, decoder_mode, post_
     cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
     model = init_parameters(cfg, seed=0)
     for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
-        ad.clear_tape()
-        predict(img, model)
-        try:
-            _assert_every_entry_reaches_a_parameter(model.params)
-        finally:
+        for run in (lambda: predict(img, model),
+                    lambda: predict_loss(img, np.zeros(img.shape[:-3] + (cfg.hr_height, cfg.hr_width, 1)), model)):
             ad.clear_tape()
+            run()
+            try:
+                _assert_every_entry_reaches_a_parameter(model.params)
+            finally:
+                ad.clear_tape()
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +504,103 @@ def test_batched_loss_gradient_is_mean_of_image_gradients():
     rng = np.random.default_rng(4)
     lrs = np.stack([tiny_image(seed) for seed in range(4)])
     hrs = rng.uniform(0, 1, (4, TINY.hr_height, TINY.hr_width, TINY.channels))
-    batched = ad.backward(ad.mse_loss(predict(lrs, model), hrs), model.params)
-    each = [ad.backward(ad.mse_loss(predict(lr, model), hr), model.params) for lr, hr in zip(lrs, hrs)]
+    batched = ad.backward(predict_loss(lrs, hrs, model), model.params)
+    each = [ad.backward(predict_loss(lr, hr, model), model.params) for lr, hr in zip(lrs, hrs)]
     means = {name: sum(e[name] for e in each) / len(each) for name in batched}
     # block*.attn.bk's gradient is zero but for rounding (softmax ignores a per-row shift), so the
     # absolute floor is relative to the largest gradient entry of the model.
     floor = 1e-12 * max(np.abs(m).max() for m in means.values())
     for name, g in batched.items():
         assert np.allclose(g, means[name], rtol=1e-12, atol=floor), name
+
+
+# ---------------------------------------------------------------------------
+# the fused output head against the unfused chain
+# ---------------------------------------------------------------------------
+
+def _unfused(img, model, hr=None):
+    """predict's output, or with `hr` the loss, with the decoder's last layer, output and MSE
+    run as the separate numpy steps of oracles.output_chain_unfused (one tape entry)."""
+    cfg = model.config
+    tokens = encode(img, model)
+    lead = tokens.shape[:-2]
+    if cfg.decoder_mode == "global_pooled":
+        tokens = ad.reshape(ad.mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
+    last = cfg.siren_hidden_layers
+    w, b = model.params[f"decoder.w{last}"], model.params[f"decoder.b{last}"]
+    hidden = {name: p for name, p in model.params.items() if name.startswith("decoder.") and p not in (w, b)}
+    rows = apply_stack(tokens, hidden, "decoder.", cfg.omega0, "sine" if cfg.variant == "visir" else "gelu")
+    rows = ad.sine_activation(rows, cfg.omega0) if cfg.variant == "visir" else ad.gelu(rows)
+    final = "sine" if cfg.variant == "visir" else "sigmoid"
+    grid = (cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels) \
+        if cfg.decoder_mode == "per_token" else None
+    image_shape = lead + (cfg.hr_height, cfg.hr_width, cfg.channels)
+    if hr is None:
+        return output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid).reshape(image_shape)
+    target = hr if grid is not None else hr.reshape(lead + (1, -1))
+    value, pull = output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid, target)
+    return ad._make(value, (rows.key, w.key, b.key), pull)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
+@pytest.mark.parametrize("post_norm", [False, True])
+def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, decoder_mode, post_norm):
+    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+    model = init_parameters(cfg, seed=batch)
+    rng = np.random.default_rng(batch)
+    imgs = np.stack([tiny_image(seed) for seed in range(batch)])
+    hrs = rng.uniform(0.0, 1.0, (batch, cfg.hr_height, cfg.hr_width, cfg.channels))
+    for img, hr in ((imgs, hrs), (imgs[0], hrs[0])):
+        with ad.no_grad():
+            assert np.array_equal(predict(img, model).data, _unfused(img, model))
+        ad.clear_tape()
+        fused_loss = predict_loss(img, hr, model)
+        fused = ad.backward(fused_loss, model.params)
+        chain_loss = _unfused(img, model, hr)
+        chain = ad.backward(chain_loss, model.params)
+        for name in model.params:
+            assert np.array_equal(fused[name], chain[name]), name
+        # Only the loss value may differ, in its last bits: it is summed in token order.
+        assert fused_loss.item() == pytest.approx(chain_loss.item(), rel=1e-13, abs=0.0)
+    with pytest.raises(ShapeError):  # the right number of targets, in another layout
+        predict_loss(imgs, hrs.reshape(batch, -1, 1, cfg.channels), model)
+    ad.clear_tape()
+
+
+def test_coordinate_net_head_has_the_bits_of_the_unfused_chain():
+    rng = np.random.default_rng(3)
+    params = init_siren_stack([2, 8, 8, 3], omega0=20.0, seed=3)
+    coords, target = coordinate_grid(5, 7), rng.uniform(0.0, 1.0, (5, 7, 3))
+    rows = ad.sine_activation(ad.affine(ad.sine_activation(
+        ad.affine(Tensor(coords.reshape(-1, 2)), params["w0"], params["b0"]), 20.0), params["w1"], params["b1"]), 20.0)
+    w, b = params["w2"], params["b2"]
+    with ad.no_grad():
+        out = siren_inr_forward(coords, params, 20.0).data
+    assert np.array_equal(out, output_chain_unfused(rows.data, w.data, b.data, 20.0, "sine").reshape(5, 7, 3))
+    value, pull = output_chain_unfused(rows.data, w.data, b.data, 20.0, "sine", target=target.reshape(-1, 3))
+    chain = ad.backward(ad._make(value, (rows.key, w.key, b.key), pull), params)
+    fused = ad.backward(siren_inr_loss(coords, target, params, 20.0), params)
+    for name in params:
+        assert np.array_equal(fused[name], chain[name]), name
+    with pytest.raises(ShapeError):  # the right number of targets, in another layout
+        siren_inr_loss(coords, target.reshape(7, 5, 3), params, 20.0)
+    ad.clear_tape()
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_cli_default_step_has_35_tape_entries(batch):
+    # One output_head entry for the decoder's last affine, its sine, the patch merge and the
+    # MSE, which would otherwise take six.
+    model = init_parameters(ModelConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    ad.clear_tape()
+    try:
+        predict_loss(rng.uniform(0, 1, (batch, 60, 60, 3)), rng.uniform(0, 1, (batch, 240, 240, 3)), model)
+        assert ad.tape_length() == 35
+    finally:
+        ad.clear_tape()
 
 
 def test_encode_rejects_more_than_one_batch_axis():
