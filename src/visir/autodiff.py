@@ -15,21 +15,24 @@ An entry holds no tensor.  It names its output and its parents by their
 over only what the pull reads: ``add``, ``reshape`` and ``mean`` keep shapes,
 ``affine`` its input rows, ``attention`` its per-head operands and weights,
 ``sine_activation`` its input (``omega0 * x`` is computed again in the pull:
-one multiply, with the same bits), and ``output_head`` its input rows and two
-output-sized buffers, which its pull overwrites.  So an intermediate that no
-pull reads is freed as soon as its caller drops it, and what a pull reads is
-freed when ``backward`` pops its entry.
+one multiply, with the same bits), and ``output_head`` its input rows and at
+most two output-sized buffers, which its pull overwrites.  So an intermediate
+that no pull reads is freed as soon as its caller drops it, and what a pull
+reads is freed when ``backward`` pops its entry.
 
 ``affine``, ``attention`` and ``output_head`` are fused: each is one tape entry
 for what would otherwise be a chain of them.  ``affine`` and ``attention`` take
 any leading axes (a batch, and inside ``attention`` the heads) as a stack of
 separate products, so an image's result does not depend on the batch it is in.
 ``output_head`` is a decoder's last ``affine``, its sine or sigmoid output and,
-given a target, the mean squared error: with a target it keeps z (or the
-activation) and the residual, takes the loss from the residual without a
-square, and its pull scales the residual into the gradient in place, so no
-other output-sized array is made.  One CLI-default training step at batch 4
-peaks at 24.1 MB in tracemalloc, 4.4 times its HR batch.
+given a target in parts (one per image), the mean squared error.  It takes the
+loss from the residual without a square, and its pull scales the residual into
+the gradient in place.  The sine head keeps only the residual: it writes the
+activation over z, and its pull makes z again one product of the stack at a
+time, with the forward's bits (Chen et al., 2016: recompute rather than
+store).  The sigmoid head keeps the activation and the residual.  One
+CLI-default training step at batch 4 peaks at 18.9 MB in tracemalloc, 3.41
+times its HR batch, which the step never stacks.
 
 Deprecated: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul`` (2-d only),
 ``narrow``, ``concat``, ``tensor_sum`` and ``softmax``.  No model calls them and
@@ -522,9 +525,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     # that one head alone would make, with the same rounding.
     qh, vh = np.ascontiguousarray(heads(q.data)), np.ascontiguousarray(heads(v.data))
     kt = np.ascontiguousarray(np.swapaxes(heads(k.data), -1, -2))
-    scores = (qh @ kt) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    # The softmax in place over the scores, with the bits of exp(s - max) / sum.
+    w = qh @ kt
+    w *= c
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
     out = merge(w @ vh)
 
     def pull(g):
@@ -541,31 +547,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 HEAD_FINALS = ("sine", "sigmoid")
 
 
+def _stack(a: np.ndarray):
+    """The 2-d operands of the products that np.matmul makes of `a` (a itself up to 2-d)."""
+    return (a,) if a.ndim <= 2 else a.reshape((-1,) + a.shape[-2:])
+
+
 def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: str,
-                target: np.ndarray | None = None) -> Tensor:
+                target: Sequence[np.ndarray] | None = None) -> Tensor:
     """A decoder's last affine layer, its final activation and, given a target, the mean
     squared error against it: one tape entry, computed in place.
 
     z = x @ W^T + b as in `affine`.  final: "sine", (sin(omega0 * z) + 1) / 2, or "sigmoid",
     1 / (1 + exp(-z)) (omega0 unused).  Without a target the result is that activation,
     shape (..., out).  With one it is the mean of (activation - target)^2 as a scalar:
-    `target` is an array of the activation's size whose C-order elements are the
-    activation's targets (a transposed view of an image will do), read in this call only.
-    With a target the entry keeps x and two output-sized buffers (z and the residual for
-    "sine", the activation and the residual for "sigmoid"), and its pull overwrites them.
+    `target` is a sequence of arrays whose sizes sum to the activation's, and whose C-order
+    elements, one part after the other, are the activation's targets (one transposed view
+    per image will do), read in this call only.
+    The sine entry keeps x and, with a target, the residual: its pull makes z again, one
+    product of the stack at a time.  The sigmoid entry keeps x and the activation, and the
+    residual beside it.  The pull overwrites what it keeps.
     """
     if final not in HEAD_FINALS:
         raise ValueError(f"final must be one of {HEAD_FINALS}, got {final!r}")
     _check_rows("output_head", x, weight, bias)
     out_shape = x.shape[:-1] + weight.shape[:1]
-    if target is not None and np.size(target) != math.prod(out_shape):
-        raise ShapeError(f"output_head: output {out_shape}, target {np.shape(target)}")
+    if target is not None and sum(np.size(part) for part in target) != math.prod(out_shape):
+        raise ShapeError(f"output_head: output {out_shape}, target parts {[np.shape(part) for part in target]}")
     omega0 = float(omega0)
-    xs = x.data
-    z, wt = _affine_rows(xs, weight.data, bias.data)
+    xs, b = x.data, bias.data
+    z, wt = _affine_rows(xs, weight.data, b)
     if final == "sine":
-        # The pull reads z, so it is kept apart from the activation unless nothing will pull.
-        s = _scaled(z, omega0) if _state.grad_enabled else np.multiply(z, omega0, out=z)
+        s = np.multiply(z, omega0, out=z)  # the pull makes z again
         np.sin(s, out=s)
         s += 1.0
         s *= 0.5
@@ -577,31 +589,43 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
         s += 1.0
         np.divide(1.0, s, out=s)
 
+    # The sine pull makes z again and reads no activation; the sigmoid pull reads it, and may
+    # overwrite it when the output is a loss and not the activation itself.
+    kept, owns_kept = (None, False) if final == "sine" else (s, target is not None)
+
     def pull_at_z(gz):  # gz, the gradient at the activation, in an array this entry may overwrite
         if final == "sine":  # gz * 0.5 * omega0 * cos(omega0 * z), a factor at a time, as the plain formula
             gz *= 0.5
             gz *= omega0
-            c = np.multiply(z, omega0, out=z)
-            gz *= np.cos(c, out=c)
-        else:  # gz * s * (1 - s); with no target, s is the output tensor's data
-            gz *= s
-            gz *= 1.0 - s if target is None else np.subtract(1.0, s, out=s)
+            # z again from each of the forward's products, so with its bits, in one buffer of one
+            # product's size.
+            c = None
+            for rows, g_rows in zip(_stack(xs), _stack(gz)):
+                c = np.matmul(rows, wt, out=c)
+                c += b
+                c *= omega0
+                g_rows *= np.cos(c, out=c)
+            del c  # before the affine pull makes its products
+        else:  # gz * s * (1 - s)
+            gz *= kept
+            gz *= np.subtract(1.0, kept, out=kept) if owns_kept else 1.0 - kept
         return _affine_pull(xs, wt, gz)
 
     if target is None:
         return _make(s, (x.key, weight.key, bias.key), lambda g: pull_at_z(g.copy()))
 
-    # The residual in the target's shape: over the activation for "sine", beside it for "sigmoid".
-    r = s.reshape(np.shape(target))
-    if final == "sine":
-        r -= target
-    else:
-        r = np.subtract(r, target, out=np.empty(r.shape))  # C order, as the flat view below needs
-    count = r.size
-    flat = r.reshape(-1)
+    # The residual, part by part: over the activation for "sine", beside it for "sigmoid".
+    act = s.reshape(-1)
+    flat = act if final == "sine" else np.empty(act.size)
+    start = 0
+    for part in target:
+        end, shape = start + np.size(part), np.shape(part)
+        np.subtract(act[start:end].reshape(shape), part, out=flat[start:end].reshape(shape))
+        start = end
+    count = flat.size
 
     def pull(g):  # backward calls it once: the residual becomes the gradient at z
-        return pull_at_z(np.multiply(flat, g * (2.0 / count), out=flat).reshape(z.shape))
+        return pull_at_z(np.multiply(flat, g * (2.0 / count), out=flat).reshape(out_shape))
 
     # einsum's own loop: no output-sized square, and no BLAS call whose bits depend on threads.
     return _make(np.einsum("i,i->", flat, flat) / count, (x.key, weight.key, bias.key), pull)

@@ -52,8 +52,8 @@ def mse(i_o, i_r) -> float:
     a = np.asarray(i_o, dtype=np.float64)
     b = np.asarray(i_r, dtype=np.float64)
     _check_shapes(a, b)
-    d = a - b
-    return float((d * d).mean())
+    d = np.subtract(a, b, out=np.empty(a.shape))  # an array even for 0-d images, as out= needs
+    return float(np.multiply(d, d, out=d).mean())  # squared in place: the bits of (d * d).mean()
 
 
 def psnr_from_mse(err: float) -> float:

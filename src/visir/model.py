@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -249,24 +250,35 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
     return tokens
 
 
-def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | None = None) -> Tensor:
+def _hr_images(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
+               cfg: ModelConfig) -> Sequence[np.ndarray]:
+    """The HR image of each token set of a lead-shaped batch: `hr` of shape lead + (H', W', C),
+    or a sequence of that many (H', W', C) images."""
+    image = (cfg.hr_height, cfg.hr_width, cfg.channels)
+    if isinstance(hr, np.ndarray):
+        if hr.shape != lead + image:
+            raise ShapeError(f"HR target of shape {hr.shape}, model output {lead + image}")
+        return hr.reshape((-1,) + image)
+    if len(hr) != math.prod(lead) or any(np.shape(img) != image for img in hr):
+        raise ShapeError(f"HR images of shapes {[np.shape(img) for img in hr]}, model output {lead + image}")
+    return hr
+
+
+def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | Sequence[np.ndarray] | None = None) -> Tensor:
     """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C) per_token or
-    (..., 1, H'*W'*C) global_pooled; given the HR image(s) `hr`, its MSE against them."""
+    (..., 1, H'*W'*C) global_pooled; given the HR images `hr` (see _hr_images), its MSE
+    against them."""
     cfg = model.config
     lead = tokens.shape[:-2]
     if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
     target = None
     if hr is not None:
-        expected = lead + (cfg.hr_height, cfg.hr_width, cfg.channels)
-        if hr.shape != expected:
-            raise ShapeError(f"HR target of shape {hr.shape}, model output {expected}")
-        if cfg.decoder_mode == "per_token":  # a view in token order, not extract_patches' copy
+        target = _hr_images(hr, lead, cfg)
+        if cfg.decoder_mode == "per_token":  # views in token order, not extract_patches' copies
             p = cfg.patch_size * cfg.scale
-            target = hr.reshape(lead + (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels))
-            target = target.transpose(_grid_axes(len(lead)))
-        else:
-            target = hr.reshape(lead + (1, -1))
+            target = [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
+                      for img in target]
     if cfg.decoder_mode == "global_pooled":
         tokens = reshape(mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
     rows, weight, bias = _hidden_rows(tokens, model.params, "decoder.", cfg.omega0, _hidden_act(cfg))
@@ -294,11 +306,13 @@ def predict(img: np.ndarray, model: VisirModel) -> Tensor:
     return decode_hr(encode(img, model), model)
 
 
-def predict_loss(img: np.ndarray, hr: np.ndarray, model: VisirModel) -> Tensor:
-    """Mean squared error of predict(img, model) against `hr`, of predict's output shape.
+def predict_loss(img: np.ndarray, hr: np.ndarray | Sequence[np.ndarray], model: VisirModel) -> Tensor:
+    """Mean squared error of predict(img, model) against `hr`, of predict's output shape or,
+    for a batch, a sequence of its (H', W', C) images.
 
     The same encoder and decoder as predict, but the decoder's last layer, output and loss
-    are one autodiff.output_head entry, so the HR image is never made."""
+    are one autodiff.output_head entry, so the HR image is never made, and a batch's HR
+    images need not be stacked."""
     return _decode(encode(img, model), model, hr)
 
 
@@ -338,7 +352,7 @@ def siren_inr_loss(coords: np.ndarray, target: np.ndarray, params: dict[str, Ten
     expected = coords.shape[:-1] + weight.shape[:1]
     if target.shape != expected:
         raise ShapeError(f"target of shape {target.shape}, coordinate-net output {expected}")
-    return output_head(rows, weight, bias, omega0, "sine", target)
+    return output_head(rows, weight, bias, omega0, "sine", [target])
 
 
 # ---------------------------------------------------------------------------

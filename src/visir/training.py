@@ -135,7 +135,7 @@ def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
     eval_curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
         batch = [pairs[i] for i in rng.integers(0, len(pairs), size=cfg.batch_size)]
-        lr, hr = np.stack([p.lr for p in batch]), np.stack([p.hr for p in batch])
+        lr, hr = np.stack([p.lr for p in batch]), [p.hr for p in batch]  # the HR images are not copied
         model.params, value = _adam_update(model.params, opt, lambda: predict_loss(lr, hr, model), step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:

@@ -136,6 +136,11 @@ def mse_entry(out, target: np.ndarray):
     return ad._make((diff * diff).mean(), (out.key,), lambda g: (diff * (g * (2.0 / diff.size)),))
 
 
+def mse_plain(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference as the plain expression, with its temporaries."""
+    return float(((a - b) * (a - b)).mean())
+
+
 def finite_difference_grads(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central differences of a scalar function of a dict of arrays."""
     grads = {}

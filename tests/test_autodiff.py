@@ -16,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
+from visir.data import SRPair
 from visir.model import ModelConfig, init_parameters, parameter_layout, predict_loss
+from visir.training import TrainConfig, train
 
 from oracles import (
     adam_step_per_tensor,
@@ -49,7 +51,7 @@ def test_tensor_rejects_non_finite():
 def test_scalar_results_are_read_only_arrays():
     # numpy returns the sum of two 0-d arrays as a scalar; a tensor still holds an ndarray.
     a, b = Tensor(2.0), Tensor(3.0)
-    heads = [ad.output_head(Tensor([2.0]), Tensor([[3.0]]), Tensor([0.5]), 1.0, final, np.zeros(1))
+    heads = [ad.output_head(Tensor([2.0]), Tensor([[3.0]]), Tensor([0.5]), 1.0, final, [np.zeros(1)])
              for final in ("sine", "sigmoid")]
     for t in (ad.add(a, b), ad.mul(a, b), ad.neg(a), ad.sigmoid(a), ad.tensor_sum(a), ad.mean(a), *heads):
         assert type(t.data) is np.ndarray and t.shape == () and not t.data.flags.writeable
@@ -291,26 +293,86 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
 
 
-def test_training_step_peak_memory_is_below_three_and_a_half_outputs():
-    # One batch-4 step of a per_token model whose 96x96x3 output dwarfs its 16-d tokens.
-    # The forward pass peaks at about 2.7 output batches and the step at about 2.95, after
-    # the loss.  When the last affine, the final sine, the patch merge and the MSE were six
-    # entries, the step peaked at 4.73 batches.
-    cfg = ModelConfig(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_layers=1, num_heads=2,
-                      siren_hidden_dim=16, siren_hidden_layers=1, decoder_mode="per_token")
-    model = init_parameters(cfg, seed=0)
-    rng = np.random.default_rng(0)
-    lr, hr = rng.uniform(0.0, 1.0, (4, 24, 24, 3)), rng.uniform(0.0, 1.0, (4, 96, 96, 3))
+# A per_token model whose 96x96x3 output dwarfs its 16-d tokens.
+_BIG_OUTPUT = dict(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_layers=1, num_heads=2,
+                   siren_hidden_dim=16, siren_hidden_layers=1, decoder_mode="per_token")
+
+
+def _one_step_peak(model, lr, hr) -> int:
+    """tracemalloc's peak over one predict_loss, backward and adam_step; lr and hr made before."""
     state = ad.init_adam(model.params)
     ad.clear_tape()
     tracemalloc.start()
     try:
         loss = predict_loss(lr, hr, model)
         model.params = ad.adam_step(model.params, state, ad.backward(loss, model.params))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_peak_memory_is_below_two_and_a_quarter_outputs():
+    # One batch-4 step.  The forward pass peaks at about 1.7 output batches and the step at
+    # about 2.05, in the head's pull: the residual, the encoder's tape and the gradient
+    # vector.  The sine head keeps the residual only and makes z again, one image at a time,
+    # in its pull; when it kept z too the step peaked at 2.95 batches, and when the last
+    # affine, the final sine, the patch merge and the MSE were six entries, at 4.73.
+    rng = np.random.default_rng(0)
+    lr, hr = rng.uniform(0.0, 1.0, (4, 24, 24, 3)), rng.uniform(0.0, 1.0, (4, 96, 96, 3))
+    peak = _one_step_peak(init_parameters(ModelConfig(**_BIG_OUTPUT), seed=0), lr, hr)
+    assert peak <= 2.25 * hr.nbytes, peak / hr.nbytes
+
+
+def test_cli_default_step_peak_memory_is_below_three_and_a_half_hr_batches():
+    # At the CLI default the 64-d tokens weigh more against the 240x240x3 output: the step
+    # peaks at about 3.41 HR batches, in the head's pull, over the encoder's 8.6 MB tape
+    # (1.55 batches).  4.36 when the sine head kept z.
+    rng = np.random.default_rng(0)
+    lr, hr = rng.uniform(0.0, 1.0, (4, 60, 60, 3)), rng.uniform(0.0, 1.0, (4, 240, 240, 3))
+    peak = _one_step_peak(init_parameters(ModelConfig(), seed=0), lr, list(hr))
+    assert peak <= 3.5 * hr.nbytes, peak / hr.nbytes
+
+
+@pytest.mark.parametrize("with_target", [False, True], ids=["output", "loss"])
+def test_sine_head_entry_keeps_no_z(with_target):
+    # The entry keeps the rows, W^T and, with a target, the residual, which it writes over z:
+    # about one output's bytes with a target, and none once the caller drops the output.
+    rng = np.random.default_rng(1)
+    x, w, b = Tensor(rng.uniform(-1, 1, (4, 50, 8))), Tensor(rng.uniform(-1, 1, (300, 8))), Tensor(np.zeros(300))
+    target = [rng.uniform(0.0, 1.0, (50, 300)) for _ in range(4)]
+    out_bytes = 4 * 50 * 300 * 8
+    ad.clear_tape()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = ad.output_head(x, w, b, 20.0, "sine", target if with_target else None)
+        if not with_target:
+            del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        ad.clear_tape()
+    assert held <= (1.1 if with_target else 0.1) * out_bytes, held / out_bytes
+
+
+def test_train_holds_no_stacked_hr_batch():
+    # training.train at batch 4, the pairs made before tracing: its peak is the step's bound
+    # above plus the five parameter-sized vectors a step holds (Adam's two moments and work
+    # vector, the gradient vector and the new parameters), and no copy of the HR batch.
+    # About 2.57 output batches; 4.46 when train stacked the batch's HR images.
+    model = init_parameters(ModelConfig(**_BIG_OUTPUT), seed=0)
+    rng = np.random.default_rng(0)
+    pairs = [SRPair(hr=rng.uniform(0.0, 1.0, (96, 96, 3)), lr=rng.uniform(0.0, 1.0, (24, 24, 3)), scale=4)
+             for _ in range(4)]
+    hr_batch = sum(p.hr.nbytes for p in pairs)
+    param_bytes = sum(p.data.nbytes for p in model.params.values())
+    tracemalloc.start()
+    try:
+        train(model, pairs, TrainConfig(steps=1, batch_size=4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * hr.nbytes, peak / hr.nbytes
+    assert peak <= 2.25 * hr_batch + 5 * param_bytes, (peak / hr_batch, param_bytes / hr_batch)
 
 
 def test_no_grad_suppresses_tape():
@@ -457,7 +519,7 @@ def _head_loss(t, final, target):
     if not target:
         return _weighted(ad.output_head(t["x"], t["w"], t["b"], 20.0, final))
     shape = t["x"].shape[:-1] + t["w"].shape[:1]
-    return ad.output_head(t["x"], t["w"], t["b"], 20.0, final, np.random.default_rng(len(shape)).uniform(0, 1, shape))
+    return ad.output_head(t["x"], t["w"], t["b"], 20.0, final, [np.random.default_rng(len(shape)).uniform(0, 1, shape)])
 
 
 def _token_view_target():
@@ -465,6 +527,15 @@ def _token_view_target():
     view = np.random.default_rng(6).uniform(0, 1, (2, 4, 4, 1)).reshape(2, 2, 2, 2, 2, 1).transpose(0, 1, 3, 2, 4, 5)
     assert not view.flags.c_contiguous
     return view
+
+
+def _token_view_parts():
+    # The same targets in parts: the token-order view of the first image, as training passes
+    # it, and the second's cut into consecutive pieces, one cut inside a token's four outputs.
+    first, second = _token_view_target()
+    parts = [first, second[0, 0, :1], second[0, 0, 1:], second[0, 1:], second[1:]]
+    assert np.array_equal(np.concatenate([p.reshape(-1) for p in parts]), _token_view_target().reshape(-1))
+    return parts
 
 
 def _weighted(x):
@@ -508,8 +579,12 @@ def _weighted(x):
       for target in (True, False) for final in ("sine", "sigmoid") for x in ((4, 3), (2, 3, 4))],
     # The per_token target: a (B, rows, cols, P, P, C) transposed view of (B, H, W, C) images.
     ("output_head_sine_token_view_target",
-     lambda t: ad.output_head(t["x"], t["w"], t["b"], 20.0, "sine", _token_view_target()),
+     lambda t: ad.output_head(t["x"], t["w"], t["b"], 20.0, "sine", [_token_view_target()]),
      {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}),
+    # A target in several parts: each part is the targets of the next chunk of the output.
+    *[(f"output_head_{final}_token_view_parts",
+       lambda t, final=final: ad.output_head(t["x"], t["w"], t["b"], 20.0, final, _token_view_parts()),
+       {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}) for final in ("sine", "sigmoid")],
 ])
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     # crc32, not hash(): str hashes are salted per process, so the drawn points would change every run.
@@ -538,9 +613,14 @@ def test_fused_primitives_reject_bad_shapes():
     with pytest.raises(ShapeError):
         ad.output_head(x, Tensor(np.zeros((4, 2))), b, 1.0, "sine")
     with pytest.raises(ShapeError):
-        ad.output_head(x, w, b, 1.0, "sine", np.zeros((3, 2)))  # 6 targets for 2 x 4 outputs
+        ad.output_head(x, w, b, 1.0, "sine", [np.zeros((3, 2))])  # 6 targets for 2 x 4 outputs
     with pytest.raises(ShapeError):
-        ad.output_head(x, w, b, 1.0, "sigmoid", np.zeros(7))
+        ad.output_head(x, w, b, 1.0, "sigmoid", [np.zeros(7)])
+    for parts in ([np.zeros(4), np.zeros(3)], [np.zeros((2, 2)), np.zeros(4), np.zeros(1)], []):
+        for final in ("sine", "sigmoid"):  # parts whose sizes do not sum to the 8 outputs
+            with pytest.raises(ShapeError):
+                ad.output_head(x, w, b, 1.0, final, parts)
+    assert ad.tape_length() == 0
 
 
 def test_sine_gradient_high_frequency():
@@ -589,7 +669,7 @@ def test_sine_and_mse_pulls_have_the_bits_of_the_plain_formulas(shape):
                 pulled = ad._state.tape.pop().pull(gs)
                 assert all(map(np.array_equal, pulled, _affine_pull_plain(rows, w, ds(gs))))
                 caller_target = target.copy()
-                loss = ad.output_head(Tensor(rows), Tensor(w), Tensor(b), omega0, final, caller_target)
+                loss = ad.output_head(Tensor(rows), Tensor(w), Tensor(b), omega0, final, [caller_target])
                 diff = s - target
                 assert loss.item() == pytest.approx((diff * diff).mean(), rel=1e-14, abs=0.0)
                 caller_target += 100.0  # the caller's array: the pull must not read it again

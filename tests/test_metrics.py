@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from visir.metrics import MetricsReport, evaluate_pair, mse, psnr, psnr_from_mse, ssim
 
+from oracles import mse_plain
+
 unit_pixels = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
@@ -40,6 +42,16 @@ def test_mse_hand_case():
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(), (5,), (3, 4), (4, 4, 3)]), data=st.data())
+def test_mse_has_the_bits_of_the_plain_formula(shape, data):
+    # mse squares its difference in place; the value must be the plain expression's, bit for bit.
+    a = data.draw(arrays(np.float64, shape, elements=unit_pixels))
+    b = data.draw(arrays(np.float64, shape, elements=unit_pixels))
+    assert mse(a, b) == mse_plain(a, b)
+    assert mse(b, a) == mse_plain(b, a)
 
 
 def _one_subnormal_pixel():

@@ -242,7 +242,7 @@ def test_apply_stack_rejects_unknown_activation_names(kwargs, named):
     assert "'sine'" in str(err.value)  # the accepted names are listed
 
 
-@pytest.mark.parametrize("target", [None, np.zeros((1, 1))], ids=["output", "loss"])
+@pytest.mark.parametrize("target", [None, [np.zeros((1, 1))]], ids=["output", "loss"])
 def test_output_head_rejects_unknown_final_names(target):
     # An unknown final is an error, not the sigmoid or the affine output.
     with pytest.raises(ValueError, match="final") as err:
@@ -567,6 +567,36 @@ def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, decoder_m
     with pytest.raises(ShapeError):  # the right number of targets, in another layout
         predict_loss(imgs, hrs.reshape(batch, -1, 1, cfg.channels), model)
     ad.clear_tape()
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
+@pytest.mark.parametrize("post_norm", [False, True])
+def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batch, variant, decoder_mode,
+                                                                            post_norm):
+    # training.train passes a batch's HR images as a list of separate arrays, not stacked.
+    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+    model = init_parameters(cfg, seed=batch)
+    rng = np.random.default_rng(batch)
+    imgs = np.stack([tiny_image(seed) for seed in range(batch)])
+    hrs = rng.uniform(0.0, 1.0, (batch, cfg.hr_height, cfg.hr_width, cfg.channels))
+    for img, stacked in ((imgs, hrs), (imgs[0], hrs[0])):
+        results = []
+        for hr in (stacked, [h.copy() for h in stacked.reshape((-1,) + hrs.shape[1:])]):
+            ad.clear_tape()
+            loss = predict_loss(img, hr, model)
+            results.append((loss.data, ad.backward(loss, model.params)))
+        (stacked_loss, stacked_grads), (list_loss, list_grads) = results
+        assert np.array_equal(list_loss, stacked_loss)
+        for name in model.params:
+            assert np.array_equal(list_grads[name], stacked_grads[name]), name
+    for bad in (list(hrs[1:]), list(hrs) + [hrs[0]],  # an image short, one too many
+                [h.reshape(-1, 1, cfg.channels) for h in hrs],  # the right sizes, in another layout
+                [h[:, :-1] for h in hrs]):  # an image too narrow
+        with pytest.raises(ShapeError):
+            predict_loss(imgs, bad, model)
+        ad.clear_tape()
 
 
 def test_coordinate_net_head_has_the_bits_of_the_unfused_chain():
