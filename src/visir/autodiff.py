@@ -535,8 +535,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 
     def pull(g):
         gh = np.ascontiguousarray(heads(g))
-        dw = gh @ np.swapaxes(vh, -1, -2)
-        dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * c
+        # The softmax pull w * (dw - sum(dw * w)) * c, in place over dw = g V^T; the same bits.
+        dscores = gh @ np.swapaxes(vh, -1, -2)
+        dscores -= (dscores * w).sum(axis=-1, keepdims=True)
+        dscores *= w
+        dscores *= c
         dkt = np.swapaxes(qh, -1, -2) @ dscores
         return merge(dscores @ np.swapaxes(kt, -1, -2)), merge(np.swapaxes(dkt, -1, -2)), \
             merge(np.swapaxes(w, -1, -2) @ gh)

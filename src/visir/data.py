@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,6 +132,7 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     would.  Other terms are evaluated a block of rows at a time into a scratch
     buffer.  Terms are added into each block of the output in draw order.
     """
+    out = np.zeros((h, w))  # first: a size that cannot be held fails before anything else is made
     rng = np.random.default_rng(seed)
     ys = ((np.arange(h) + 0.5) / h)[:, None]
     xs = (np.arange(w) + 0.5) / w
@@ -157,7 +159,6 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
         else:
             lines.append(None)
     rows = max(1, _BLOCK_VALUES // w)
-    out = np.zeros((h, w))
     scratch = np.empty((min(rows, h), w))
     for r in range(0, h, rows):
         block = out[r:r + rows]
@@ -171,7 +172,7 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
 
 def normalize_field(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[float, float]]:
     """Affine map to [0, 1]; returns the channel and the (min, max) range.  The channel
-    is written into `out` (say, one channel of an RGB grid) when it is given."""
+    is written into `out` (say, `f` itself) when it is given."""
     v = np.asarray(f, dtype=np.float64)
     lo = float(v.min())
     hi = float(v.max())
@@ -251,23 +252,30 @@ def write_grid(path, values: np.ndarray) -> None:
         fh.write(v)
 
 
+def _grid_header(fh) -> tuple[int, int, int, int]:
+    """(h, w, c, unit string length) of the grid file open at `fh`, read from its header
+    and checked against the file's size; `fh` is left at the unit string."""
+    magic = fh.read(4)
+    if magic != GRID_MAGIC:
+        raise ValueError(f"bad grid magic {magic!r}")
+    header = fh.read(20)
+    if len(header) != 20:
+        raise ValueError("truncated grid header")
+    version, h, w, c, unit_len = struct.unpack("<IIIII", header)
+    if version != GRID_VERSION:
+        raise ValueError(f"unsupported grid version {version}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell() - unit_len - 8 * h * w * c
+    if left < 0:
+        raise ValueError("truncated grid payload")
+    if left > 0:
+        raise ValueError("trailing bytes after grid payload")
+    return h, w, c, unit_len
+
+
 def read_grid(path) -> tuple[np.ndarray, str]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != GRID_MAGIC:
-            raise ValueError(f"bad grid magic {magic!r}")
-        header = fh.read(20)
-        if len(header) != 20:
-            raise ValueError("truncated grid header")
-        version, h, w, c, unit_len = struct.unpack("<IIIII", header)
-        if version != GRID_VERSION:
-            raise ValueError(f"unsupported grid version {version}")
         # The header's sizes are checked against the file before anything is allocated.
-        left = os.fstat(fh.fileno()).st_size - fh.tell() - unit_len - 8 * h * w * c
-        if left < 0:
-            raise ValueError("truncated grid payload")
-        if left > 0:
-            raise ValueError("trailing bytes after grid payload")
+        h, w, c, unit_len = _grid_header(fh)
         units = fh.read(unit_len).decode("utf-8")
         values = np.empty((h, w, c), dtype="<f8")
         if fh.readinto(values) != values.nbytes:
@@ -525,7 +533,6 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
     Deterministic from cfg.seed: rebuilding into a fresh directory produces a
     byte-identical manifest and identical pair files.
     """
-    rgb = np.empty((cfg.source_height, cfg.source_width, len(CHANNEL_NAMES)))  # reused by every source
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -534,14 +541,16 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
 
     for s in range(cfg.sources):
         source_id = f"s{s:03d}"
-        ranges = []
-        for k in range(len(CHANNEL_NAMES)):  # R, G, B in the order of CHANNEL_NAMES
-            _, bounds = normalize_field(
-                synth_field(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum),
-                out=rgb[:, :, k])
-            ranges.append(bounds)
+        fields, ranges = [], []  # R, G, B in the order of CHANNEL_NAMES, each normalized in place
+        for k in range(len(CHANNEL_NAMES)):
+            f = synth_field(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum)
+            ranges.append(normalize_field(f, out=f)[1])
+            fields.append(f)
         normalization[source_id] = ranges
-        for i, hr in enumerate(tile_image(rgb, cfg.tile, cfg.tile)):
+        # Each HR tile stacked from the fields' windows.  A generator: once spent, it holds
+        # no view of this source's fields while the next source's are made.
+        tiles = (np.stack(channels, axis=-1) for channels in zip(*(tile_image(f, cfg.tile, cfg.tile) for f in fields)))
+        for i, hr in enumerate(tiles):
             lr = bicubic_downsample(hr, cfg.scale)
             pair_id = f"{source_id}_t{i:02d}"
             hr_path = f"{pair_id}_hr.vsgr"
@@ -599,13 +608,38 @@ def load_manifest(path) -> DatasetManifest:
                            normalization=normalization, root=path.parent)
 
 
-def load_pairs(manifest: DatasetManifest, split: str) -> list[SRPair]:
-    wanted = manifest.split(split)
+class _SplitPairs(Sequence):
+    """The pairs of manifest entries, each read from its two grid files when it is indexed."""
+
+    __slots__ = ("_root", "_entries", "_scale")
+
+    def __init__(self, root: Path, entries: tuple[ManifestEntry, ...], scale: int):
+        self._root, self._entries, self._scale = root, entries, scale
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _SplitPairs(self._root, self._entries[index], self._scale)
+        e = self._entries[index]
+        hr, _ = read_grid(self._root / e.hr_path)
+        lr, _ = read_grid(self._root / e.lr_path)
+        return SRPair(hr=hr, lr=lr, scale=self._scale, tile_index=e.tile_index)
+
+
+def load_pairs(manifest: DatasetManifest, split: str) -> Sequence[SRPair]:
+    """The pairs of `split`, as an immutable sequence that reads a pair when it is indexed.
+
+    Here every pair file's header is checked against the file's size, so a missing,
+    foreign or truncated file fails now.  Indexing reads the pair's two grids and
+    checks their values (finite, in the unit interval) and shapes (HR `scale` times
+    the LR), so a file is read as it is at that moment, each time it is indexed."""
+    wanted = tuple(manifest.split(split))
     if not wanted:
         raise ValueError(f"split '{split}' is empty")
-    pairs = []
     for e in wanted:
-        hr, _ = read_grid(manifest.root / e.hr_path)
-        lr, _ = read_grid(manifest.root / e.lr_path)
-        pairs.append(SRPair(hr=hr, lr=lr, scale=manifest.scale, tile_index=e.tile_index))
-    return pairs
+        for path in (e.hr_path, e.lr_path):
+            with open(manifest.root / path, "rb") as fh:
+                _grid_header(fh)
+    return _SplitPairs(manifest.root, wanted, manifest.scale)

@@ -601,6 +601,40 @@ def test_attention_matches_multi_head_loop(heads, shape):
     assert np.allclose(out, attention_multi_head(q, k, v, heads), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)])
+def test_attention_pull_has_the_bits_of_the_plain_formula(heads, shape):
+    # The pull runs the softmax pull in place over one buffer; the plain formula below,
+    # on the same per-head operands, makes a temporary per operation.
+    rng = np.random.default_rng(10 + heads)
+    q, k, v, g = (rng.uniform(-2.0, 2.0, shape) for _ in range(4))
+    *lead, n, d = shape
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a):  # (..., N, D) -> contiguous (..., H, N, dh)
+        return np.ascontiguousarray(np.swapaxes(a.reshape(*lead, n, heads, dh), -2, -3))
+
+    def merge(a):
+        return np.ascontiguousarray(np.swapaxes(a, -2, -3)).reshape(shape)
+
+    qh, vh, gh = split(q), split(v), split(g)
+    kt = np.ascontiguousarray(np.swapaxes(split(k), -1, -2))
+    e = np.exp((qh @ kt) * c - ((qh @ kt) * c).max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    dw = gh @ np.swapaxes(vh, -1, -2)
+    dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * c
+    expected = (merge(dscores @ np.swapaxes(kt, -1, -2)), merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ dscores, -1, -2)),
+                merge(np.swapaxes(w, -1, -2) @ gh))
+    ad.clear_tape()
+    try:
+        ad.attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        pulled = ad._state.tape.pop().pull(g)
+    finally:
+        ad.clear_tape()
+    assert all(map(np.array_equal, pulled, expected))
+
+
 def test_fused_primitives_reject_bad_shapes():
     x = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError):

@@ -110,8 +110,8 @@ def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
 
 
 def test_build_data_too_large_to_allocate_exits_2(tmp_path, capsys):
-    # A 2^26 x 2^26 RGB grid is 2^55 * 3 bytes, more than any 64-bit address
-    # space can map, so the first allocation fails without touching memory.
+    # One 2^26 x 2^26 field is 2^55 bytes, far more than any machine's memory, so
+    # the first allocation, synth_field's output, fails without touching memory.
     edge = str(2 ** 26)
     code = main(["build-data", "--data.sources", "1", "--data.source_height", edge, "--data.source_width", edge,
                  "--data.tile", "256", "--out", str(tmp_path / "x")])
@@ -348,15 +348,48 @@ def test_train_writes_loss_curve(tmp_path):
     assert len(lines) == 26
 
 
-def test_train_bad_grid_exits_2_before_making_out(tmp_path, capsys):
+@pytest.mark.parametrize("damage,code,prefix", [
+    ("junk", EXIT_CONFIG, "data error:"), ("truncated", EXIT_CONFIG, "data error:"),
+    ("trailing", EXIT_CONFIG, "data error:"), ("missing", EXIT_IO, "i/o error:"),
+])
+def test_train_bad_grid_fails_before_step_1_or_making_out(tmp_path, capsys, monkeypatch, damage, code, prefix):
+    # Pairs are read when a step uses them, but every pair file's header is checked
+    # against its size first, so a bad file fails the command before any step.
     manifest = build_small_dataset(tmp_path)
-    (manifest.parent / load_manifest(manifest).split("train")[0].hr_path).write_bytes(b"JUNK")
+    path = manifest.parent / load_manifest(manifest).split("train")[-1].hr_path
+    if damage == "missing":
+        path.unlink()
+    else:
+        blob = path.read_bytes()
+        path.write_bytes({"junk": b"JUNK", "truncated": blob[:-1], "trailing": blob + b"\0"}[damage])
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: pytest.fail("train was called"))
     capsys.readouterr()
-    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
-                 "--out", str(tmp_path / "run")])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("data error:")
+    assert main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.steps", "1",
+                 "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_train_peak_memory_does_not_grow_with_the_split(tmp_path):
+    # Each step reads its batch, so `train` holds no split: its tracemalloc peak on a
+    # 4-source manifest (24 more pairs of 58.8 KB) is within two pairs of a 1-source one.
+    # The first run warms up what a process makes once.
+    geometry = ["--data.source_height", "96", "--data.source_width", "192", "--data.tile", "48", "--data.scale", "4"]
+    peaks = []
+    for sources in ("1", "1", "4"):
+        data = tmp_path / f"data{sources}"
+        assert main(["build-data", *geometry, "--data.sources", sources, "--out", str(data)]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(["train", "--manifest", str(data / "manifest.json"), *TINY_MODEL_FLAGS,
+                         "--train.steps", "2", "--out", str(tmp_path / "run")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    pair_bytes = (48 * 48 * 3 + 12 * 12 * 3) * 8
+    assert abs(peaks[2] - peaks[1]) < 2 * pair_bytes, (peaks, pair_bytes)
 
 
 def test_train_diverged_exits_4_without_out(tmp_path, capsys):
@@ -414,6 +447,24 @@ def test_eval_outputs(tmp_path, capsys):
     m = load_manifest(manifest)
     rows = (out / "eval.csv").read_text().strip().split("\n")
     assert len(rows) - 1 == len(m.split("test"))
+
+
+def test_eval_non_finite_pair_exits_2_without_out(tmp_path, capsys):
+    # The header is valid, so the pair is found bad only when eval reads it.
+    manifest = build_small_dataset(tmp_path)
+    ckpt = train_small(tmp_path, manifest, steps="2")
+    entry = load_manifest(manifest).split("test")[-1]
+    hr = np.full((12, 12, 3), 0.5)
+    hr[3, 4, 1] = math.nan
+    write_grid(manifest.parent / entry.hr_path, hr)
+    capsys.readouterr()
+    code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--split", "test",
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("data error:") and "non-finite" in err
+    assert not (tmp_path / "eval").exists()
+    assert _staging_leftovers(tmp_path) == []
 
 
 def test_eval_matches_library(tmp_path):

@@ -570,11 +570,12 @@ def test_build_dataset_tiles_are_hxwx3(tmp_path):
 
 
 def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
-    # One RGB grid for the whole build, plus one field and its scratch while a
-    # channel is made, normalized straight into the grid: about 1.46 grids.  A
-    # normalized copy of the field (1.7), full-size coordinate grids, per-term
-    # temporaries or tile copies would pass 1.5.  numpy loads numpy.random (0.06
-    # grids of module objects) on first use, so it is loaded before tracing starts.
+    # A source's three fields, each normalized in place, plus one HR tile stacked
+    # from their windows and its reduction: about 1.32 grids.  An RGB grid beside
+    # the fields (1.46), a normalized copy of a field, full-size coordinate grids,
+    # per-term temporaries or a second copy of each tile would pass 1.4.  numpy loads
+    # numpy.random (0.06 grids of module objects) on first use, so it is loaded
+    # before tracing starts.
     cfg = DataConfig(sources=2, source_height=480, source_width=960, tile=240, scale=4, seed=1)
     np.random.default_rng(0)
     tracemalloc.start()
@@ -585,7 +586,7 @@ def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
     finally:
         tracemalloc.stop()
     rgb_bytes = 480 * 960 * 3 * 8
-    assert peak <= 1.5 * rgb_bytes, peak / rgb_bytes
+    assert peak <= 1.4 * rgb_bytes, peak / rgb_bytes
 
 
 @pytest.mark.parametrize("named,bad", [
@@ -615,9 +616,40 @@ def test_manifest_round_trip_and_pairs(tmp_path):
     train = load_pairs(loaded, "train")
     test = load_pairs(loaded, "test")
     assert len(train) + len(test) == len(manifest.entries)
-    for p in train + test:
+    for p in [*train, *test]:
         assert p.hr.shape == (24, 24, 3)
         assert p.lr.shape == (6, 6, 3)
+
+
+def test_load_pairs_reads_each_pair_when_it_is_indexed(tmp_path):
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    pairs = load_pairs(manifest, "train")
+    first = manifest.split("train")[0]
+    hr, lr = pairs[0].hr, pairs[0].lr
+    assert np.array_equal(hr, read_grid(manifest.root / first.hr_path)[0])
+    assert pairs[0].tile_index == first.tile_index and pairs[0].scale == SMALL_CFG.scale
+    # A file rewritten after load is read as it is when the pair is indexed again.
+    write_grid(manifest.root / first.hr_path, 1.0 - hr)
+    assert np.array_equal(pairs[0].hr, 1.0 - hr)
+    assert np.array_equal(pairs[-len(pairs)].lr, lr)
+    # A slice is a sequence of the same kind, read as lazily.
+    assert [p.tile_index for p in pairs[1:3]] == [e.tile_index for e in manifest.split("train")[1:3]]
+    with pytest.raises(IndexError):
+        pairs[len(pairs)]
+
+
+def test_load_pairs_checks_values_and_shapes_when_a_pair_is_read(tmp_path):
+    # A valid header with a bad value or a shape off the contract fails when the pair is read.
+    manifest = build_dataset(SMALL_CFG, tmp_path / "d")
+    entries = manifest.split("train")
+    write_grid(manifest.root / entries[0].hr_path, np.full((24, 24, 3), np.nan))
+    write_grid(manifest.root / entries[1].lr_path, np.full((6, 6, 3), 1.5))
+    write_grid(manifest.root / entries[2].lr_path, np.zeros((5, 6, 3)))
+    pairs = load_pairs(manifest, "train")
+    for i, message in enumerate(["non-finite", "unit interval", "is not 4x the lr"]):
+        with pytest.raises(ValueError, match=message):
+            pairs[i]
+    assert pairs[3].hr.shape == (24, 24, 3)
 
 
 def test_split_is_deterministic(tmp_path):

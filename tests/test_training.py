@@ -1,13 +1,14 @@
 import json
 import math
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from visir.autodiff import Tensor, no_grad
-from visir.data import SRPair, SpectrumSpec, bicubic_downsample, normalize_field, synth_field
+from visir.data import (DataConfig, SRPair, SpectrumSpec, bicubic_downsample, build_dataset, load_pairs,
+                        normalize_field, synth_field)
 from visir.metrics import evaluate_pair
 from visir.model import (ModelConfig, coordinate_grid, init_parameters, parameter_count, parameter_layout, predict,
                          siren_inr_forward)
@@ -94,6 +95,23 @@ def test_training_eval_probes():
     result = train(model, pairs, TrainConfig(learning_rate=1e-3, steps=20, seed=0, eval_interval=10),
                    eval_pairs=pairs)
     assert [s for s, _ in result.eval_curve] == [10, 20]
+
+
+def test_pairs_read_at_each_step_train_and_evaluate_as_a_list_of_them(tmp_path):
+    # load_pairs reads a pair each time it is indexed; a list holds every pair read once.
+    # Training and evaluation see the same values either way.
+    manifest = build_dataset(DataConfig(sources=1, source_height=48, source_width=96, tile=24, scale=2, seed=3),
+                             tmp_path / "d")
+    cfg = replace(TINY, lr_height=12, lr_width=12, channels=3)
+    tc = TrainConfig(learning_rate=1e-3, steps=6, seed=4, batch_size=3, eval_interval=3)
+    runs = []
+    for wrap in (lambda pairs: pairs, list):
+        train_pairs, test_pairs = wrap(load_pairs(manifest, "train")), wrap(load_pairs(manifest, "test"))
+        result = train(init_parameters(cfg, seed=0), train_pairs, tc, eval_pairs=test_pairs)
+        save_checkpoint(result.model, tmp_path / "model.vsck")
+        runs.append(((tmp_path / "model.vsck").read_bytes(), result.curve, result.eval_curve,
+                     evaluate(result.model, test_pairs)))
+    assert runs[0] == runs[1]
 
 
 def test_tape_entries_per_step_do_not_grow_with_batch(monkeypatch):
