@@ -73,9 +73,8 @@ MATRIX = [
                      "--out", "train_visir"], 0),
     ("train_vit_mlp", [*TRAIN, *SMALL_MODEL, "--model.variant", "vit_mlp", "--train.batch_size", "2",
                        "--train.steps", "3", "--out", "train_vit_mlp"], 0),
-    ("train_post_norm_pooled", [*TRAIN, *SMALL_MODEL, "--model.post_norm", "true",
-                                "--model.decoder_mode", "global_pooled", "--train.steps", "3",
-                                "--out", "train_post_norm_pooled"], 0),
+    ("train_no_blocks", [*TRAIN, *SMALL_MODEL, "--model.num_layers", "0", "--model.siren_hidden_layers", "1",
+                         "--train.batch_size", "3", "--train.steps", "3", "--out", "train_no_blocks"], 0),
     ("train_default", [*TRAIN, "--train.batch_size", "4", "--train.steps", "2", "--out", "train_default"], 0),
     ("train_diverged", ["train", "--manifest", "data/manifest.json", *SMALL_MODEL, "--train.learning_rate", "1e200",
                         "--train.steps", "3", "--out", "train_diverged"], 4),

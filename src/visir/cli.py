@@ -50,15 +50,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_grid(conv, name: str):
     """Comma-separated values of the ModelConfig field `name`, each checked by ModelConfig."""
     def parse(text: str) -> tuple:
@@ -70,7 +61,7 @@ def _parse_grid(conv, name: str):
 
 
 # Field type hint (a string under postponed annotations) -> CLI value parser.
-_CONVERTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_CONVERTERS = {"int": int, "float": float, "str": str}
 
 
 def _key_fields(cls) -> list:

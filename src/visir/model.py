@@ -24,7 +24,6 @@ from .autodiff import (
     attention,
     gelu,
     layer_norm,
-    mean,
     output_head,
     reshape,
     sine_activation,
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 VARIANTS = ("visir", "vit_mlp")
-DECODER_MODES = ("per_token", "global_pooled")
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,8 @@ class ModelConfig:
     siren_hidden_layers: int = field(default=2, metadata={"help": "hidden layers per sine stack (1-6)"})
     siren_hidden_dim: int = field(default=64, metadata={"help": "hidden width of the sine stacks"})
     scale: int = 4
-    decoder_mode: str = field(default="per_token", metadata={"help": "per_token | global_pooled"})
     channels: int = 3
     variant: str = field(default="visir", metadata={"help": "visir | vit_mlp"})
-    post_norm: bool = field(default=False, metadata={"help": "literal residual-then-norm block ordering"})
 
     def __post_init__(self):
         for name in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim",
@@ -93,8 +89,6 @@ class ModelConfig:
             raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
-        if self.decoder_mode not in DECODER_MODES:
-            raise ValueError(f"decoder_mode must be one of {DECODER_MODES}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
@@ -124,10 +118,7 @@ class ModelConfig:
 
     @property
     def decoder_out_dim(self) -> int:
-        if self.decoder_mode == "per_token":
-            p_out = self.patch_size * self.scale
-            return p_out * p_out * self.channels
-        return self.hr_height * self.hr_width * self.channels
+        return (self.patch_size * self.scale) ** 2 * self.channels
 
 
 @dataclass
@@ -226,13 +217,8 @@ def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tenso
     def ln(which, x):
         return layer_norm(x, p[f"block{i}.{which}.gain"], p[f"block{i}.{which}.shift"])
 
-    if cfg.post_norm:
-        tokens = ln("ln1", add(tokens, mhsa(tokens, p, attn, cfg.num_heads)))
-        tokens = ln("ln2", add(tokens, apply_stack(tokens, p, ffn, cfg.omega0, act)))
-    else:
-        tokens = add(tokens, mhsa(ln("ln1", tokens), p, attn, cfg.num_heads))
-        tokens = add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, act))
-    return tokens
+    tokens = add(tokens, mhsa(ln("ln1", tokens), p, attn, cfg.num_heads))
+    return add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, act))
 
 
 def encode(img: np.ndarray, model: VisirModel) -> Tensor:
@@ -265,22 +251,17 @@ def _hr_images(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
 
 
 def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | Sequence[np.ndarray] | None = None) -> Tensor:
-    """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C) per_token or
-    (..., 1, H'*W'*C) global_pooled; given the HR images `hr` (see _hr_images), its MSE
-    against them."""
+    """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C); given the HR
+    images `hr` (see _hr_images), its MSE against them."""
     cfg = model.config
     lead = tokens.shape[:-2]
     if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
     target = None
-    if hr is not None:
-        target = _hr_images(hr, lead, cfg)
-        if cfg.decoder_mode == "per_token":  # views in token order, not extract_patches' copies
-            p = cfg.patch_size * cfg.scale
-            target = [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
-                      for img in target]
-    if cfg.decoder_mode == "global_pooled":
-        tokens = reshape(mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
+    if hr is not None:  # views in token order, not extract_patches' copies
+        p = cfg.patch_size * cfg.scale
+        target = [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
+                  for img in _hr_images(hr, lead, cfg)]
     rows, weight, bias = _hidden_rows(tokens, model.params, "decoder.", cfg.omega0, _hidden_act(cfg))
     return output_head(rows, weight, bias, cfg.omega0, "sine" if cfg.variant == "visir" else "sigmoid", target)
 
@@ -288,15 +269,11 @@ def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | Sequence[np.ndar
 def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
     """Tokens, (N, D) or (B, N, D) -> HR image in [0, 1], (H, W, C) or (B, H, W, C).
 
-    per_token: the shared decoder stack maps each token to its own HR patch.
-    global_pooled: tokens are averaged to one feature vector which decodes
-    to the whole HR image at once.
+    The shared decoder stack maps each token to its own HR patch.
     """
     cfg = model.config
-    out = _decode(tokens, model)
-    if cfg.decoder_mode == "per_token":
-        return patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
-    return reshape(out, tokens.shape[:-2] + (cfg.hr_height, cfg.hr_width, cfg.channels))
+    return patches_to_image(_decode(tokens, model), cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale,
+                            cfg.channels)
 
 
 def predict(img: np.ndarray, model: VisirModel) -> Tensor:

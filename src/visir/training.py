@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"VSCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class DivergenceError(RuntimeError):

@@ -293,9 +293,9 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
 
 
-# A per_token model whose 96x96x3 output dwarfs its 16-d tokens.
+# A model whose 96x96x3 output dwarfs its 16-d tokens.
 _BIG_OUTPUT = dict(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_layers=1, num_heads=2,
-                   siren_hidden_dim=16, siren_hidden_layers=1, decoder_mode="per_token")
+                   siren_hidden_dim=16, siren_hidden_layers=1)
 
 
 def _one_step_peak(model, lr, hr) -> int:
@@ -577,7 +577,7 @@ def _weighted(x):
        lambda t, final=final, target=target: _head_loss(t, final, target),
        {"x": x, "w": (5, x[-1]), "b": (5,)})
       for target in (True, False) for final in ("sine", "sigmoid") for x in ((4, 3), (2, 3, 4))],
-    # The per_token target: a (B, rows, cols, P, P, C) transposed view of (B, H, W, C) images.
+    # The decoder's target: a (B, rows, cols, P, P, C) transposed view of (B, H, W, C) images.
     ("output_head_sine_token_view_target",
      lambda t: ad.output_head(t["x"], t["w"], t["b"], 20.0, "sine", [_token_view_target()]),
      {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}),

@@ -121,12 +121,14 @@ def test_build_data_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+# post_norm and decoder_mode are removed keys, rejected like any other unknown one.
+@pytest.mark.parametrize("key,value", [("not_a_key", "3"), ("post_norm", "true"), ("decoder_mode", "per_token")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[model]\nnot_a_key = 3\n")
+    cfg.write_text(f"[model]\n{key} = {value}\n")
     code = main(["build-data", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
-    assert "model.not_a_key" in capsys.readouterr().err
+    assert f"model.{key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [b"seed = 3\n", b"[run]\nseed = 1\nseed = 2\n", b"[run]\nseed = 1\n[run]\nout = x\n",
@@ -154,10 +156,11 @@ def test_default_section_keys_are_unknown(tmp_path, capsys, text, key):
 
 
 def test_geometry_is_not_a_key(tmp_path, capsys):
-    # LR size, scale and channels come from the manifest or the checkpoint.
-    with pytest.raises(SystemExit) as exc:
-        main(["build-data", *SMALL_DATA_FLAGS, "--model.scale", "3", "--out", str(tmp_path / "x")])
-    assert exc.value.code == EXIT_CONFIG
+    # LR size, scale and channels come from the manifest or the checkpoint; post_norm is a removed key.
+    for flag, value in (("--model.scale", "3"), ("--model.post_norm", "true")):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-data", *SMALL_DATA_FLAGS, flag, value, "--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_CONFIG
     cfg = tmp_path / "geometry.cfg"
     cfg.write_text("[model]\nlr_height = 60\n")
     code = main(["build-data", "--config", str(cfg), *SMALL_DATA_FLAGS, "--out", str(tmp_path / "x")])
@@ -844,23 +847,25 @@ def test_reconstruct_checkpoint_config_past_end_exits_5(tmp_path, capsys, size):
     assert len(err.splitlines()) == 1
 
 
-def test_reconstruct_version_1_checkpoint_exits_5(tmp_path, capsys):
-    # Version 1 stored each tensor's name, rank and extents; no reader for it is kept.
+@pytest.mark.parametrize("version", [1, 2])
+def test_reconstruct_version_1_checkpoint_exits_5(tmp_path, capsys, version):
+    # Version 1 stored each tensor's name, rank and extents; version 2's config had the decoder_mode
+    # and post_norm fields.  No reader for either is kept.
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
-    ckpt.write_bytes(b"VSCK" + struct.pack("<I", 1) + ckpt.read_bytes()[8:])
+    ckpt.write_bytes(b"VSCK" + struct.pack("<I", version) + ckpt.read_bytes()[8:])
     code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
-    assert err == "checkpoint error: unsupported checkpoint version 1\n"
+    assert err == f"checkpoint error: unsupported checkpoint version {version}\n"
 
 
-def test_reconstruct_checkpoint_with_decoder_override_exits_5(tmp_path, capsys):
-    # Checkpoints written while ModelConfig had a decoder_hidden_layers field store it, as null;
-    # the decoder is now as deep as the sine stacks, and such a file is retrained, not read.
-    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), decoder_hidden_layers=None)
+@pytest.mark.parametrize("field,value", [("decoder_hidden_layers", None), ("post_norm", False)])
+def test_reconstruct_checkpoint_with_decoder_override_exits_5(tmp_path, capsys, field, value):
+    # A current-version file whose config still carries a removed field (decoder_hidden_layers, stored
+    # as null, or post_norm) is retrained, not read: the model has one decoder depth and one block order.
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), **{field: value})
     code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
-    assert err == ("checkpoint error: bad checkpoint config: missing fields [], "
-                   "unknown fields ['decoder_hidden_layers']\n")
+    assert err == f"checkpoint error: bad checkpoint config: missing fields [], unknown fields ['{field}']\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct"])

@@ -352,16 +352,6 @@ def test_decode_per_token_locality_without_attention():
     assert np.array_equal(out[4:8, :], base[4:8, :])
 
 
-def test_decode_global_pooled_shape():
-    cfg = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
-                      lr_height=4, lr_width=4, scale=2, channels=1,
-                      decoder_mode="global_pooled", siren_hidden_dim=8)
-    model = init_parameters(cfg, seed=0)
-    out = predict(tiny_image(7, cfg), model)
-    assert out.shape == (8, 8, 1)
-    assert out.data.min() >= 0.0 and out.data.max() <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # forward contracts
 # ---------------------------------------------------------------------------
@@ -372,8 +362,6 @@ def test_decode_global_pooled_shape():
                 lr_height=8, lr_width=12, scale=3, channels=2, siren_hidden_dim=8),
     ModelConfig(patch_size=8, num_layers=1, num_heads=4, embed_dim=8,
                 lr_height=8, lr_width=8, scale=2, channels=1, siren_hidden_dim=8),  # N=1 degenerate
-    ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
-                lr_height=8, lr_width=8, scale=2, channels=1, siren_hidden_dim=8, post_norm=True),
 ])
 def test_forward_shape_and_bounds(cfg):
     model = init_parameters(cfg, seed=3)
@@ -465,10 +453,8 @@ def _assert_every_entry_reaches_a_parameter(params):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_predict_tape_entries_all_reach_a_parameter(variant, decoder_mode, post_norm):
-    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+def test_predict_tape_entries_all_reach_a_parameter(variant):
+    cfg = replace(TINY, variant=variant)
     model = init_parameters(cfg, seed=0)
     for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
         for run in (lambda: predict(img, model),
@@ -486,10 +472,8 @@ def test_predict_tape_entries_all_reach_a_parameter(variant, decoder_mode, post_
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_batched_predict_equals_each_image_predict(variant, decoder_mode, post_norm):
-    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+def test_batched_predict_equals_each_image_predict(variant):
+    cfg = replace(TINY, variant=variant)
     model = init_parameters(cfg, seed=0)
     imgs = [tiny_image(seed) for seed in range(3)]
     with ad.no_grad():
@@ -523,31 +507,23 @@ def _unfused(img, model, hr=None):
     run as the separate numpy steps of oracles.output_chain_unfused (one tape entry)."""
     cfg = model.config
     tokens = encode(img, model)
-    lead = tokens.shape[:-2]
-    if cfg.decoder_mode == "global_pooled":
-        tokens = ad.reshape(ad.mean(tokens, axis=-2), lead + (1, cfg.embed_dim))
     last = cfg.siren_hidden_layers
     w, b = model.params[f"decoder.w{last}"], model.params[f"decoder.b{last}"]
     hidden = {name: p for name, p in model.params.items() if name.startswith("decoder.") and p not in (w, b)}
     rows = apply_stack(tokens, hidden, "decoder.", cfg.omega0, "sine" if cfg.variant == "visir" else "gelu")
     rows = ad.sine_activation(rows, cfg.omega0) if cfg.variant == "visir" else ad.gelu(rows)
     final = "sine" if cfg.variant == "visir" else "sigmoid"
-    grid = (cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels) \
-        if cfg.decoder_mode == "per_token" else None
-    image_shape = lead + (cfg.hr_height, cfg.hr_width, cfg.channels)
+    grid = (cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
     if hr is None:
-        return output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid).reshape(image_shape)
-    target = hr if grid is not None else hr.reshape(lead + (1, -1))
-    value, pull = output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid, target)
+        return output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid)
+    value, pull = output_chain_unfused(rows.data, w.data, b.data, cfg.omega0, final, grid, hr)
     return ad._make(value, (rows.key, w.key, b.key), pull)
 
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, decoder_mode, post_norm):
-    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant):
+    cfg = replace(TINY, variant=variant)
     model = init_parameters(cfg, seed=batch)
     rng = np.random.default_rng(batch)
     imgs = np.stack([tiny_image(seed) for seed in range(batch)])
@@ -571,12 +547,9 @@ def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, decoder_m
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("decoder_mode", ["per_token", "global_pooled"])
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batch, variant, decoder_mode,
-                                                                            post_norm):
+def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batch, variant):
     # training.train passes a batch's HR images as a list of separate arrays, not stacked.
-    cfg = replace(TINY, variant=variant, decoder_mode=decoder_mode, post_norm=post_norm)
+    cfg = replace(TINY, variant=variant)
     model = init_parameters(cfg, seed=batch)
     rng = np.random.default_rng(batch)
     imgs = np.stack([tiny_image(seed) for seed in range(batch)])

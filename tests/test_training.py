@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import struct
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,11 +419,27 @@ def test_checkpoint_holds_header_config_and_values_only(tmp_path):
     save_checkpoint(model, tmp_path / "m.vsck")
     blob = (tmp_path / "m.vsck").read_bytes()
     magic, version, size = struct.unpack_from("<4sII", blob)
-    assert (magic, version) == (b"VSCK", 2)
+    assert (magic, version) == (b"VSCK", 3)
     assert ModelConfig(**json.loads(blob[12:12 + size])) == TINY
     assert len(blob) == 12 + size + 8 * parameter_count(model)
     values = np.frombuffer(blob, dtype="<f8", offset=12 + size)
     assert np.array_equal(values, np.concatenate([model.params[name].data.ravel() for name in parameter_layout(TINY)]))
+
+
+def test_committed_checkpoint_reads_back_its_config_and_values(tmp_path):
+    # tests/fixtures/checkpoint_v3.vsck is save_checkpoint(init_parameters(ModelConfig(**config), seed=0)) of
+    # the config its .json records, with the SHA-256 of each parameter's little-endian f64 bytes.  A change
+    # to ModelConfig's fields or to parameter_layout fails here: it bumps CHECKPOINT_VERSION and commits
+    # a new fixture.  Only committed bytes are read back, so no host's arithmetic enters.
+    fixture = Path(__file__).parent / "fixtures" / "checkpoint_v3.vsck"
+    recorded = json.loads(fixture.with_suffix(".json").read_text())
+    model = load_checkpoint(fixture)
+    assert asdict(model.config) == recorded["config"]
+    assert list(parameter_layout(model.config)) == list(model.params) == list(recorded["sha256"])
+    for name, digest in recorded["sha256"].items():
+        assert hashlib.sha256(model.params[name].data.astype("<f8").tobytes()).hexdigest() == digest, name
+    save_checkpoint(model, tmp_path / "again.vsck")  # the writer makes those bytes again
+    assert (tmp_path / "again.vsck").read_bytes() == fixture.read_bytes()
 
 
 # ---------------------------------------------------------------------------
