@@ -362,6 +362,8 @@ def test_decode_per_token_locality_without_attention():
                 lr_height=8, lr_width=12, scale=3, channels=2, siren_hidden_dim=8),
     ModelConfig(patch_size=8, num_layers=1, num_heads=4, embed_dim=8,
                 lr_height=8, lr_width=8, scale=2, channels=1, siren_hidden_dim=8),  # N=1 degenerate
+    ModelConfig(patch_size=2, num_layers=0, num_heads=2, embed_dim=8,
+                lr_height=8, lr_width=8, scale=2, channels=1, siren_hidden_dim=8),  # no encoder blocks
 ])
 def test_forward_shape_and_bounds(cfg):
     model = init_parameters(cfg, seed=3)
@@ -453,8 +455,10 @@ def _assert_every_entry_reaches_a_parameter(params):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_predict_tape_entries_all_reach_a_parameter(variant):
-    cfg = replace(TINY, variant=variant)
+@pytest.mark.parametrize("num_layers", [0, 1])
+@pytest.mark.parametrize("siren_hidden_layers", [1, 2])
+def test_predict_tape_entries_all_reach_a_parameter(variant, num_layers, siren_hidden_layers):
+    cfg = replace(TINY, variant=variant, num_layers=num_layers, siren_hidden_layers=siren_hidden_layers)
     model = init_parameters(cfg, seed=0)
     for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
         for run in (lambda: predict(img, model),
@@ -472,8 +476,10 @@ def test_predict_tape_entries_all_reach_a_parameter(variant):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_batched_predict_equals_each_image_predict(variant):
-    cfg = replace(TINY, variant=variant)
+@pytest.mark.parametrize("num_layers", [0, 1])
+@pytest.mark.parametrize("siren_hidden_layers", [1, 2])
+def test_batched_predict_equals_each_image_predict(variant, num_layers, siren_hidden_layers):
+    cfg = replace(TINY, variant=variant, num_layers=num_layers, siren_hidden_layers=siren_hidden_layers)
     model = init_parameters(cfg, seed=0)
     imgs = [tiny_image(seed) for seed in range(3)]
     with ad.no_grad():
@@ -522,8 +528,10 @@ def _unfused(img, model, hr=None):
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant):
-    cfg = replace(TINY, variant=variant)
+@pytest.mark.parametrize("num_layers", [0, 1])
+@pytest.mark.parametrize("siren_hidden_layers", [1, 2])
+def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, num_layers, siren_hidden_layers):
+    cfg = replace(TINY, variant=variant, num_layers=num_layers, siren_hidden_layers=siren_hidden_layers)
     model = init_parameters(cfg, seed=batch)
     rng = np.random.default_rng(batch)
     imgs = np.stack([tiny_image(seed) for seed in range(batch)])
@@ -547,9 +555,12 @@ def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant):
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batch, variant):
+@pytest.mark.parametrize("num_layers", [0, 1])
+@pytest.mark.parametrize("siren_hidden_layers", [1, 2])
+def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batch, variant, num_layers,
+                                                                            siren_hidden_layers):
     # training.train passes a batch's HR images as a list of separate arrays, not stacked.
-    cfg = replace(TINY, variant=variant)
+    cfg = replace(TINY, variant=variant, num_layers=num_layers, siren_hidden_layers=siren_hidden_layers)
     model = init_parameters(cfg, seed=batch)
     rng = np.random.default_rng(batch)
     imgs = np.stack([tiny_image(seed) for seed in range(batch)])
