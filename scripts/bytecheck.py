@@ -179,7 +179,7 @@ def _run_library(out: Path) -> None:
     CLI's default model is 1e307, for each weight where an overflow must be caught."""
     from visir.autodiff import Tensor, no_grad
     from visir.data import SRPair, read_grid, write_grid
-    from visir.model import ModelConfig, as_mlp_baseline, init_parameters, predict
+    from visir.model import ModelConfig, VisirModel, as_mlp_baseline, init_parameters, predict
     from visir.training import TrainConfig, fit_siren_inr, save_checkpoint, train
 
     spec = importlib.util.spec_from_file_location("spectral_bias_experiment",
@@ -206,7 +206,7 @@ def _run_library(out: Path) -> None:
     for variant_cfg, name in ((cfg, "embed.weight"), (cfg, "decoder.w0"), (cfg, f"decoder.w{cfg.siren_hidden_layers}"),
                               (as_mlp_baseline(cfg), "embed.weight")):
         model = init_parameters(variant_cfg, seed=0)
-        model.params[name] = Tensor(np.full(model.params[name].shape, 1e307))
+        model = VisirModel(variant_cfg, {**model.params, name: Tensor(np.full(model.params[name].shape, 1e307))})
         try:
             with no_grad(), np.errstate(all="ignore"):
                 predict(pair.lr, model)

@@ -3,12 +3,12 @@
 The tape is define-by-run: every primitive called outside ``no_grad``
 appends one entry, so wrap inference in ``no_grad``.  ``backward(loss,
 params)`` pops the entries in reverse, dropping each one and its output
-gradient as it passes, and returns the gradients of ``params``: those
-tensors, and no flag on a tensor, decide what is differentiated.  Each thread
-has its own tape and its own ``no_grad`` flag, and tensors are immutable, so
-threads may share parameter tensors for training as well as for inference.
-``backward``'s gradients, and the parameters ``adam_step`` returns, are views
-of one vector each, laid out in ``params`` order.
+gradient as it passes, and returns the gradient of ``params`` as one vector in
+``params`` order (no longer a dict): those tensors, and no flag on a tensor,
+decide what is differentiated.  ``adam_step`` takes that vector and the
+parameter vector, and returns a new parameter vector.  Each thread has its own
+tape and its own ``no_grad`` flag, and tensors are immutable, so threads may
+share parameter tensors for training as well as for inference.
 
 An entry holds no tensor.  It names its output and its parents by their
 ``key``, an integer no other tensor of the process has, and its pull closes
@@ -43,7 +43,7 @@ models either: ``output_head`` computes its own.
 Primitives do not check for NaN or infinity.  ``Tensor(...)`` checks data from outside,
 ``output_head`` its sine output (``omega0 * z`` overflows where ``z`` is finite) or its
 sigmoid input (sigmoid maps an infinity to 0 or 1), ``sigmoid`` its input, and
-``adam_step`` the vector every gradient reaches.
+``adam_step`` the new parameter vector, which every gradient reaches.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -194,15 +194,6 @@ def _make(arr: np.ndarray, parents: tuple[int, ...], pull) -> Tensor:
     return out
 
 
-def _views(flat: np.ndarray, tensors) -> list[np.ndarray]:
-    """Consecutive C-order pieces of the vector `flat`, one shaped as each tensor."""
-    views, start = [], 0
-    for p in tensors:
-        views.append(flat[start:start + p.size].reshape(p.shape))
-        start += p.size
-    return views
-
-
 def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entry: _TapeEntry) -> None:
     g = grads.pop(entry.out, None)
     if g is None:
@@ -216,10 +207,11 @@ def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entr
             grads[key] = pg
 
 
-def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradient of the scalar ``loss`` with respect to each tensor in ``params``, keyed
-    as given; zeros for a tensor that does not feed the loss.  The tensors in
-    ``params`` must be leaves, made by no primitive on the tape.
+def backward(loss: Tensor, params: Mapping[str, Tensor]) -> np.ndarray:
+    """Gradient of the scalar ``loss`` with respect to the tensors in ``params``, as one
+    vector in ``params`` order, each tensor's piece in C order; zeros for a tensor that
+    does not feed the loss.  The tensors must be leaves, made by no primitive on the
+    tape, and distinct: a tensor named twice is a ValueError.
 
     The tape is popped one entry at a time, so what a pull reads is freed with its
     entry, and a gradient once the sweep has passed the entries that use and make
@@ -228,16 +220,21 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     try:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        tensors = {p.key: p for p in params.values()}
+        if len(tensors) != len(params):
+            raise ValueError("backward: a tensor is named twice in params")
         # One zeroed vector, made before the sweep frees the forward's memory and kept until the next
         # call, so that malloc keeps that memory for the next step instead of returning it and
-        # faulting it in again.  A tensor named twice has one slot.
-        tensors = {p.key: p for p in params.values()}
+        # faulting it in again.
         flat = _state.last_grads = np.zeros(sum(p.size for p in tensors.values()))
-        leaves = dict(zip(tensors, _views(flat, tensors.values())))
+        leaves, start = {}, 0
+        for key, p in tensors.items():
+            leaves[key] = flat[start:start + p.size].reshape(p.shape)
+            start += p.size
         grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         while _state.tape:
             _pull_into(grads, leaves, _state.tape.pop())
-        return {name: leaves[p.key] for name, p in params.items()}
+        return flat
     finally:
         clear_tape()
 
@@ -655,45 +652,35 @@ class OptimizerState:
     work: np.ndarray
 
 
-def init_adam(params: dict[str, Tensor], lr: float = 1e-4) -> OptimizerState:
-    size = sum(p.size for p in params.values())
+def init_adam(params: np.ndarray, lr: float = 1e-4) -> OptimizerState:
+    """Adam's state for the parameter vector `params`."""
+    size = params.size
     return OptimizerState(lr=lr, step=0, m=np.zeros(size), v=np.zeros(size), work=np.empty(size))
 
 
-def adam_step(params: dict[str, Tensor], state: OptimizerState,
-              grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """One Adam update; returns fresh parameter tensors, read-only views of one new
-    vector, and mutates `state`.  A missing, extra or misshapen gradient is a
-    ShapeError that leaves `state` as it was."""
-    extra = sorted(grads.keys() - params.keys())
-    if extra:
-        raise ShapeError(f"adam_step: gradients for {extra}, which are not parameters")
-    for name, p in params.items():
-        if name not in grads:
-            raise ShapeError(f"adam_step: no gradient for '{name}'")
-        if np.shape(grads[name]) != p.shape:
-            raise ShapeError(f"adam_step: grad shape {np.shape(grads[name])} != param shape {p.shape} for '{name}'")
+def adam_step(params: np.ndarray, state: OptimizerState, grads: np.ndarray) -> np.ndarray:
+    """One Adam update of the parameter vector by ``backward``'s gradient vector: a fresh read-only
+    vector, and `state` mutated; neither argument is written to.  A vector of another size than
+    `state` was made for is a ShapeError that leaves `state` as it was."""
     m, v, work = state.m, state.v, state.work
-    if sum(p.size for p in params.values()) != m.size:
-        raise ShapeError(f"adam_step: the parameters are not the {m.size} values this state was made for")
-    # The fresh vector holds the gradient, then the update, then the new parameters.
-    new = np.concatenate([grads[name] for name in params], axis=None, out=np.empty(m.size))
+    if np.shape(params) != m.shape or np.shape(grads) != m.shape:
+        raise ShapeError(f"adam_step: vectors of shapes {np.shape(params)} and {np.shape(grads)}, not {m.size} values")
     state.step += 1
     t = state.step
     # Each value goes through the operations of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     # p - lr*mhat / (sqrt(vhat) + eps) in that order, so it gets the bits of the plain formulas.
     np.multiply(m, ADAM_BETA1, out=m)
-    m += np.multiply(new, 1.0 - ADAM_BETA1, out=work)
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=work)
     np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(new, 1.0 - ADAM_BETA2, out=work)
-    v += np.multiply(work, new, out=work)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=work)
+    v += np.multiply(work, grads, out=work)
     np.divide(v, 1.0 - ADAM_BETA2 ** t, out=work)
     np.sqrt(work, out=work)
     work += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=new)
+    new = np.divide(m, 1.0 - ADAM_BETA1 ** t)  # the update, then the new parameters
     new *= state.lr
     new /= work
-    np.subtract(np.concatenate([p.data for p in params.values()], axis=None, out=work), new, out=new)
+    np.subtract(params, new, out=new)
     _check_finite(new)  # catches any non-finite gradient
     new.setflags(write=False)
-    return {name: Tensor._view(view) for name, view in zip(params, _views(new, params.values()))}
+    return new

@@ -33,7 +33,6 @@ __all__ = [
     "synth_field",
     "normalize_field",
     "tile_image",
-    "reassemble_tiles",
     "bicubic_downsample",
     "build_dataset",
     "load_manifest",
@@ -195,13 +194,6 @@ def tile_image(img: np.ndarray, tile_h: int, tile_w: int) -> list[np.ndarray]:
         raise ValueError(f"tile {tile_h}x{tile_w} does not divide image {h}x{w}")
     return [img[i * tile_h:(i + 1) * tile_h, j * tile_w:(j + 1) * tile_w]
             for i in range(h // tile_h) for j in range(w // tile_w)]
-
-
-def reassemble_tiles(tiles: list[np.ndarray], grid_rows: int, grid_cols: int) -> np.ndarray:
-    if len(tiles) != grid_rows * grid_cols:
-        raise ValueError(f"{len(tiles)} tiles cannot fill a {grid_rows}x{grid_cols} grid")
-    rows = [np.concatenate(tiles[r * grid_cols:(r + 1) * grid_cols], axis=1) for r in range(grid_rows)]
-    return np.concatenate(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------

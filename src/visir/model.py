@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .autodiff import (
 
 __all__ = [
     "ModelConfig",
+    "Parameters",
     "VisirModel",
     "extract_patches",
     "mhsa",
@@ -121,16 +122,66 @@ class ModelConfig:
         return (self.patch_size * self.scale) ** 2 * self.channels
 
 
-@dataclass
-class VisirModel:
-    """A config and its parameters, named as parameter_layout(config) names them."""
+class Parameters(Mapping[str, Tensor]):
+    """A read-only mapping of tensors stored in one float64 vector, `vector`, which it makes
+    read-only: each is a view of the next piece, named and shaped as `shapes` says."""
 
-    config: ModelConfig
-    params: dict[str, Tensor]
+    def __init__(self, vector: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if vector.shape != (sum(sizes),):
+            raise ShapeError(f"a vector of shape {vector.shape} for {sum(sizes)} parameter values")
+        vector.setflags(write=False)
+        self.vector, self.shapes, self._tensors, start = vector, shapes, {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self._tensors[name] = Tensor._view(vector[start:start + size].reshape(shape))
+            start += size
+
+    @classmethod
+    def of(cls, tensors: Mapping[str, Tensor]) -> Parameters:
+        """The tensors, copied in their order into one new vector."""
+        vector = np.concatenate([p.data for p in tensors.values()], axis=None)
+        return cls(vector, {name: p.shape for name, p in tensors.items()})
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+
+class VisirModel:
+    """A config and its read-only `params`, Parameters in parameter_layout(config) order over
+    `vector`.  VisirModel(config, params) copies the tensors of the mapping `params`; other names
+    or shapes are a ValueError.  Setting `vector` swaps in another of the same size (train does)."""
+
+    def __init__(self, config: ModelConfig, params: Mapping[str, Tensor]):
+        shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
+        stored = {name: p.shape for name, p in params.items()}
+        if stored != shapes:
+            wrong = [f"{name}: has {stored.get(name)}, config needs {shapes.get(name)}"
+                     for name in sorted(stored.keys() | shapes.keys()) if stored.get(name) != shapes.get(name)]
+            raise ValueError("model tensors do not match its config: " + "; ".join(wrong))
+        self.config = config
+        self._params = Parameters.of({name: params[name] for name in shapes})
+
+    @property
+    def params(self) -> Parameters:
+        return self._params
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._params.vector
+
+    @vector.setter
+    def vector(self, vector: np.ndarray) -> None:
+        self._params = Parameters(vector, self._params.shapes)
 
 
 def parameter_count(model: VisirModel) -> int:
-    return sum(p.size for p in model.params.values())
+    return model.vector.size
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +429,19 @@ def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], fl
 def _draw(layout: dict[str, tuple], seed: int) -> dict[str, Tensor]:
     """Trainable tensors for `layout`, reproducible bit-for-bit from the seed."""
     rng = np.random.default_rng(seed)
-    return {name: Tensor(rng.uniform(-bound, bound, size=shape) if bound is not None
-                         else np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
+    return {name: Tensor._view(rng.uniform(-bound, bound, size=shape) if bound is not None
+                               else np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
             for name, (shape, bound) in layout.items()}
 
 
-def init_siren_stack(dims: list[int], omega0: float, seed: int) -> dict[str, Tensor]:
+def init_siren_stack(dims: list[int], omega0: float, seed: int) -> Parameters:
     """Standalone sine stack "w0", "b0", ... (the coordinate-network baseline's parameters)."""
-    return _draw(_stack_layout("", dims, omega0, sine_init=True), seed)
+    return Parameters.of(_draw(_stack_layout("", dims, omega0, sine_init=True), seed))
 
 
 def init_parameters(config: ModelConfig, seed: int) -> VisirModel:
     """Fresh model, reproducible bit-for-bit from the seed; see parameter_layout."""
-    return VisirModel(config=config, params=_draw(parameter_layout(config), seed))
+    return VisirModel(config, _draw(parameter_layout(config), seed))
 
 
 def as_mlp_baseline(config: ModelConfig) -> ModelConfig:

@@ -30,6 +30,7 @@ from .data import SRPair
 from .metrics import MetricsReport, evaluate_pair
 from .model import (
     ModelConfig,
+    Parameters,
     VisirModel,
     coordinate_grid,
     init_parameters,
@@ -110,14 +111,14 @@ class TrainResult:
         return self.curve[-1][1] if self.curve else None
 
 
-def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[dict[str, Tensor], float]:
-    """One Adam step on `loss_fn()`: (new params, loss value).
+def _adam_update(params: Parameters, opt, loss_fn, step: int) -> tuple[np.ndarray, float]:
+    """One Adam step on `loss_fn()`: (new parameter vector, loss value).
 
     A non-finite value in the forward or backward pass is a DivergenceError at `step`, not a warning."""
     try:
         with np.errstate(all="ignore"):
             loss = loss_fn()
-            return adam_step(params, opt, backward(loss, params)), loss.item()
+            return adam_step(params.vector, opt, backward(loss, params)), loss.item()
     except NonFiniteError as exc:
         clear_tape()
         raise DivergenceError(step, str(exc)) from exc
@@ -125,18 +126,18 @@ def _adam_update(params: dict[str, Tensor], opt, loss_fn, step: int) -> tuple[di
 
 def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
           eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
-    """Adam on the MSE reconstruction loss over `pairs`; mean PSNR on `eval_pairs`
-    every `cfg.eval_interval` steps."""
+    """Adam on the MSE reconstruction loss over `pairs`, swapping `model.vector` once a step;
+    mean PSNR on `eval_pairs` every `cfg.eval_interval` steps."""
     if not pairs:
         raise ValueError("no training pairs")
     rng = np.random.default_rng(cfg.seed)
-    opt = init_adam(model.params, lr=cfg.learning_rate)
+    opt = init_adam(model.vector, lr=cfg.learning_rate)
     curve: list[tuple[int, float]] = []
     eval_curve: list[tuple[int, float]] = []
     for step in range(1, cfg.steps + 1):
         batch = [pairs[i] for i in rng.integers(0, len(pairs), size=cfg.batch_size)]
         lr, hr = np.stack([p.lr for p in batch]), [p.hr for p in batch]  # the HR images are not copied
-        model.params, value = _adam_update(model.params, opt, lambda: predict_loss(lr, hr, model), step)
+        model.vector, value = _adam_update(model.params, opt, lambda: predict_loss(lr, hr, model), step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
             _, summary = evaluate(model, eval_pairs)
@@ -255,21 +256,22 @@ def sweep(base_config: ModelConfig, split: dict[str, Sequence[SRPair]], train_cf
 
 def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
                   omega0: float = 20.0, steps: int = 1000, learning_rate: float = 1e-4,
-                  seed: int = 0) -> tuple[dict[str, Tensor], np.ndarray]:
+                  seed: int = 0) -> tuple[Parameters, np.ndarray]:
     """Fit a coordinate network to one image's LR pixels, decode the HR grid.
 
     Returns the fitted parameters (for siren_inr_forward) and the HR-grid reconstruction.
     """
     channels = pair.lr.shape[2]
     params = init_siren_stack([2] + [hidden_dim] * hidden_layers + [channels], omega0, seed)
-    opt = init_adam(params, lr=learning_rate)
+    opt = init_adam(params.vector, lr=learning_rate)
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
 
     def loss() -> Tensor:
         return siren_inr_loss(lr_coords, pair.lr, params, omega0)
 
     for step in range(1, steps + 1):
-        params, _ = _adam_update(params, opt, loss, step)
+        vector, _ = _adam_update(params, opt, loss, step)
+        params = Parameters(vector, params.shapes)
     with no_grad():
         hr_coords = coordinate_grid(pair.hr.shape[0], pair.hr.shape[1])
         recon = siren_inr_forward(hr_coords, params, omega0).data
@@ -281,19 +283,12 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: VisirModel, path) -> None:
-    """Magic, version, canonical config, then every parameter's little-endian f64 values in
-    parameter_layout(config) order.  A model whose tensors are not that layout's is a ValueError."""
-    layout = {name: shape for name, (shape, _) in parameter_layout(model.config).items()}
-    stored = {name: p.shape for name, p in model.params.items()}
-    if stored != layout:
-        wrong = [f"{name}: has {stored.get(name)}, config needs {layout.get(name)}"
-                 for name in sorted(stored.keys() | layout.keys()) if stored.get(name) != layout.get(name)]
-        raise ValueError("model tensors do not match its config: " + "; ".join(wrong))
+    """Magic, version, canonical config, then the parameter vector as little-endian f64 values
+    (parameter_layout(config) order, as the model stores them)."""
     config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config)
-        for name in layout:
-            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8"))
+        fh.write(np.asarray(model.vector, dtype="<f8"))
 
 
 def load_checkpoint(path) -> VisirModel:
@@ -315,23 +310,19 @@ def load_checkpoint(path) -> VisirModel:
         config = ModelConfig(**doc)
     except (ValueError, TypeError) as exc:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
-    layout = parameter_layout(config)
-    count = sum(math.prod(shape) for shape, _ in layout.values())
+    shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
+    count = sum(math.prod(shape) for shape in shapes.values())
     payload = len(blob) - 12 - size
     if payload < 8 * count:
         raise CheckpointFormatError(f"truncated checkpoint: its config needs {8 * count} payload bytes, have {payload}")
     if payload > 8 * count:
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
-    params: dict[str, Tensor] = {}
-    offset = 12 + size
-    for name, (shape, _) in layout.items():
-        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=offset)
-        try:
-            params[name] = Tensor(values.reshape(shape))
-        except NonFiniteError as exc:
-            raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value") from exc
-        offset += values.nbytes
-    return VisirModel(config=config, params=params)
+    # Views of the payload, which starts at byte 12 + size: the model copies them once into an aligned vector.
+    model = VisirModel(config, Parameters(np.frombuffer(blob, dtype="<f8", offset=12 + size), shapes))
+    if not np.isfinite(model.vector).all():
+        name = next(name for name, p in model.params.items() if not np.isfinite(p.data).all())
+        raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,28 @@ def attention_multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads:
     return out
 
 
+def reassemble_tiles(tiles: list[np.ndarray], grid_rows: int, grid_cols: int) -> np.ndarray:
+    """The image that `data.tile_image` cut into `tiles` (row-major), each tile copied to its place."""
+    assert len(tiles) == grid_rows * grid_cols
+    th, tw = tiles[0].shape[:2]
+    out = np.empty((grid_rows * th, grid_cols * tw) + tiles[0].shape[2:], dtype=tiles[0].dtype)
+    for k, tile in enumerate(tiles):
+        r, c = divmod(k, grid_cols)
+        out[r * th:(r + 1) * th, c * tw:(c + 1) * tw] = tile
+    return out
+
+
+def by_name(flat: np.ndarray, params) -> dict[str, np.ndarray]:
+    """`backward`'s gradient vector as one array per name of `params`, each its tensor's
+    consecutive C-order piece, in `params` order."""
+    out, start = {}, 0
+    for name, p in params.items():
+        out[name] = flat[start:start + p.size].reshape(p.shape)
+        start += p.size
+    assert start == flat.size
+    return out
+
+
 def adam_step_per_tensor(params: dict[str, np.ndarray], state, grads: dict[str, np.ndarray],
                          beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> dict[str, np.ndarray]:
     """Adam one tensor at a time, as the library did before its moments became vectors.

@@ -22,13 +22,13 @@ from visir.data import (
     bicubic_downsample,
     build_dataset,
     normalize_field,
-    reassemble_tiles,
     synth_field,
     tile_image,
 )
 from visir.metrics import mse, psnr, psnr_from_mse, ssim
 from visir.model import (
     ModelConfig,
+    VisirModel,
     as_mlp_baseline,
     init_parameters,
     parameter_count,
@@ -45,7 +45,7 @@ from visir.training import (
     write_sweep_csv,
 )
 
-from oracles import finite_difference_grads, grads_close, max_rel_error
+from oracles import by_name, finite_difference_grads, grads_close, max_rel_error, reassemble_tiles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,8 +90,7 @@ def test_criterion_1_gradient_oracle():
         pair = synthetic_pair(0, lr_size=8, scale=2)
 
         ad.clear_tape()
-        analytic = ad.backward(predict_loss(pair.lr, pair.hr, model), model.params)
-        assert analytic.keys() == model.params.keys()
+        analytic = by_name(ad.backward(predict_loss(pair.lr, pair.hr, model), model.params), model.params)
         assert all(np.any(g != 0.0) for g in analytic.values())  # every tensor feeds the loss
 
         worst = 0.0
@@ -99,13 +98,10 @@ def test_criterion_1_gradient_oracle():
             arrs = {name: model.params[name].data.copy()}
 
             def eval_loss(a):
-                saved = model.params[name]
-                model.params[name] = Tensor(a[name])
+                moved = VisirModel(model.config, {**model.params, name: Tensor(a[name])})
                 with no_grad():
-                    d = predict(pair.lr, model).data - pair.hr
-                    value = float((d * d).mean())
-                model.params[name] = saved
-                return value
+                    d = predict(pair.lr, moved).data - pair.hr
+                    return float((d * d).mean())
 
             numeric = finite_difference_grads(eval_loss, arrs, h=1e-4)
             assert grads_close(analytic[name], numeric[name], rtol=1e-3, atol=1e-6), \

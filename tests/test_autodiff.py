@@ -17,12 +17,13 @@ from hypothesis.extra.numpy import arrays
 from visir import autodiff as ad
 from visir.autodiff import NonFiniteError, ShapeError, Tensor
 from visir.data import SRPair
-from visir.model import ModelConfig, init_parameters, parameter_layout, predict_loss
+from visir.model import ModelConfig, Parameters, init_parameters, parameter_layout, predict_loss
 from visir.training import TrainConfig, train
 
 from oracles import (
     adam_step_per_tensor,
     attention_multi_head,
+    by_name,
     finite_difference_grads,
     grads_close,
     layer_norm_two_pass,
@@ -178,7 +179,7 @@ def test_sine_gradient_at_zero_is_omega0():
     x = Tensor([0.0])
     out = ad.sine_activation(x, 20.0)
     grads = ad.backward(mse_entry(out, np.array([-0.5])), {"x": x})  # d/dout (out + 1/2)^2 = 1 at out = 0
-    assert grads["x"][0] == pytest.approx(20.0, abs=1e-12)
+    assert grads[0] == pytest.approx(20.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,14 +198,14 @@ def test_backward_square():
     x = Tensor([3.0])
     loss = mse_entry(x, np.zeros(1))
     grads = ad.backward(loss, {"x": x})
-    assert grads["x"][0] == pytest.approx(6.0, abs=1e-12)
+    assert grads[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_backward_sine_chain():
     x = Tensor([0.0])
     loss = mse_entry(ad.sine_activation(x, 20.0), np.array([-0.5]))
     grads = ad.backward(loss, {"x": x})
-    assert grads["x"][0] == pytest.approx(20.0)
+    assert grads[0] == pytest.approx(20.0)
 
 
 def test_backward_rejects_non_scalar():
@@ -226,7 +227,7 @@ def test_backward_accumulates_shared_leaf():
     # x reaches the loss three times through two entries: f = (3x - 1)^2 -> f' = 6(3x - 1) = 30
     loss = mse_entry(ad.add(ad.add(x, x), x), np.ones(1))
     grads = ad.backward(loss, {"x": x})
-    assert grads["x"][0] == 30.0
+    assert grads[0] == 30.0
 
 
 def test_tensor_has_no_gradient_slot():
@@ -236,34 +237,36 @@ def test_tensor_has_no_gradient_slot():
 
 
 def test_backward_returns_grads_keyed_as_given():
-    # Zeros for a tensor that does not feed the loss, the true gradient for every
-    # other one; the same tensor under two names gets its gradient under both.
+    # One vector, each tensor's piece in params order (not the order the tensors were made):
+    # zeros for a tensor that does not feed the loss, the true gradient for every other one.
+    # The same tensor under two names is rejected, and the tape is still cleared.
     x = Tensor([3.0, -1.0])
     unused = Tensor(np.ones((2, 2)))
     frozen = Tensor([5.0, 5.0])
     # f = mean((2x + frozen - t)^2) over 2 values, 2x + frozen - t = [2, 1]: frozen's
-    # gradient is [2, 1] and x's is twice that, so a swapped or cross-wired name shows.
+    # gradient is [2, 1] and x's is twice that, so a swapped or cross-wired piece shows.
     loss = mse_entry(ad.add(ad.add(x, x), frozen), np.array([9.0, 2.0]))
-    grads = ad.backward(loss, {"a": x, "unused": unused, "frozen": frozen, "b": x})
-    assert list(grads) == ["a", "unused", "frozen", "b"]
-    assert np.array_equal(grads["a"], [4.0, 2.0])
-    assert np.array_equal(grads["b"], grads["a"])
-    assert np.array_equal(grads["unused"], np.zeros((2, 2)))
-    assert np.array_equal(grads["frozen"], [2.0, 1.0])
+    grads = ad.backward(loss, {"frozen": frozen, "unused": unused, "a": x})
+    assert grads.shape == (8,)
+    assert np.array_equal(grads, [2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 4.0, 2.0])
+    loss = mse_entry(ad.add(ad.add(x, x), frozen), np.array([9.0, 2.0]))
+    with pytest.raises(ValueError, match="named twice"):
+        ad.backward(loss, {"a": x, "frozen": frozen, "b": x})
+    assert ad.tape_length() == 0
 
 
 def test_params_alone_decide_what_is_differentiated():
     # A plain Tensor, made with no flag, gets its exact gradient once it is named in
     # params, and Adam moves it toward the minimum of mean((w - t)^2) on every step.
-    params = {"w": Tensor([1.0, -2.0])}
+    w = Tensor([1.0, -2.0])
     target = np.array([3.0, 0.5])
-    state = ad.init_adam(params, lr=0.1)
+    state = ad.init_adam(w.data, lr=0.1)
     for _ in range(3):
-        grads = ad.backward(mse_entry(params["w"], target), params)
-        assert np.array_equal(grads["w"], params["w"].data - target)  # 2 (w - t) / 2
-        stepped = ad.adam_step(params, state, grads)
-        assert np.all(np.abs(stepped["w"].data - target) < np.abs(params["w"].data - target))
-        params = stepped
+        grads = ad.backward(mse_entry(w, target), {"w": w})
+        assert np.array_equal(grads, w.data - target)  # 2 (w - t) / 2
+        stepped = ad.adam_step(w.data, state, grads)
+        assert np.all(np.abs(stepped - target) < np.abs(w.data - target))
+        w = Tensor(stepped)
     assert state.step == 3
 
 
@@ -290,7 +293,7 @@ def test_backward_frees_an_intermediate_before_reaching_its_inputs():
     assert freed == [("v", 4), ("t", 4), ("u", 1)]
     assert all(ref() is None for ref in refs)
     # d/dx mean(4 sin(3x)^2) = 6 sin(3x) cos(3x) = 3 sin(6x)
-    assert np.allclose(grads["x"], 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
+    assert np.allclose(grads, 3.0 * np.sin(6.0 * x.data), rtol=0, atol=1e-12)
 
 
 # A model whose 96x96x3 output dwarfs its 16-d tokens.
@@ -300,12 +303,12 @@ _BIG_OUTPUT = dict(lr_height=24, lr_width=24, patch_size=4, embed_dim=16, num_la
 
 def _one_step_peak(model, lr, hr) -> int:
     """tracemalloc's peak over one predict_loss, backward and adam_step; lr and hr made before."""
-    state = ad.init_adam(model.params)
+    state = ad.init_adam(model.vector)
     ad.clear_tape()
     tracemalloc.start()
     try:
         loss = predict_loss(lr, hr, model)
-        model.params = ad.adam_step(model.params, state, ad.backward(loss, model.params))
+        model.vector = ad.adam_step(model.vector, state, ad.backward(loss, model.params))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,7 +428,7 @@ def test_concurrent_trainers_keep_their_own_tapes():
                 with ad.no_grad():
                     ad.add(x, x)
             grads = ad.backward(mse_entry(x, np.zeros(4)), {"x": x})
-            if not np.array_equal(grads["x"], 0.5 * x.data):  # 2x / 4
+            if not np.array_equal(grads, 0.5 * x.data):  # 2x / 4
                 wrong.append((k, i))
         finished.append(k)
 
@@ -450,20 +453,19 @@ def test_trainers_share_parameter_tensors():
     # trains its own copy, starting from those tensors, with its own Adam state, and
     # must end with the bytes the same steps give on one thread: no scratch vector
     # is shared between states.
-    params = {"x": Tensor(np.linspace(-2.0, 2.0, 5)),
-              "y": Tensor(np.arange(6.0).reshape(2, 3))}
+    params = Parameters(np.concatenate([np.linspace(-2.0, 2.0, 5), np.arange(6.0)]), {"x": (5,), "y": (2, 3)})
     wrong, finished, trained = [], [], {}
 
     def loss(k, tensors):
         return ad.add(*(mse_entry(p, np.full(p.shape, float(k))) for p in tensors.values()))
 
     def train(k):
-        own, state = params, ad.init_adam(params, lr=0.1)
+        own, state = params, ad.init_adam(params.vector, lr=0.1)
         for i in range(50):
-            grads = ad.backward(loss(k, params), params)
+            grads = by_name(ad.backward(loss(k, params), params), params)
             if any(not np.array_equal(grads[n], (p.data - k) * (2.0 / p.size)) for n, p in params.items()):
                 wrong.append((k, i))
-            own = ad.adam_step(own, state, ad.backward(loss(k, own), own))
+            own = Parameters(ad.adam_step(own.vector, state, ad.backward(loss(k, own), own)), own.shapes)
         return own, state
 
     def work(k):
@@ -485,7 +487,7 @@ def test_trainers_share_parameter_tensors():
     assert wrong == []
     for k, (own, state) in trained.items():
         alone, alone_state = train(k)
-        assert all(_same_bits(own[n].data, alone[n].data) for n in params)
+        assert _same_bits(own.vector, alone.vector)
         assert _same_bits(state.m, alone_state.m) and _same_bits(state.v, alone_state.v)
         assert not np.array_equal(own["x"].data, params["x"].data)
 
@@ -502,7 +504,7 @@ def _check_op(build, shapes, seed, points=10):
         tensors = {name: Tensor(a) for name, a in arrays_.items()}
         ad.clear_tape()
         loss = build(tensors)
-        grads = ad.backward(loss, tensors)
+        grads = by_name(ad.backward(loss, tensors), tensors)
 
         def eval_loss(arrs):
             with ad.no_grad():
@@ -720,49 +722,44 @@ def test_sine_and_mse_pulls_have_the_bits_of_the_plain_formulas(shape):
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": Tensor(np.array([1.0, -2.0, 3.0]))}
+    params = np.array([1.0, -2.0, 3.0])
     state = ad.init_adam(params, lr=0.1)
-    out = ad.adam_step(params, state, {"w": np.zeros(3)})
-    assert np.array_equal(out["w"].data, params["w"].data)
+    out = ad.adam_step(params, state, np.zeros(3))
+    assert np.array_equal(out, params)
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     for g in (0.5, -3.0, 1e-3):
-        params = {"w": Tensor(np.array([0.0]))}
+        params = np.array([0.0])
         state = ad.init_adam(params, lr=0.01)
-        out = ad.adam_step(params, state, {"w": np.array([g])})
+        out = ad.adam_step(params, state, np.array([g]))
         # Bias correction makes mhat/sqrt(vhat) ~ sign(g) on the first step,
         # short of eps: the update is lr * |g| / (|g| + eps).
-        assert out["w"].data[0] == pytest.approx(-0.01 * np.sign(g), rel=1e-4)
+        assert out[0] == pytest.approx(-0.01 * np.sign(g), rel=1e-4)
 
 
 def test_adam_shape_mismatch():
-    params = {"w": Tensor(np.zeros(3))}
+    params = np.zeros(3)
     state = ad.init_adam(params)
     with pytest.raises(ShapeError):
-        ad.adam_step(params, state, {"w": np.zeros(4)})
+        ad.adam_step(params, state, np.zeros(4))
 
 
 def test_adam_step_checks_every_gradient_before_changing_state():
-    # A misshapen second gradient, a missing name and an extra name are each a
-    # ShapeError naming the tensor, raised before the step count or a moment moves.
-    params = {"a": Tensor([1.0, 2.0]), "b": Tensor(np.ones((2, 2)))}
+    # A gradient or parameter vector of the wrong size or rank is a ShapeError, raised
+    # before the step count or a moment moves.
+    params = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
     state = ad.init_adam(params, lr=0.1)
-    good = {"a": np.array([0.5, -1.0]), "b": np.full((2, 2), 0.25)}
+    good = np.array([0.5, -1.0, 0.25, 0.25, 0.25, 0.25])
     params = ad.adam_step(params, state, good)
     m, v = state.m.copy(), state.v.copy()
-    bad_calls = [({"a": good["a"], "b": np.zeros(4)}, "'b'"),
-                 ({"a": good["a"]}, "'b'"),
-                 ({**good, "c": np.zeros(1)}, "'c'")]
-    for grads, named in bad_calls:
-        with pytest.raises(ShapeError, match=named):
-            ad.adam_step(params, state, grads)
+    for bad_params, bad_grads in [(params, good[:5]), (params, np.append(good, 0.0)), (params, good.reshape(2, 3)),
+                                  (params[:5], good[:5]), (params.reshape(3, 2), good)]:
+        with pytest.raises(ShapeError, match="6 values"):
+            ad.adam_step(bad_params, state, bad_grads)
         assert state.step == 1
         assert _same_bits(state.m, m) and _same_bits(state.v, v)
-    with pytest.raises(ShapeError):
-        ad.adam_step({"a": params["a"]}, state, {"a": good["a"]})
-    assert state.step == 1
     ad.adam_step(params, state, good)
     assert state.step == 2
 
@@ -789,21 +786,22 @@ def test_adam_matches_per_tensor_oracle(config):
     rng = np.random.default_rng(7)
     start = {name: rng.uniform(-0.5, 0.5, shape) for name, (shape, _) in layout.items()}
     zero = list(layout)[len(layout) // 2]
-    params = {name: Tensor(a) for name, a in start.items()}
-    state = ad.init_adam(params, lr=1e-3)
+    params = Parameters(np.concatenate([a.ravel() for a in start.values()]), {n: a.shape for n, a in start.items()})
+    state = ad.init_adam(params.vector, lr=1e-3)
     reference = SimpleNamespace(lr=1e-3, step=0, m={n: np.zeros(a.shape) for n, a in start.items()},
                                 v={n: np.zeros(a.shape) for n, a in start.items()})
     expected, earlier = start, None
     for _ in range(25):
         grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), a.shape) for name, a in start.items()}
         grads[zero] = np.zeros(start[zero].shape)
-        params = ad.adam_step(params, state, grads)
+        grad_vector = np.concatenate([grads[n].ravel() for n in layout])
+        params = Parameters(ad.adam_step(params.vector, state, grad_vector), params.shapes)
         expected = adam_step_per_tensor(expected, reference, grads)
         assert all(_same_bits(params[n].data, expected[n]) for n in layout)
         assert _same_bits(state.m, np.concatenate([reference.m[n].ravel() for n in layout]))
         assert _same_bits(state.v, np.concatenate([reference.v[n].ravel() for n in layout]))
-        (base,) = {id(t.data.base): t.data.base for t in params.values()}.values()
-        assert base.size == state.m.size and not base.flags.writeable
+        assert all(t.data.base is params.vector for t in params.values())
+        assert params.vector.size == state.m.size and not params.vector.flags.writeable
         assert not any(t.data.flags.writeable for t in params.values())
         if earlier is not None:
             assert all(_same_bits(t.data, earlier_bytes[n]) for n, t in earlier.items())
@@ -828,20 +826,19 @@ def _adam_scalar_reference(w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def test_adam_converges_on_quadratic():
-    params = {"w": Tensor(np.array([0.0]))}
-    state = ad.init_adam(params, lr=0.1)
+    w = np.array([0.0])
+    state = ad.init_adam(w, lr=0.1)
     for _ in range(100):
-        g = 2.0 * (params["w"].data - 5.0)
-        params = ad.adam_step(params, state, {"w": g})
+        w = ad.adam_step(w, state, 2.0 * (w - 5.0))
     expected = _adam_scalar_reference(0.0, 0.1, 100)
-    assert params["w"].data[0] == pytest.approx(expected, abs=1e-12)
-    assert abs(params["w"].data[0] - 5.0) < 0.5
+    assert w[0] == pytest.approx(expected, abs=1e-12)
+    assert abs(w[0] - 5.0) < 0.5
     assert state.step == 100
 
 
 def test_adam_step_counter_increases_by_one():
-    params = {"w": Tensor(np.array([1.0]))}
+    params = np.array([1.0])
     state = ad.init_adam(params)
     for expected in (1, 2, 3):
-        params = ad.adam_step(params, state, {"w": np.array([0.1])})
+        params = ad.adam_step(params, state, np.array([0.1]))
         assert state.step == expected

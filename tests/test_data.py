@@ -21,7 +21,6 @@ from visir.data import (
     normalize_field,
     read_grid,
     read_png,
-    reassemble_tiles,
     synth_field,
     tile_image,
     write_grid,
@@ -30,7 +29,7 @@ from visir.data import (
 from visir.data import _BLOCK_VALUES, _subseed
 
 from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, encode_png, normalize_plain,
-                     png_bomb, read_png_per_byte, synth_field_meshgrid)
+                     png_bomb, read_png_per_byte, reassemble_tiles, synth_field_meshgrid)
 
 
 # ---------------------------------------------------------------------------

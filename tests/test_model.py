@@ -11,6 +11,7 @@ from visir.data import SRPair
 from visir.model import (
     VARIANTS,
     ModelConfig,
+    VisirModel,
     apply_stack,
     as_mlp_baseline,
     coordinate_grid,
@@ -21,6 +22,7 @@ from visir.model import (
     init_siren_stack,
     mhsa,
     parameter_count,
+    parameter_layout,
     patches_to_image,
     predict,
     predict_loss,
@@ -28,7 +30,8 @@ from visir.model import (
     siren_inr_loss,
 )
 
-from oracles import attention_single_head, finite_difference_grads, grads_close, mse_entry, output_chain_unfused
+from oracles import (attention_single_head, by_name, finite_difference_grads, grads_close, mse_entry,
+                     output_chain_unfused)
 
 TINY = ModelConfig(patch_size=2, num_layers=1, num_heads=2, embed_dim=8,
                    lr_height=8, lr_width=8, omega0=20.0, siren_hidden_layers=1,
@@ -266,7 +269,7 @@ def test_siren_ffn_gradients_two_hidden_layers():
 
     ad.clear_tape()
     loss, stack = run(arrays)
-    grads = ad.backward(loss, stack)
+    grads = by_name(ad.backward(loss, stack), stack)
 
     def eval_loss(arrs):
         with ad.no_grad():
@@ -330,9 +333,9 @@ def test_pool_tokens():
 
 def test_decode_zero_weights_gives_half():
     model = init_parameters(TINY, seed=0)
-    for j in range(TINY.siren_hidden_layers + 1):  # the decoder is as deep as the sine stacks
-        model.params[f"decoder.w{j}"] = Tensor(np.zeros(model.params[f"decoder.w{j}"].shape))
-        model.params[f"decoder.b{j}"] = Tensor(np.zeros(model.params[f"decoder.b{j}"].shape))
+    # The decoder is as deep as the sine stacks.
+    model = VisirModel(TINY, {name: Tensor(np.zeros(p.shape)) if name.startswith("decoder.") else p
+                              for name, p in model.params.items()})
     out = predict(tiny_image(3), model)
     assert np.array_equal(out.data, np.full(out.shape, 0.5))
 
@@ -388,21 +391,17 @@ def test_forward_gradients_spot_check():
     target = np.random.default_rng(15).uniform(0, 1, (16, 16, 1))
 
     ad.clear_tape()
-    grads = ad.backward(predict_loss(img, target, model), model.params)
+    grads = by_name(ad.backward(predict_loss(img, target, model), model.params), model.params)
     analytic = {name: grads[name] for name in ("embed.weight", "block0.attn.wq", "decoder.w1")}
 
     for name in analytic:
         arr = {name: model.params[name].data.copy()}
 
         def eval_loss(arrs):
-            saved = model.params[name]
-            model.params[name] = Tensor(arrs[name])
+            moved = VisirModel(TINY, {**model.params, name: Tensor(arrs[name])})
             with ad.no_grad():
-                out = predict(img, model)
-                d = out.data - target
-                value = float((d * d).mean())
-            model.params[name] = saved
-            return value
+                d = predict(img, moved).data - target
+                return float((d * d).mean())
 
         numeric = finite_difference_grads(eval_loss, arr)
         assert grads_close(analytic[name], numeric[name]), name
@@ -460,6 +459,21 @@ def _assert_every_entry_reaches_a_parameter(params):
 def test_predict_tape_entries_all_reach_a_parameter(variant, num_layers, siren_hidden_layers):
     cfg = replace(TINY, variant=variant, num_layers=num_layers, siren_hidden_layers=siren_hidden_layers)
     model = init_parameters(cfg, seed=0)
+    # The parameters the tape reaches are the model's storage: read-only views of its one vector,
+    # each at its layout offset, and the mapping takes no assignment.
+    assert parameter_count(model) == model.vector.size == sum(math.prod(s) for s, _ in parameter_layout(cfg).values())
+    assert not model.vector.flags.writeable
+    offset = 0
+    for name, p in model.params.items():
+        assert p.data.base is model.vector and p.data.ctypes.data == model.vector.ctypes.data + 8 * offset, name
+        offset += p.size
+    assert list(model.params) == list(parameter_layout(cfg)) and offset == model.vector.size
+    with pytest.raises(TypeError):
+        model.params["pos"] = model.params["pos"]
+    with pytest.raises(AttributeError):
+        model.params = dict(model.params)
+    with pytest.raises(ShapeError):  # a swapped-in vector must hold the layout's values
+        model.vector = np.zeros(model.vector.size + 1)
     for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
         for run in (lambda: predict(img, model),
                     lambda: predict_loss(img, np.zeros(img.shape[:-3] + (cfg.hr_height, cfg.hr_width, 1)), model)):
@@ -494,8 +508,8 @@ def test_batched_loss_gradient_is_mean_of_image_gradients():
     rng = np.random.default_rng(4)
     lrs = np.stack([tiny_image(seed) for seed in range(4)])
     hrs = rng.uniform(0, 1, (4, TINY.hr_height, TINY.hr_width, TINY.channels))
-    batched = ad.backward(predict_loss(lrs, hrs, model), model.params)
-    each = [ad.backward(predict_loss(lr, hr, model), model.params) for lr, hr in zip(lrs, hrs)]
+    batched = by_name(ad.backward(predict_loss(lrs, hrs, model), model.params), model.params)
+    each = [by_name(ad.backward(predict_loss(lr, hr, model), model.params), model.params) for lr, hr in zip(lrs, hrs)]
     means = {name: sum(e[name] for e in each) / len(each) for name in batched}
     # block*.attn.bk's gradient is zero but for rounding (softmax ignores a per-row shift), so the
     # absolute floor is relative to the largest gradient entry of the model.
@@ -544,8 +558,7 @@ def test_output_head_has_the_bits_of_the_unfused_chain(batch, variant, num_layer
         fused = ad.backward(fused_loss, model.params)
         chain_loss = _unfused(img, model, hr)
         chain = ad.backward(chain_loss, model.params)
-        for name in model.params:
-            assert np.array_equal(fused[name], chain[name]), name
+        assert np.array_equal(fused, chain)
         # Only the loss value may differ, in its last bits: it is summed in token order.
         assert fused_loss.item() == pytest.approx(chain_loss.item(), rel=1e-13, abs=0.0)
     with pytest.raises(ShapeError):  # the right number of targets, in another layout
@@ -573,8 +586,7 @@ def test_loss_against_a_list_of_hr_images_has_the_bits_of_the_stacked_batch(batc
             results.append((loss.data, ad.backward(loss, model.params)))
         (stacked_loss, stacked_grads), (list_loss, list_grads) = results
         assert np.array_equal(list_loss, stacked_loss)
-        for name in model.params:
-            assert np.array_equal(list_grads[name], stacked_grads[name]), name
+        assert np.array_equal(list_grads, stacked_grads)
     for bad in (list(hrs[1:]), list(hrs) + [hrs[0]],  # an image short, one too many
                 [h.reshape(-1, 1, cfg.channels) for h in hrs],  # the right sizes, in another layout
                 [h[:, :-1] for h in hrs]):  # an image too narrow
@@ -596,8 +608,7 @@ def test_coordinate_net_head_has_the_bits_of_the_unfused_chain():
     value, pull = output_chain_unfused(rows.data, w.data, b.data, 20.0, "sine", target=target.reshape(-1, 3))
     chain = ad.backward(ad._make(value, (rows.key, w.key, b.key), pull), params)
     fused = ad.backward(siren_inr_loss(coords, target, params, 20.0), params)
-    for name in params:
-        assert np.array_equal(fused[name], chain[name]), name
+    assert np.array_equal(fused, chain)
     with pytest.raises(ShapeError):  # the right number of targets, in another layout
         siren_inr_loss(coords, target.reshape(7, 5, 3), params, 20.0)
     ad.clear_tape()

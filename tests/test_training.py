@@ -12,8 +12,8 @@ from visir.autodiff import Tensor, no_grad
 from visir.data import (DataConfig, SRPair, SpectrumSpec, bicubic_downsample, build_dataset, load_pairs,
                         normalize_field, synth_field)
 from visir.metrics import evaluate_pair
-from visir.model import (ModelConfig, coordinate_grid, init_parameters, parameter_count, parameter_layout, predict,
-                         siren_inr_forward)
+from visir.model import (ModelConfig, VisirModel, coordinate_grid, init_parameters, parameter_count, parameter_layout,
+                         predict, siren_inr_forward)
 from visir.training import (
     CheckpointFormatError,
     DivergenceError,
@@ -313,6 +313,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.config == model.config
     for name in model.params:
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
+    # The payload sits at an odd offset in the file; the loaded vector is its own aligned, read-only copy.
+    assert loaded.vector.tobytes() == model.vector.tobytes()
+    assert loaded.vector.flags.aligned and loaded.vector.flags.owndata and not loaded.vector.flags.writeable
+    assert all(p.data.base is loaded.vector for p in loaded.params.values())
     img = np.random.default_rng(5).uniform(0, 1, (8, 8, 1))
     with no_grad():
         a = predict(img, model).data
@@ -321,11 +325,20 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 
 def test_checkpoint_same_seed_same_bytes(tmp_path):
+    # Parameters are immutable: tensors taken from a model before it trains keep their bytes,
+    # so a model built from them afterwards repeats that training to the byte.
     pairs = make_pairs(2)
-    for tag in ("a", "b"):
-        model = init_parameters(TINY, seed=3)
-        result = train(model, pairs, TrainConfig(learning_rate=1e-3, steps=25, seed=3))
-        save_checkpoint(result.model, tmp_path / f"{tag}.vsck")
+    model = init_parameters(TINY, seed=3)
+    before = dict(model.params)
+    before_bytes = model.vector.tobytes()
+    result = train(model, pairs, TrainConfig(learning_rate=1e-3, steps=25, seed=3))
+    assert result.model is model and model.vector.tobytes() != before_bytes
+    save_checkpoint(model, tmp_path / "a.vsck")
+    again = VisirModel(TINY, before)
+    assert again.vector.tobytes() == before_bytes
+    assert again.vector.tobytes() == init_parameters(TINY, seed=3).vector.tobytes()
+    train(again, pairs, TrainConfig(learning_rate=1e-3, steps=25, seed=3))
+    save_checkpoint(again, tmp_path / "b.vsck")
     assert (tmp_path / "a.vsck").read_bytes() == (tmp_path / "b.vsck").read_bytes()
 
 
@@ -362,17 +375,16 @@ def test_checkpoint_config_missing_field(tmp_path, name):
 @pytest.mark.parametrize("edit", ["missing", "extra", "misshaped"])
 def test_checkpoint_tensors_must_match_config(tmp_path, edit):
     # A (1, D) `pos` would broadcast silently in encode; a missing one would end in KeyError.  The file
-    # holds no names, so such a model cannot be written at all.
-    model = init_parameters(TINY, seed=0)
+    # holds no names, so such a model cannot be built at all, and every model can be written.
+    params = dict(init_parameters(TINY, seed=0).params)
     if edit == "missing":
-        del model.params["pos"]
+        del params["pos"]
     elif edit == "extra":
-        model.params["pos2"] = model.params["pos"]
+        params["pos2"] = params["pos"]
     else:
-        model.params["pos"] = Tensor(np.zeros((1, TINY.embed_dim)))
+        params["pos"] = Tensor(np.zeros((1, TINY.embed_dim)))
     with pytest.raises(ValueError, match="pos"):
-        save_checkpoint(model, tmp_path / "m.vsck")
-    assert not (tmp_path / "m.vsck").exists()
+        VisirModel(TINY, params)
 
 
 def test_checkpoint_trailing_garbage(tmp_path):
