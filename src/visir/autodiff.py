@@ -4,16 +4,16 @@ The tape is define-by-run: every primitive called outside ``no_grad``
 appends one entry, so wrap inference in ``no_grad``.  ``backward(loss,
 params)`` pops the entries in reverse, dropping each one and its output
 gradient as it passes, and returns the gradient of ``params`` as one vector in
-``params`` order (no longer a dict): those tensors, and no flag on a tensor,
-decide what is differentiated.  ``adam_step`` takes that vector and the
-parameter vector, and returns a new parameter vector.  Each thread has its own
-tape and its own ``no_grad`` flag, and tensors are immutable, so threads may
-share parameter tensors for training as well as for inference.
+``params`` order: those tensors, and no flag on a tensor, decide what is
+differentiated.  ``adam_step`` takes that vector and the parameter vector, and
+returns a new parameter vector.  Each thread has its own tape and its own
+``no_grad`` flag, and tensors are immutable, so threads may share parameter
+tensors for training as well as for inference.
 
 An entry holds no tensor.  It names its output and its parents by their
 ``key``, an integer no other tensor of the process has, and its pull closes
-over only what the pull reads: ``add``, ``reshape`` and ``mean`` keep shapes,
-``affine`` its input rows, ``attention`` its per-head operands and weights,
+over only what the pull reads: ``add`` and ``reshape`` keep shapes, ``affine``
+its input rows, ``attention`` its per-head operands and weights,
 ``sine_activation`` its input (``omega0 * x`` is computed again in the pull:
 one multiply, with the same bits), and ``output_head`` its input rows and at
 most two output-sized buffers, which its pull overwrites.  So an intermediate
@@ -34,16 +34,16 @@ store).  The sigmoid head keeps the activation and the residual.  One
 CLI-default training step at batch 4 peaks at 18.9 MB in tracemalloc, 3.41
 times its HR batch, which the step never stacks.
 
-Deprecated: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul`` (2-d only),
-``narrow``, ``concat``, ``tensor_sum`` and ``softmax``.  No model calls them and
-they are out of ``__all__``; they stay defined until the benchmark's tracer stops
-looking them up, and then they are deleted.  ``sigmoid`` has no caller in the
-models either: ``output_head`` computes its own.
+Deleted: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul``, ``narrow``, ``concat``,
+``tensor_sum``, ``mean``, ``sigmoid`` and ``softmax``.  ``affine`` makes the
+products, ``attention`` its own softmax and ``output_head`` its own sigmoid and
+mean.  The names remain, out of ``__all__``, bound to one function that raises
+``NotImplementedError``, until the benchmark's tracer stops looking them up.
 
 Primitives do not check for NaN or infinity.  ``Tensor(...)`` checks data from outside,
 ``output_head`` its sine output (``omega0 * z`` overflows where ``z`` is finite) or its
-sigmoid input (sigmoid maps an infinity to 0 or 1), ``sigmoid`` its input, and
-``adam_step`` the new parameter vector, which every gradient reaches.
+sigmoid input (sigmoid maps an infinity to 0 or 1), and ``adam_step`` the new
+parameter vector, which every gradient reaches.
 """
 
 from __future__ import annotations
@@ -68,10 +68,8 @@ __all__ = [
     "add",
     "transpose",
     "reshape",
-    "mean",
     "sine_activation",
     "gelu",
-    "sigmoid",
     "layer_norm",
     "affine",
     "attention",
@@ -266,55 +264,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a.key, b.key), pull)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from exc
-    a_shape, b_shape = a.shape, b.shape
-
-    def pull(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _make(out, (a.key, b.key), pull)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
-    x, y = a.data, b.data
-
-    def pull(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
-
-    return _make(out, (a.key, b.key), pull)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a.key,), lambda g: (-g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(a.data * c, (a.key,), lambda g: (g * c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner extents disagree, {a.shape} x {b.shape}")
-    x, y = a.data, b.data
-    out = x @ y
-
-    def pull(g):
-        return g @ y.T, x.T @ g
-
-    return _make(out, (a.key, b.key), pull)
-
-
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     out = np.transpose(a.data, axes).copy()
     inv = None if axes is None else tuple(np.argsort(axes))
@@ -331,59 +280,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def pull(g):
         return (g.reshape(a_shape),)
-
-    return _make(out, (a.key,), pull)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of extent `length` along `axis`."""
-    if not 0 <= start <= start + length <= a.shape[axis]:
-        raise ShapeError(f"narrow: [{start}, {start + length}) outside axis of extent {a.shape[axis]}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = a.data[index].copy()
-    a_shape = a.shape
-
-    def pull(g):
-        full = np.zeros(a_shape)
-        full[index] = g
-        return (full,)
-
-    return _make(out, (a.key,), pull)
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeError("concat of an empty sequence")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
-
-    def pull(g):
-        return tuple(piece for piece in np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(p.key for p in parts), pull)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    out = a.data.sum()
-    a_shape = a.shape
-
-    def pull(g):
-        return (np.broadcast_to(g, a_shape).copy(),)
-
-    return _make(out, (a.key,), pull)
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    out = a.data.mean(axis=axis)
-    a_shape = a.shape
-    count = a.size if axis is None else a_shape[axis]
-
-    def pull(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a_shape).copy(),)
 
     return _make(out, (a.key,), pull)
 
@@ -419,28 +315,6 @@ def gelu(a: Tensor) -> Tensor:
     def pull(g):
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         return (g * (cdf + x * pdf),)
-
-    return _make(out, (a.key,), pull)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    _check_finite(a.data)  # the input: sigmoid maps an infinity to a finite 0 or 1
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def pull(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (a.key,), pull)
-
-
-def softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def pull(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
 
     return _make(out, (a.key,), pull)
 
@@ -629,6 +503,15 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
 
     # einsum's own loop: no output-sized square, and no BLAS call whose bits depend on threads.
     return _make(np.einsum("i,i->", flat, flat) / count, (x.key, weight.key, bias.key), pull)
+
+
+def _deleted(*args, **kwargs):
+    """Stands in for eleven deleted primitives.  It exists only because perfbench/tracer.py
+    looks their names up with getattr; the benchmark revision (ROADMAP item 1) deletes it."""
+    raise NotImplementedError("a deleted primitive: use affine, attention, output_head or numpy")
+
+
+sub = mul = neg = scale = matmul = narrow = concat = tensor_sum = mean = sigmoid = softmax = _deleted
 
 
 # ---------------------------------------------------------------------------

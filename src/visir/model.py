@@ -11,7 +11,7 @@ per-image coordinate network fitted directly to pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,6 +75,10 @@ class ModelConfig:
     variant: str = field(default="visir", metadata={"help": "visir | vit_mlp"})
 
     def __post_init__(self):
+        for f in fields(self):  # a checkpoint's JSON may hold 2.0 or true where an int belongs
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         for name in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim",
                      "lr_height", "lr_width", "scale", "channels"):
             if getattr(self, name) < 1:

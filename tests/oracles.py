@@ -16,20 +16,6 @@ from pathlib import Path
 import numpy as np
 
 
-def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def layer_norm_two_pass(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     rows = x.reshape(-1, x.shape[-1])

@@ -27,15 +27,10 @@ from oracles import (
     finite_difference_grads,
     grads_close,
     layer_norm_two_pass,
-    matmul_triple_loop,
     mse_entry,
 )
 
 finite_elements = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-
-
-def small_matrix(rows, cols):
-    return arrays(np.float64, (rows, cols), elements=finite_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +49,19 @@ def test_scalar_results_are_read_only_arrays():
     a, b = Tensor(2.0), Tensor(3.0)
     heads = [ad.output_head(Tensor([2.0]), Tensor([[3.0]]), Tensor([0.5]), 1.0, final, [np.zeros(1)])
              for final in ("sine", "sigmoid")]
-    for t in (ad.add(a, b), ad.mul(a, b), ad.neg(a), ad.sigmoid(a), ad.tensor_sum(a), ad.mean(a), *heads):
+    for t in (ad.add(a, b), *heads):
         assert type(t.data) is np.ndarray and t.shape == () and not t.data.flags.writeable
+
+
+def test_deleted_primitives_keep_only_their_names():
+    # perfbench/tracer.py looks these names up; each is the one function that raises, out of __all__.
+    names = ("sub", "mul", "neg", "scale", "matmul", "narrow", "concat", "tensor_sum", "mean", "sigmoid", "softmax")
+    assert all(hasattr(ad, name) for name in names)
+    assert len({getattr(ad, name) for name in names}) == 1
+    for name in names:
+        with pytest.raises(NotImplementedError):
+            getattr(ad, name)(Tensor([1.0]), Tensor([2.0]))
+    assert not set(names) & set(ad.__all__)
 
 
 def test_tensor_is_immutable():
@@ -69,69 +75,6 @@ def test_tensor_copies_input():
     t = Tensor(src)
     src[0] = 99.0
     assert t.data[0] == 1.0
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 3))
-    out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
-    assert np.array_equal(out.data, a)
-
-
-def test_matmul_scalar_case():
-    out = ad.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
-    assert out.data[0, 0] == 6.0
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(3, 5))
-    out = ad.matmul(Tensor(a), Tensor(b))
-    assert np.allclose(out.data, matmul_triple_loop(a, b), atol=1e-12, rtol=0)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-
-@settings(max_examples=25, deadline=None)
-@given(a=small_matrix(2, 3), b=small_matrix(3, 4), c=small_matrix(4, 2))
-def test_matmul_associativity(a, b, c):
-    left = ad.matmul(ad.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-    right = ad.matmul(Tensor(a), ad.matmul(Tensor(b), Tensor(c))).data
-    assert np.allclose(left, right, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# softmax
-# ---------------------------------------------------------------------------
-
-def test_softmax_uniform_on_zeros():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-
-@settings(max_examples=50, deadline=None)
-@given(x=arrays(np.float64, (3, 5), elements=finite_elements))
-def test_softmax_rows_sum_to_one(x):
-    out = ad.softmax(Tensor(x))
-    assert np.all(out.data > 0)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(x=arrays(np.float64, (4,), elements=finite_elements),
-       c=st.floats(min_value=-50, max_value=50, allow_nan=False))
-def test_softmax_shift_invariance(x, c):
-    base = ad.softmax(Tensor(x)).data
-    shifted = ad.softmax(Tensor(x + c)).data
-    assert np.allclose(base, shifted, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -550,22 +493,11 @@ def _weighted(x):
 @pytest.mark.parametrize("name,build,shapes", [
     ("add", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ("add_broadcast", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (4,)}),
-    ("sub", lambda t: _weighted(ad.sub(t["a"], t["b"])), {"a": (3, 4), "b": (3, 4)}),
-    ("mul", lambda t: _weighted(ad.mul(t["a"], t["b"])), {"a": (2, 5), "b": (2, 5)}),
-    ("neg", lambda t: _weighted(ad.neg(t["a"])), {"a": (4,)}),
-    ("scale", lambda t: _weighted(ad.scale(t["a"], 2.5)), {"a": (3, 2)}),
-    ("matmul", lambda t: _weighted(ad.matmul(t["a"], t["b"])), {"a": (3, 4), "b": (4, 2)}),
+    ("add_broadcast_size_1", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (1, 4)}),
     ("transpose", lambda t: _weighted(ad.transpose(t["a"])), {"a": (3, 4)}),
     ("reshape", lambda t: _weighted(ad.reshape(t["a"], (6, 2))), {"a": (3, 4)}),
-    ("narrow", lambda t: _weighted(ad.narrow(t["a"], 1, 1, 2)), {"a": (3, 4)}),
-    ("concat", lambda t: _weighted(ad.concat([t["a"], t["b"]], axis=1)), {"a": (3, 2), "b": (3, 3)}),
-    ("sum", lambda t: ad.tensor_sum(t["a"]), {"a": (3, 4)}),
-    ("mean", lambda t: ad.mean(t["a"]), {"a": (3, 4)}),
-    ("mean_axis", lambda t: _weighted(ad.mean(t["a"], axis=0)), {"a": (3, 4)}),
     ("sine", lambda t: _weighted(ad.sine_activation(t["a"], 20.0)), {"a": (2, 3)}),
     ("gelu", lambda t: _weighted(ad.gelu(t["a"])), {"a": (2, 4)}),
-    ("sigmoid", lambda t: _weighted(ad.sigmoid(t["a"])), {"a": (2, 4)}),
-    ("softmax", lambda t: _weighted(ad.softmax(t["a"])), {"a": (3, 4)}),
     ("layer_norm", lambda t: _weighted(ad.layer_norm(t["a"], t["g"], t["s"])),
      {"a": (3, 6), "g": (6,), "s": (6,)}),
     ("affine", lambda t: _weighted(ad.affine(t["x"], t["w"], t["b"])), {"x": (4, 3), "w": (5, 3), "b": (5,)}),

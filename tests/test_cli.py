@@ -823,6 +823,16 @@ def test_reconstruct_checkpoint_overflowing_extents_exits_5(tmp_path, capsys, sh
     assert err.startswith("checkpoint error: truncated checkpoint") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field,value", [("num_layers", 1.0), ("embed_dim", 8.0), ("siren_hidden_layers", 2.0),
+                                         ("patch_size", True)])
+def test_reconstruct_checkpoint_non_int_config_field_exits_5(tmp_path, capsys, field, value):
+    # JSON 1.0 and true are not ints: the config check rejects them before the layout is built.
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), **{field: value})
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+    assert code == EXIT_MISMATCH
+    assert err == f"checkpoint error: bad checkpoint config: {field} must be an int, got {value!r}\n"
+
+
 def test_reconstruct_checkpoint_config_not_utf8_exits_5(tmp_path, capsys):
     ckpt = _small_checkpoint(tmp_path / "m.vsck")
     blob = bytearray(ckpt.read_bytes())

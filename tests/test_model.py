@@ -319,18 +319,6 @@ def test_encode_rejects_wrong_geometry():
         encode(np.zeros((10, 8, 1)), model)
 
 
-def test_pool_tokens():
-    t = Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))
-    pooled = ad.mean(t, axis=0)
-    assert np.array_equal(pooled.data, [2.0, 4.0])
-    single = Tensor(np.array([[7.0, 1.0]]))
-    assert np.array_equal(ad.mean(single, axis=0).data, [7.0, 1.0])
-    rng = np.random.default_rng(12)
-    tokens = rng.normal(size=(6, 3))
-    assert np.allclose(ad.mean(Tensor(tokens), axis=0).data,
-                       ad.mean(Tensor(tokens[::-1].copy()), axis=0).data, atol=1e-12)
-
-
 def test_decode_zero_weights_gives_half():
     model = init_parameters(TINY, seed=0)
     # The decoder is as deep as the sine stacks.
