@@ -64,7 +64,7 @@ MATRIX = [
     ("build_custom", ["build-data", *DATA, "--data.components", "0.5:3:10,0.3:11:60", "--data.background", "0.2",
                       "--data.background_cycles", "2", "--seed", "3", "--out", "data_custom"], 0),
     ("build_odd", ["build-data", *DATA, "--data.scale", "3", "--out", "data_odd"], 0),  # the odd-factor kernel
-    # 768 values a row: synth_field's row blocks are 85 rows and a ragged 11; the 0-degree term is one row.
+    # 768 values a row: synth_field's row blocks are 85 rows and a ragged 11; the 0-degree term folds into the row sum.
     ("build_blocks", ["build-data", *DATA, "--data.sources", "1", "--data.source_height", "96",
                       "--data.source_width", "768", "--data.tile", "96", "--data.components", "1:2:17,0.35:23:0",
                       "--out", "data_blocks"], 0),

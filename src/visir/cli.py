@@ -147,7 +147,9 @@ def load_settings(ns: argparse.Namespace) -> Settings:
             raise ConfigError(" ".join(str(exc).split())) from exc
         # The parser yields [DEFAULT] first: its keys, copied into every section, are unknown.
         texts += [(f"{section}.{name}", value) for section in parser for name, value in parser.items(section)]
-    texts += [(key, getattr(ns, key)) for key in KEYS if getattr(ns, key, None) is not None]
+    # argparse before Python 3.12 drops the text `--` from `--key=--` and hands over an empty list.
+    texts += [(key, value if isinstance(value, str) else "--") for key in KEYS
+              if (value := getattr(ns, key, None)) is not None]
     settings = Settings((key, default) for key, (_, default, _) in KEYS.items())
     for key, text in texts:
         if key not in KEYS:

@@ -106,40 +106,37 @@ class SRPair:
 # Synthetic source fields
 # ---------------------------------------------------------------------------
 
-# Values per row block of a plane term: the scratch block (512 KB) stays in cache,
+# Values per row block of the output: the scratch block (512 KB) stays in cache,
 # and a grid of up to this many values is one block.
 _BLOCK_VALUES = 1 << 16
-
-
-def _wave(xpart, ypart, scale, phase, wave, amp, out=None) -> np.ndarray:
-    """amp * wave(scale * (xpart + ypart) + phase), one in-place ufunc after another."""
-    t = np.add(xpart, ypart, out=out)
-    t *= scale
-    t += phase
-    wave(t, out=t)
-    t *= amp
-    return t
 
 
 def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     """Deterministic h x w sum of 2-d sinusoids plus an optional smooth background.
 
-    Each term is an x row plus a y column, then ufuncs in the order of the
-    plain expression.  A term whose x or y part is all zeros is constant along
-    that axis, so it is evaluated once on a row or column and broadcast; adding
-    its zero part (with its sign) leaves every value's bits as the whole grid
-    would.  Other terms are evaluated a block of rows at a time into a scratch
-    buffer.  Terms are added into each block of the output in draw order.
+    Each term is amp * wave(a + b), with a = fx * x a row of w values and
+    b = fy * y + phase a column of h values.  The angle-addition identities
+    sin(a + b) = sin a cos b + cos a sin b and cos(a + b) = cos a cos b - sin a sin b
+    make a term two products of a row and a column (amp goes into the column),
+    so sine and cosine run on h + w values, not on h * w.  A product whose
+    column or row is constant folds into one row sum or one column sum;
+    products with the same row (the background modes of one kx) fold into one
+    by summing their columns.  The output is the column sum plus the row sum,
+    then each remaining product added in turn, a block of rows at a time.
+    Rounding a and b apart keeps each smaller than the whole argument, so the
+    values are closer to exact than sin of the rounded sum.  Only elementwise
+    ufuncs touch the grid, never a BLAS product, so its bits do not depend on
+    the CPU's kernel choice.
     """
-    out = np.zeros((h, w))  # first: a size that cannot be held fails before anything else is made
+    out = np.empty((h, w))  # first: a size that cannot be held fails before anything else is made
     rng = np.random.default_rng(seed)
-    ys = ((np.arange(h) + 0.5) / h)[:, None]
+    ys = (np.arange(h) + 0.5) / h
     xs = (np.arange(w) + 0.5) / w
-    terms = []  # (x part, y part, scale, phase, wave, amplitude) in draw order
+    terms = []  # (fx, fy, phase, wave, amplitude) in draw order
     for amp, cycles, theta in spec.components:
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        # amp * sin(2 pi cycles (cos(theta) x + sin(theta) y) + phase)
-        terms.append((np.cos(theta) * xs, np.sin(theta) * ys, 2.0 * np.pi * cycles, phase, np.sin, amp))
+        k = 2.0 * np.pi * cycles  # amp * sin(k (cos(theta) x + sin(theta) y) + phase)
+        terms.append((k * np.cos(theta), k * np.sin(theta), phase, np.sin, amp))
     if spec.background_amplitude != 0.0:
         for ky in range(spec.background_max_cycles + 1):
             for kx in range(spec.background_max_cycles + 1):
@@ -148,22 +145,27 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
                 coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 # amplitude * coeff * cos(2 pi (kx x + ky y) + phase)
-                terms.append((kx * xs, ky * ys, 2.0 * np.pi, phase, np.cos, spec.background_amplitude * coeff))
-    lines = []  # per term: its values broadcast to (h, w), or None for a plane term
-    for xpart, ypart, *rest in terms:
-        if not xpart.any():
-            lines.append(np.broadcast_to(_wave(xpart[:1], ypart, *rest), (h, w)))
-        elif not ypart.any():
-            lines.append(np.broadcast_to(_wave(xpart, ypart[:1], *rest), (h, w)))
-        else:
-            lines.append(None)
+                terms.append((2.0 * np.pi * kx, 2.0 * np.pi * ky, phase, np.cos, spec.background_amplitude * coeff))
+    row_sum, col_sum = np.zeros(w), np.zeros(h)
+    products = {}  # row bytes -> (row, summed column)
+    for fx, fy, phase, wave, amp in terms:
+        a, b = fx * xs, fy * ys + phase
+        sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), amp * np.sin(b), amp * np.cos(b)
+        for row, col in ((sin_a, cos_b), (cos_a, sin_b)) if wave is np.sin else ((cos_a, cos_b), (sin_a, -sin_b)):
+            if (col == col[0]).all():
+                row_sum += col[0] * row
+            elif (row == row[0]).all():
+                col_sum += row[0] * col
+            else:
+                key = row.tobytes()
+                products[key] = (row, products[key][1] + col) if key in products else (row, col)
     rows = max(1, _BLOCK_VALUES // w)
     scratch = np.empty((min(rows, h), w))
     for r in range(0, h, rows):
         block = out[r:r + rows]
-        for (xpart, ypart, *rest), line in zip(terms, lines):
-            block += _wave(xpart, ypart[r:r + rows], *rest, out=scratch[:len(block)]) if line is None \
-                else line[r:r + rows]
+        np.add(col_sum[r:r + rows, None], row_sum, out=block)
+        for row, col in products.values():
+            block += np.multiply(col[r:r + rows, None], row, out=scratch[:len(block)])
     if not np.isfinite(out).all():
         raise ValueError("synthetic field contains non-finite values: check the spectrum")
     return out

@@ -75,10 +75,12 @@ class ModelConfig:
     variant: str = field(default="visir", metadata={"help": "visir | vit_mlp"})
 
     def __post_init__(self):
-        for f in fields(self):  # a checkpoint's JSON may hold 2.0 or true where an int belongs
+        for f in fields(self):  # a checkpoint's JSON may hold 2.0 or true where an int belongs, true for a float
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a float, got {value!r}")
         for name in ("patch_size", "num_heads", "embed_dim", "siren_hidden_dim",
                      "lr_height", "lr_width", "scale", "channels"):
             if getattr(self, name) < 1:

@@ -225,9 +225,10 @@ def dft_peak_bin(field: np.ndarray, axis: int) -> int:
     return int(np.argmax(spectrum))
 
 
-def synth_field_meshgrid(seed: int, h: int, w: int, spec) -> np.ndarray:
+def synth_field_direct(seed: int, h: int, w: int, spec) -> np.ndarray:
     """The synthetic field as first written: full coordinate grids from
-    `meshgrid` and one whole-array expression per term."""
+    `meshgrid` and one whole-array expression per term, sine or cosine of the
+    whole rounded argument."""
     rng = np.random.default_rng(seed)
     ys = (np.arange(h) + 0.5) / h
     xs = (np.arange(w) + 0.5) / w
@@ -248,6 +249,83 @@ def synth_field_meshgrid(seed: int, h: int, w: int, spec) -> np.ndarray:
                     2.0 * np.pi * (kx * xx + ky * yy) + phase
                 )
     return out
+
+
+def synth_field_angle_addition(seed: int, h: int, w: int, spec) -> np.ndarray:
+    """`synth_field`'s arithmetic on whole grids: each term's row and column
+    factors, each product of a row and a column one meshgrid expression, folded
+    and added in `synth_field`'s order (constant-column products into the row
+    sum, constant-row products into the column sum, products with equal rows
+    into one)."""
+    rng = np.random.default_rng(seed)
+    ys = (np.arange(h) + 0.5) / h
+    xs = (np.arange(w) + 0.5) / w
+    factors = []  # (row, column) in term order
+    for amp, cycles, theta in spec.components:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        a = 2.0 * np.pi * cycles * np.cos(theta) * xs
+        b = 2.0 * np.pi * cycles * np.sin(theta) * ys + phase
+        # sin(a + b) = sin a cos b + cos a sin b
+        factors += [(np.sin(a), amp * np.cos(b)), (np.cos(a), amp * np.sin(b))]
+    if spec.background_amplitude != 0.0:
+        for ky in range(spec.background_max_cycles + 1):
+            for kx in range(spec.background_max_cycles + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                amp = spec.background_amplitude * coeff
+                a = 2.0 * np.pi * kx * xs
+                b = 2.0 * np.pi * ky * ys + phase
+                # cos(a + b) = cos a cos b - sin a sin b
+                factors += [(np.cos(a), amp * np.cos(b)), (np.sin(a), -(amp * np.sin(b)))]
+    row_sum, col_sum = np.zeros((h, w)), np.zeros((h, w))
+    shared = {}  # row bytes -> [row grid, summed column grid]
+    for row, col in factors:
+        rr, cc = np.meshgrid(row, col)
+        if (col == col[0]).all():
+            row_sum += cc * rr
+        elif (row == row[0]).all():
+            col_sum += rr * cc
+        elif row.tobytes() in shared:
+            shared[row.tobytes()][1] = shared[row.tobytes()][1] + cc
+        else:
+            shared[row.tobytes()] = [rr, cc]
+    out = col_sum + row_sum
+    for rr, cc in shared.values():
+        out += cc * rr
+    return out
+
+
+def synth_field_longdouble(seed: int, h: int, w: int, spec) -> tuple[np.ndarray, float, float]:
+    """The synthetic field in np.longdouble from the same draws, with the sum of
+    every term's |amplitude| and the largest |argument| any term reaches:
+    2 pi cycles (|cos theta| + |sin theta|) + phase, or 2 pi (kx + ky) + phase."""
+    ld = np.longdouble
+    two_pi = 2 * np.arccos(ld(-1))
+    rng = np.random.default_rng(seed)
+    ys = ((np.arange(h, dtype=ld) + ld(0.5)) / ld(h))[:, None]
+    xs = (np.arange(w, dtype=ld) + ld(0.5)) / ld(w)
+    out = np.zeros((h, w), dtype=ld)
+    amps, args = [], []
+    for amp, cycles, theta in spec.components:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        t = ld(theta)
+        out += ld(amp) * np.sin(two_pi * ld(cycles) * (np.cos(t) * xs + np.sin(t) * ys) + ld(phase))
+        amps.append(abs(amp))
+        args.append(2.0 * np.pi * cycles * (abs(math.cos(theta)) + abs(math.sin(theta))) + phase)
+    if spec.background_amplitude != 0.0:
+        for ky in range(spec.background_max_cycles + 1):
+            for kx in range(spec.background_max_cycles + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                coeff = rng.normal(0.0, 1.0) / (1.0 + kx * kx + ky * ky)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                amp = spec.background_amplitude * coeff
+                out += ld(amp) * np.cos(two_pi * (kx * xs + ky * ys) + ld(phase))
+                amps.append(abs(amp))
+                args.append(2.0 * np.pi * (kx + ky) + phase)
+    return out, math.fsum(amps), max(args)
 
 
 def normalize_plain(v: np.ndarray) -> np.ndarray:

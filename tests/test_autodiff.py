@@ -490,7 +490,8 @@ def _weighted(x):
     return mse_entry(x, -0.5 * x.size * w)
 
 
-@pytest.mark.parametrize("name,build,shapes", [
+# (name, loss builder, input shapes); each row's test id is its name.
+_GRADIENT_ROWS = [
     ("add", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ("add_broadcast", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (4,)}),
     ("add_broadcast_size_1", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (1, 4)}),
@@ -519,7 +520,10 @@ def _weighted(x):
     *[(f"output_head_{final}_token_view_parts",
        lambda t, final=final: ad.output_head(t["x"], t["w"], t["b"], 20.0, final, _token_view_parts()),
        {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}) for final in ("sine", "sigmoid")],
-])
+]
+
+
+@pytest.mark.parametrize("name,build,shapes", _GRADIENT_ROWS, ids=[row[0] for row in _GRADIENT_ROWS])
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     # crc32, not hash(): str hashes are salted per process, so the drawn points would change every run.
     _check_op(build, shapes, seed=zlib.crc32(name.encode()))

@@ -2,11 +2,18 @@
 run twice on this checkout, writes the same bytes.
 
 This pins the determinism contract without pinning output hashes, which
-depend on the machine.
+depend on the machine.  `build-data` is also pinned across host classes: the
+CPU kernels that OpenBLAS and numpy pick must not move its bytes.
 """
 
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +50,27 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
         assert not (tmp_path / side / "train_diverged").exists()
         assert not (tmp_path / side / "build_overflow").exists()
         assert list((tmp_path / side).rglob(".*")) == []
+
+
+# Host classes: OpenBLAS's Haswell kernels, numpy without its AVX-512 loops, and OpenBLAS's
+# Sandybridge kernels.  Haswell's and SkylakeX's kernels both use FMA and agree on a product
+# with a short inner axis; Sandybridge's have no FMA, so a grid that passes through BLAS at all
+# moves there.  Each variable acts only on the child process it is set for.
+_HOST_CLASSES = ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                 {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}, {"OPENBLAS_CORETYPE": "Sandybridge"})
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="the settings name x86-64 kernels")
+def test_build_data_bytes_are_the_same_across_host_classes(tmp_path):
+    bytecheck = _load_bytecheck()
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    outputs = []
+    for i, host in enumerate(_HOST_CLASSES):
+        out = tmp_path / f"host{i}"
+        subprocess.run([sys.executable, "-m", "visir", "build-data", *bytecheck.DATA, "--data.background", "0.4",
+                        "--out", str(out)], env={**env, **host}, check=True, capture_output=True)
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))})
+    assert len(outputs[0]) == 2 * 2 * 8 + 1  # two sources of 8 tiles, two grids a pair, and the manifest
+    for i, other in enumerate(outputs[1:], 1):
+        assert other == outputs[0], _HOST_CLASSES[i]

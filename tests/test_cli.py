@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visir import cli, training
@@ -208,15 +208,19 @@ def test_zero_size_exits_2(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag,value", [("--train.learning_rate", "nan"), ("--train.learning_rate", "-1e-3"),
                                         ("--train.eval_interval", "-1"), ("--data.train_fraction", "1.5"),
-                                        ("--data.train_fraction", "-0.1")])
+                                        ("--data.train_fraction", "-0.1"),
+                                        # argparse before Python 3.12 hands the value of `--key=--` over as a list
+                                        ("--data.tile", "--"), ("--data.background", "--")])
 def test_bad_value_exits_2(tmp_path, capsys, flag, value):
     if flag.startswith("--data."):
         command = ["build-data", *SMALL_DATA_FLAGS]
     else:
         command = ["train", "--manifest", str(build_small_dataset(tmp_path)), "--train.steps", "1"]
     code = main([*command, f"{flag}={value}", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert flag.split(".")[1] in capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert flag.split(".")[1] in err
 
 
 _PARSER = build_parser()
@@ -235,6 +239,8 @@ _KEY_TEXT = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(key=st.sampled_from(sorted(KEYS)), text=_KEY_TEXT)
+@example(key="data.tile", text="--")
+@example(key="data.background", text="--")
 def test_any_text_for_any_key_is_accepted_or_a_value_error(key, text):
     # Every step between the flag and a command's configs; a ValueError
     # (ConfigError included) is exit 2 in main(), anything else would be a traceback.
@@ -831,6 +837,15 @@ def test_reconstruct_checkpoint_non_int_config_field_exits_5(tmp_path, capsys, f
     code, err = _reconstruct_error(tmp_path, capsys, ckpt)
     assert code == EXIT_MISMATCH
     assert err == f"checkpoint error: bad checkpoint config: {field} must be an int, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", [True, "20.0"])
+def test_reconstruct_checkpoint_non_float_config_field_exits_5(tmp_path, capsys, value):
+    # JSON true is not a float: loaded as omega0 = 1 it would run a model the checkpoint never trained.
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), omega0=value)
+    code, err = _reconstruct_error(tmp_path, capsys, ckpt)
+    assert code == EXIT_MISMATCH
+    assert err == f"checkpoint error: bad checkpoint config: omega0 must be a float, got {value!r}\n"
 
 
 def test_reconstruct_checkpoint_config_not_utf8_exits_5(tmp_path, capsys):

@@ -29,7 +29,8 @@ from visir.data import (
 from visir.data import _BLOCK_VALUES, _subseed
 
 from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, encode_png, normalize_plain,
-                     png_bomb, read_png_per_byte, reassemble_tiles, synth_field_meshgrid)
+                     png_bomb, read_png_per_byte, reassemble_tiles, synth_field_angle_addition,
+                     synth_field_direct, synth_field_longdouble)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,11 @@ _TALL = 2 * (_BLOCK_VALUES // _WIDE) + 5
 
 @settings(max_examples=60, deadline=None)
 @given(spec=_spectra().filter(_adds_something), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
-# theta 0.0 and -0.0: sin(theta) * y is all +0.0 or all -0.0, so the component is evaluated on one row
+# theta 0.0 and -0.0: the column is the phase alone, so the component folds into the row sum
 @example(spec=dict(components=((1.0, 5.0, 0.0),), background_amplitude=0.0, background_max_cycles=2), h=7, w=9, seed=1)
 @example(spec=dict(components=((0.7, 3.0, -0.0), (0.5, 4.0, 1.0)), background_amplitude=0.0, background_max_cycles=2),
          h=11, w=6, seed=2)
-# theta pi/2: cos(theta) is 6e-17, not 0, so the component stays a plane term
+# theta pi/2: cos(theta) is 6e-17, not 0, so the row is not constant and the component stays two products
 @example(spec=dict(components=((1.0, 6.0, math.pi / 2),), background_amplitude=0.0, background_max_cycles=2),
          h=9, w=13, seed=3)
 @example(spec=dict(components=((0.5, 0.0, 0.4), (1.0, 2.0, 0.3)), background_amplitude=0.0, background_max_cycles=2),
@@ -264,7 +265,28 @@ _TALL = 2 * (_BLOCK_VALUES // _WIDE) + 5
          h=_TALL, w=_WIDE, seed=7)
 def test_synth_matches_meshgrid_oracle(spec, h, w, seed):
     spec = SpectrumSpec(**spec)
-    assert synth_field(seed, h, w, spec).tobytes() == synth_field_meshgrid(seed, h, w, spec).tobytes()
+    assert synth_field(seed, h, w, spec).tobytes() == synth_field_angle_addition(seed, h, w, spec).tobytes()
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS, reason="np.longdouble is no wider than float64 here")
+@settings(max_examples=60, deadline=None)
+@given(spec=_spectra().filter(_adds_something), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32))
+@example(spec=dict(components=((1.0, 2.0, math.radians(17)), (0.6, 7.0, math.radians(69)), (0.35, 23.0, 0.0),
+                               (0.25, 31.0, math.radians(52))), background_amplitude=0.4, background_max_cycles=3),
+         h=48, w=48, seed=0)
+@example(spec=dict(components=((2.0, 40.0, math.pi / 4),), background_amplitude=0.0, background_max_cycles=2),
+         h=48, w=48, seed=8)
+def test_synth_error_is_within_the_rounding_bound(spec, h, w, seed):
+    # Against an extended-precision field from the same draws, both forms stay within
+    # 2 eps sum|amp| (1 + max|argument|): the bound of rounding each term's argument.
+    spec = SpectrumSpec(**spec)
+    exact, amps, largest = synth_field_longdouble(seed, h, w, spec)
+    bound = 2.0 * _EPS * amps * (1.0 + largest)
+    for form in (synth_field, synth_field_direct):
+        assert float(np.abs(form(seed, h, w, spec) - exact).max()) <= bound, form.__name__
 
 
 @settings(max_examples=100, deadline=None)
@@ -529,7 +551,7 @@ def _source_grids(manifest, cfg):
 
 
 def _oracle_channel(cfg, s, k):
-    field = synth_field_meshgrid(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width,
+    field = synth_field_angle_addition(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width,
                                  cfg.spectrum)
     return normalize_plain(field), (float(field.min()), float(field.max()))
 
