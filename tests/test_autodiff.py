@@ -490,7 +490,7 @@ def _weighted(x):
     return mse_entry(x, -0.5 * x.size * w)
 
 
-# (name, loss builder, input shapes); each row's test id is its name.
+# (name, loss builder, input shapes).
 _GRADIENT_ROWS = [
     ("add", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ("add_broadcast", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (4,)}),
@@ -523,7 +523,7 @@ _GRADIENT_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("name,build,shapes", _GRADIENT_ROWS, ids=[row[0] for row in _GRADIENT_ROWS])
+@pytest.mark.parametrize("name,build,shapes", _GRADIENT_ROWS)
 def test_primitive_gradients_match_finite_differences(name, build, shapes):
     # crc32, not hash(): str hashes are salted per process, so the drawn points would change every run.
     _check_op(build, shapes, seed=zlib.crc32(name.encode()))
