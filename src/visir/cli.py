@@ -287,14 +287,9 @@ def _read_image(path: str, shape: tuple, mismatch: str) -> np.ndarray:
     the two shapes otherwise.  A PNG's shape is checked before its pixels are held,
     so a small file that declares a large image asks for no more memory."""
     p = Path(path)
-    if p.suffix.lower() == ".png":
-        found = datamod._png_data(p, keep=False)[:3]
-        values = read_png(p) if found == shape else None
-    else:
-        values, _ = read_grid(p)
-        found = values.shape
-    if found != shape:
-        raise CheckpointMismatchError(mismatch.format(found, shape))
+    values = read_png(p, shape) if p.suffix.lower() == ".png" else read_grid(p)[0]
+    if values.shape != shape:
+        raise CheckpointMismatchError(mismatch.format(values.shape, shape))
     return values
 
 

@@ -122,13 +122,38 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
     column or row is constant folds into one row sum or one column sum;
     products with the same row (the background modes of one kx) fold into one
     by summing their columns.  The output is the column sum plus the row sum,
-    then each remaining product added in turn, a block of rows at a time.
-    Rounding a and b apart keeps each smaller than the whole argument, so the
-    values are closer to exact than sin of the rounded sum.  Only elementwise
-    ufuncs touch the grid, never a BLAS product, so its bits do not depend on
-    the CPU's kernel choice.
+    then each remaining product added in turn, a block of rows at a time, so
+    any range of rows can be made alone with the same bits (build_dataset
+    makes a band of rows at a time).  Rounding a and b apart keeps each
+    smaller than the whole argument, so the values are closer to exact than
+    sin of the rounded sum.  Every value comes from elementwise ufuncs, never
+    from a BLAS product, so its bits do not depend on the CPU's kernel choice;
+    build_dataset's one BLAS product only picks the rows in which it looks for
+    a field's exact min and max.
     """
     out = np.empty((h, w))  # first: a size that cannot be held fails before anything else is made
+    plan = _synth_plan(seed, h, w, spec)
+    _synth_rows(plan, slice(None), out)
+    if not np.isfinite(out).all():
+        raise ValueError(_NON_FINITE)
+    return out
+
+
+_NON_FINITE = "synthetic field contains non-finite values: check the spectrum"
+
+
+def _synth_plan(seed: int, h: int, w: int, spec: SpectrumSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, rows) of synth_field's field, a (k, h) and a (k, w) array whose products
+    columns[q][:, None] * rows[q] sum to it: columns[0] is the column sum against rows[0]
+    of ones, rows[1] the row sum against columns[1] of ones, and the rest the folded
+    products, in the order they are added."""
+    products = 2 * len(spec.components)
+    if spec.background_amplitude != 0.0:
+        products += 2 * (spec.background_max_cycles + 1)  # a row per kx for sine and for cosine
+    # First: a height that cannot be held fails before anything is drawn.
+    columns, rows = np.empty((products + 2, h)), np.empty((products + 2, w))
+    columns[0], columns[1], rows[0], rows[1] = 0.0, 1.0, 1.0, 0.0
+    col_sum, row_sum = columns[0], rows[1]
     rng = np.random.default_rng(seed)
     ys = (np.arange(h) + 0.5) / h
     xs = (np.arange(w) + 0.5) / w
@@ -146,8 +171,7 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 # amplitude * coeff * cos(2 pi (kx x + ky y) + phase)
                 terms.append((2.0 * np.pi * kx, 2.0 * np.pi * ky, phase, np.cos, spec.background_amplitude * coeff))
-    row_sum, col_sum = np.zeros(w), np.zeros(h)
-    products = {}  # row bytes -> (row, summed column)
+    shared = {}  # row bytes -> its product's index
     for fx, fy, phase, wave, amp in terms:
         a, b = fx * xs, fy * ys + phase
         sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), amp * np.sin(b), amp * np.cos(b)
@@ -156,19 +180,71 @@ def synth_field(seed: int, h: int, w: int, spec: SpectrumSpec) -> np.ndarray:
                 row_sum += col[0] * row
             elif (row == row[0]).all():
                 col_sum += row[0] * col
+            elif (i := shared.get(row.tobytes())) is not None:
+                columns[i] += col
             else:
-                key = row.tobytes()
-                products[key] = (row, products[key][1] + col) if key in products else (row, col)
-    rows = max(1, _BLOCK_VALUES // w)
-    scratch = np.empty((min(rows, h), w))
-    for r in range(0, h, rows):
-        block = out[r:r + rows]
-        np.add(col_sum[r:r + rows, None], row_sum, out=block)
-        for row, col in products.values():
-            block += np.multiply(col[r:r + rows, None], row, out=scratch[:len(block)])
-    if not np.isfinite(out).all():
-        raise ValueError("synthetic field contains non-finite values: check the spectrum")
+                i = shared[row.tobytes()] = 2 + len(shared)
+                columns[i], rows[i] = col, row
+    return columns[:2 + len(shared)], rows[:2 + len(shared)]
+
+
+def _synth_rows(plan: tuple[np.ndarray, np.ndarray], index, out: np.ndarray) -> np.ndarray:
+    """The rows `index` (a slice or an array of row numbers) of the field of `plan`,
+    written into `out`: the bits synth_field gives those rows."""
+    columns, rows = plan[0][:, index], plan[1]
+    step = max(1, _BLOCK_VALUES // out.shape[1])
+    scratch = np.empty((min(step, len(out)), out.shape[1]))
+    for r in range(0, len(out), step):
+        block = out[r:r + step]
+        np.add(columns[0, r:r + step, None], rows[1], out=block)
+        for col, row in zip(columns[2:], rows[2:]):
+            block += np.multiply(col[r:r + step, None], row, out=scratch[:len(block)])
     return out
+
+
+def _synth_range(plan: tuple[np.ndarray, np.ndarray], scratch: np.ndarray) -> tuple[float, float]:
+    """The (min, max) of the field of `plan`, with the bits synth_field(...).min() and .max()
+    give, without the field: `scratch`, a (band, w) array, holds a band of rows at a time.
+
+    One BLAS product per band, columns.T @ rows, gives every value within
+    E = 2 gamma_k M of the exact one, whatever order it sums in: k terms,
+    gamma_k = k u / (1 - k u), and M bounds a value's sum of term magnitudes.
+    So the row that holds the exact min has an approximate min within 2E of
+    the field's approximate min (and so for the max), and only the rows within
+    `tol`, 4x that, are made again exactly; their min and max are the field's.
+    When M is not far below overflow every row is made exactly, and a
+    non-finite value is the ValueError synth_field raises."""
+    columns, rows = plan
+    k, h = columns.shape
+    size = np.inf
+    if np.isfinite(columns).all() and np.isfinite(rows).all():
+        size = float((np.abs(rows).max(axis=1) @ np.abs(columns)).max())
+    if size < 2.0 ** 1000:
+        gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+        tol = 16.0 * gamma * size + k * 2.0 ** -1070  # 4 x 2E, and what underflow can add
+        lows, highs = np.empty(h), np.empty(h)
+        for r in range(0, h, len(scratch)):
+            approx = np.matmul(columns[:, r:r + len(scratch)].T, rows, out=scratch[:min(len(scratch), h - r)])
+            approx.min(axis=1, out=lows[r:r + len(approx)])
+            approx.max(axis=1, out=highs[r:r + len(approx)])
+        wanted = np.flatnonzero((lows <= lows.min() + tol) | (highs >= highs.max() - tol))
+    else:
+        wanted = np.arange(h)
+    lo, hi = np.inf, -np.inf
+    for r in range(0, len(wanted), len(scratch)):
+        index = wanted[r:r + len(scratch)]
+        values = _synth_rows(plan, index, scratch[:len(index)])
+        if not np.isfinite(values).all():
+            raise ValueError(_NON_FINITE)
+        lo, hi = min(lo, values.min()), max(hi, values.max())
+    return float(lo), float(hi)
+
+
+def _span(lo: float, hi: float) -> float:
+    """hi - lo, the divisor that maps [lo, hi] onto [0, 1]; a ValueError when it is not positive."""
+    if hi <= lo:
+        raise ValueError(f"degenerate field range [{lo}, {hi}]: cannot normalize a constant field")
+    return hi - lo
 
 
 def normalize_field(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[float, float]]:
@@ -177,10 +253,9 @@ def normalize_field(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nd
     v = np.asarray(f, dtype=np.float64)
     lo = float(v.min())
     hi = float(v.max())
-    if hi <= lo:
-        raise ValueError(f"degenerate field range [{lo}, {hi}]: cannot normalize a constant field")
+    span = _span(lo, hi)
     out = np.subtract(v, lo, out=out)
-    out /= hi - lo
+    out /= span
     return out, (lo, hi)
 
 
@@ -326,7 +401,12 @@ def _unfilter_average(cur: list, prev: list, channels: int) -> None:
 def _unfilter_paeth(cur: list, prev: list, channels: int) -> None:
     for i in range(channels, len(cur)):
         left, up, ul = cur[i - channels], prev[i], prev[i - channels]
-        pa, pb, pc = abs(up - ul), abs(left - ul), abs(left + up - 2 * ul)
+        # |p - left|, |p - up| and |p - ul| for p = left + up - ul, each sign taken by a branch
+        pa, pb = up - ul, left - ul
+        pc = pa + pb
+        pa = pa if pa >= 0 else -pa
+        pb = pb if pb >= 0 else -pb
+        pc = pc if pc >= 0 else -pc
         cur[i] = (cur[i] + (left if pa <= pb and pa <= pc else up if pb <= pc else ul)) & 0xFF
 
 
@@ -334,13 +414,14 @@ def _unfilter_paeth(cur: list, prev: list, channels: int) -> None:
 _INFLATE_BLOCK = 1 << 16
 
 
-def _png_data(path, keep: bool) -> tuple[int, int, int, bytearray]:
+def _png_data(path, shape: tuple | None) -> tuple[int, int, int, bytearray | None]:
     """(height, width, channels, inflated image data) of an 8-bit gray/RGB PNG.
 
     Every chunk's length and CRC-32 are checked.  The image data is inflated a
     block at a time and checked to be the height x (width x channels + 1) bytes
-    that IHDR declares, each row led by a filter type of 0-4.  Without `keep`
-    each block is dropped once checked and the data returned is empty."""
+    that IHDR declares, each row led by a filter type of 0-4.  When `shape` is
+    given and IHDR declares another (height, width, channels), each block is
+    dropped once checked and the data returned is None."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
@@ -372,6 +453,7 @@ def _png_data(path, keep: bool) -> tuple[int, int, int, bytearray]:
             raise ValueError("PNG missing IHDR")
         row = width * channels + 1
         need = height * row
+        keep = shape is None or tuple(shape) == (height, width, channels)
         data = bytearray()
         size = top = 0  # bytes inflated so far, largest filter type seen
         inflate = zlib.decompressobj()
@@ -388,15 +470,21 @@ def _png_data(path, keep: bool) -> tuple[int, int, int, bytearray]:
         raise ValueError(f"PNG image data does not inflate to the {need} bytes {width}x{height} needs")
     if top > 4:
         raise ValueError(f"bad PNG filter type {top}")
-    return height, width, channels, data
+    return height, width, channels, data if keep else None
 
 
-def read_png(path) -> np.ndarray:
+def read_png(path, shape: tuple | None = None) -> np.ndarray:
     """Read an 8-bit grayscale/RGB PNG back to a float HxWxC array in [0, 1].
 
     Every chunk's length and CRC-32 are checked, and the image data is inflated
-    to at most a block more than its IHDR declares."""
-    height, width, channels, data = _png_data(path, keep=True)
+    to at most a block more than its IHDR declares.  The file is read once.
+    With `shape`, a PNG whose IHDR declares another (height, width, channels)
+    has its image data checked but not kept, and comes back as a read-only
+    array of zeros of the declared shape that holds no memory: a caller
+    compares shapes without holding a large image's pixels."""
+    height, width, channels, data = _png_data(path, shape)
+    if data is None:
+        return np.broadcast_to(0.0, (height, width, channels))
     stride = width * channels
     rows = np.frombuffer(data, dtype=np.uint8).reshape(height, stride + 1)
     # uint8 arithmetic wraps mod 256, which is PNG's rule for every filter.  A run
@@ -521,6 +609,19 @@ def _split_of(seed: int, source_id: str, tile_index: int, train_fraction: float)
     return "train" if u < train_fraction else "test"
 
 
+def _band_tiles(band: np.ndarray, plans: list, ranges: list, height: int):
+    """The HR tiles of a source, row-major: each band of rows of its channels made
+    into `band` and normalized in place as normalize_field does, then cut into tiles."""
+    tile = band.shape[1]
+    for r in range(0, height, tile):
+        for channel, plan, (lo, hi) in zip(band, plans, ranges):
+            _synth_rows(plan, slice(r, r + tile), channel)
+            np.subtract(channel, lo, out=channel)
+            channel /= _span(lo, hi)
+        for channels in zip(*(tile_image(c, tile, tile) for c in band)):
+            yield np.stack(channels, axis=-1)
+
+
 def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
     """Generate sources, tile, downsample and write pairs plus a manifest.
 
@@ -532,18 +633,20 @@ def build_dataset(cfg: DataConfig, out_dir) -> DatasetManifest:
 
     entries: list[ManifestEntry] = []
     normalization: dict[str, list[tuple[float, float]]] = {}
+    # A source's R, G, B (the order of CHANNEL_NAMES), one band of tile rows at a time.  First:
+    # a width that cannot be held fails before anything is made, as a height does in _synth_plan.
+    band = np.empty((len(CHANNEL_NAMES), cfg.tile, cfg.source_width))
 
     for s in range(cfg.sources):
         source_id = f"s{s:03d}"
-        fields, ranges = [], []  # R, G, B in the order of CHANNEL_NAMES, each normalized in place
-        for k in range(len(CHANNEL_NAMES)):
-            f = synth_field(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width, cfg.spectrum)
-            ranges.append(normalize_field(f, out=f)[1])
-            fields.append(f)
+        plans, ranges = [], []
+        for k, channel in enumerate(band):
+            plans.append(_synth_plan(_subseed(cfg.seed, "field", s, k), cfg.source_height, cfg.source_width,
+                                     cfg.spectrum))
+            ranges.append(_synth_range(plans[-1], channel))  # every check, before any tile is written
+            _span(*ranges[-1])
         normalization[source_id] = ranges
-        # Each HR tile stacked from the fields' windows.  A generator: once spent, it holds
-        # no view of this source's fields while the next source's are made.
-        tiles = (np.stack(channels, axis=-1) for channels in zip(*(tile_image(f, cfg.tile, cfg.tile) for f in fields)))
+        tiles = _band_tiles(band, plans, ranges, cfg.source_height)
         for i, hr in enumerate(tiles):
             lr = bicubic_downsample(hr, cfg.scale)
             pair_id = f"{source_id}_t{i:02d}"

@@ -173,6 +173,14 @@ class VisirModel:
         self.config = config
         self._params = Parameters.of({name: params[name] for name in shapes})
 
+    @classmethod
+    def _over(cls, config: ModelConfig, params: Parameters) -> VisirModel:
+        """The model of `config` over `params` itself, with no copy: `params` must be in
+        parameter_layout(config) order (load_checkpoint reads into its vector)."""
+        model = cls.__new__(cls)
+        model.config, model._params = config, params
+        return model
+
     @property
     def params(self) -> Parameters:
         return self._params

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict, field, fields, replace
 from pathlib import Path
@@ -292,37 +293,42 @@ def save_checkpoint(model: VisirModel, path) -> None:
 
 
 def load_checkpoint(path) -> VisirModel:
-    """The model that save_checkpoint wrote; its payload's length is checked against its layout first."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError("not a checkpoint: no VSCK header")
-    version, size = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    if 12 + size > len(blob):
-        raise CheckpointFormatError(f"truncated checkpoint: its config needs {size} bytes, have {len(blob) - 12}")
-    try:
-        doc = json.loads(blob[12:12 + size].decode("utf-8"))
-        # Every field must be stored: a missing one would silently take its default.
-        names = {f.name for f in fields(ModelConfig)}
-        if set(doc) != names:
-            raise ValueError(f"missing fields {sorted(names - set(doc))}, unknown fields {sorted(set(doc) - names)}")
-        config = ModelConfig(**doc)
-    except (ValueError, TypeError) as exc:
-        raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
-    shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
-    count = sum(math.prod(shape) for shape in shapes.values())
-    payload = len(blob) - 12 - size
-    if payload < 8 * count:
-        raise CheckpointFormatError(f"truncated checkpoint: its config needs {8 * count} payload bytes, have {payload}")
-    if payload > 8 * count:
-        raise CheckpointFormatError("trailing bytes after checkpoint payload")
-    # Views of the payload, which starts at byte 12 + size: the model copies them once into an aligned vector.
-    model = VisirModel(config, Parameters(np.frombuffer(blob, dtype="<f8", offset=12 + size), shapes))
-    if not np.isfinite(model.vector).all():
-        name = next(name for name, p in model.params.items() if not np.isfinite(p.data).all())
+    """The model that save_checkpoint wrote.  The file's size is checked against its
+    config's layout first, then its values are read once, into the model's vector."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError("not a checkpoint: no VSCK header")
+        version, size = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        payload = os.fstat(fh.fileno()).st_size - 12 - size
+        if payload < 0:
+            raise CheckpointFormatError(f"truncated checkpoint: its config needs {size} bytes, have {payload + size}")
+        try:
+            doc = json.loads(fh.read(size).decode("utf-8"))
+            # Every field must be stored: a missing one would silently take its default.
+            names = {f.name for f in fields(ModelConfig)}
+            if set(doc) != names:
+                raise ValueError(f"missing fields {sorted(names - set(doc))}, unknown fields {sorted(set(doc) - names)}")
+            config = ModelConfig(**doc)
+        except (ValueError, TypeError) as exc:
+            raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
+        shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
+        count = sum(math.prod(shape) for shape in shapes.values())
+        if payload < 8 * count:
+            raise CheckpointFormatError(f"truncated checkpoint: its config needs {8 * count} payload bytes, "
+                                        f"have {payload}")
+        if payload > 8 * count:
+            raise CheckpointFormatError("trailing bytes after checkpoint payload")
+        vector = np.empty(count, dtype="<f8")
+        if fh.readinto(vector) != vector.nbytes:
+            raise CheckpointFormatError("truncated checkpoint: the file shrank while it was read")
+    params = Parameters(vector.astype(np.float64, copy=False), shapes)
+    if not np.isfinite(params.vector).all():
+        name = next(name for name, p in params.items() if not np.isfinite(p.data).all())
         raise CheckpointFormatError(f"tensor '{name}' holds a non-finite value")
-    return model
+    return VisirModel._over(config, params)
 
 
 # ---------------------------------------------------------------------------

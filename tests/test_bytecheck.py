@@ -34,6 +34,7 @@ def test_matrix_twice_gives_identical_bytes(tmp_path):
         assert result[f"logs/{name}.txt"] == "identical"
     for output in ("data/manifest.json", "data_custom/manifest.json", "data_odd/manifest.json",
                    "data_odd/s000_t00_lr.vsgr", "data_blocks/manifest.json", "data_blocks/s000_t07_hr.vsgr",
+                   "data_bands/manifest.json", "data_bands/s000_t19_hr.vsgr",
                    "train_visir/model.vsck", "train_default/loss_curve.csv", "eval_test/eval.csv", "sweep/sweep.csv",
                    "reconstruct_vsgr/error.png", "reconstruct_png/reconstruction.vsgr",
                    "reconstruct_vsgr/error.png.pixels.txt", "reconstruct_png/reconstruction.png.pixels.txt",

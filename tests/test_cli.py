@@ -109,15 +109,16 @@ def test_build_data_non_finite_spectrum_exits_2(tmp_path, capsys, flags):
 
 
 def test_build_data_too_large_to_allocate_exits_2(tmp_path, capsys):
-    # One 2^26 x 2^26 field is 2^55 bytes, far more than any machine's memory, so
-    # the first allocation, synth_field's output, fails without touching memory.
-    edge = str(2 ** 26)
-    code = main(["build-data", "--data.sources", "1", "--data.source_height", edge, "--data.source_width", edge,
-                 "--data.tile", "256", "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1 and err.startswith("out of memory: ")
-    assert not (tmp_path / "x").exists()
+    # Far more than any machine's memory, so the first allocation fails without touching
+    # memory: at 2^26 x 2^26 a band of 256 rows (384 GiB), at 2^40 x 256 the per-row
+    # storage of a field's plan (a column of 2^40 values per product).
+    for height, width in ((2 ** 26, 2 ** 26), (2 ** 40, 256)):
+        code = main(["build-data", "--data.sources", "1", "--data.source_height", str(height),
+                     "--data.source_width", str(width), "--data.tile", "256", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("out of memory: "), (height, err)
+        assert not (tmp_path / "x").exists()
 
 
 # post_norm and decoder_mode are removed keys, rejected like any other unknown one.
@@ -778,6 +779,25 @@ def test_reconstruct_large_declared_png_exits_5_before_inflating(tmp_path, monke
     assert capsys.readouterr().err == f"checkpoint error: {message}\n"
     assert peak < 10 * 2 ** 20
     assert not Path("r").exists()
+
+
+@pytest.mark.parametrize("lr_shape,code", [((4, 4, 3), EXIT_OK), ((5, 4, 3), EXIT_MISMATCH)], ids=["match", "mismatch"])
+def test_reconstruct_reads_a_png_input_once(tmp_path, monkeypatch, capsys, lr_shape, code):
+    # The shape IHDR declares and the pixels come from one read of the file, so a file
+    # replaced between a shape check and a decode cannot be decoded unchecked.
+    from visir import data
+
+    write_png(tmp_path / "lr.png", np.full(lr_shape, 0.5))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)  # found before the builtin
+    assert main(["reconstruct", "--checkpoint", str(_small_checkpoint(tmp_path / "m.vsck")),
+                 "--input", str(tmp_path / "lr.png"), "--out", str(tmp_path / "r")]) == code
+    assert opened.count("lr.png") == 1, capsys.readouterr().err
 
 
 def _with_config(ckpt, **changes):

@@ -26,7 +26,7 @@ from visir.data import (
     write_grid,
     write_png,
 )
-from visir.data import _BLOCK_VALUES, _subseed
+from visir.data import _BLOCK_VALUES, _subseed, _synth_plan, _synth_range, _synth_rows
 
 from oracles import (bicubic_downsample_per_sample, bicubic_ramp_reference, dft_peak_bin, encode_png, normalize_plain,
                      png_bomb, read_png_per_byte, reassemble_tiles, synth_field_angle_addition,
@@ -287,6 +287,94 @@ def test_synth_error_is_within_the_rounding_bound(spec, h, w, seed):
     bound = 2.0 * _EPS * amps * (1.0 + largest)
     for form in (synth_field, synth_field_direct):
         assert float(np.abs(form(seed, h, w, spec) - exact).max()) <= bound, form.__name__
+
+
+@st.composite
+def _range_cases(draw):
+    """(spec, h, w, band): amplitudes from 1e-6 to 1e6 of either sign, components that
+    alias to near-constant rows (a whole number of cycles a pixel along x), and band
+    heights that need not divide h."""
+    h, w = draw(_EDGE), draw(_EDGE)
+    amplitude = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e) | st.floats(-6.0, 6.0).map(lambda e: -10.0 ** e)
+    theta = st.floats(0.0, 2.0 * math.pi)
+    plain = st.tuples(amplitude, st.floats(0.0, 40.0), theta)
+    aliased = st.tuples(amplitude, st.integers(1, 3).map(lambda m: float(m * w)), st.just(0.0))
+    components = tuple(draw(st.lists(plain | aliased, max_size=4)))
+    background = draw(st.just(0.0) | amplitude)
+    spec = dict(components=components, background_amplitude=background, background_max_cycles=draw(st.integers(0, 3)))
+    return spec, h, w, draw(st.integers(1, h + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_range_cases().filter(lambda case: _adds_something(case[0])), seed=st.integers(0, 2 ** 32))
+# every term folds into the row or the column sum: no product is left
+@example(case=(dict(components=((1.0, 5.0, 0.0), (0.3, 2.0, 0.0)), background_amplitude=0.0, background_max_cycles=2),
+               7, 9, 2), seed=1)
+@example(case=(dict(components=(), background_amplitude=0.5, background_max_cycles=1), 10, 10, 3), seed=2)
+# near-constant rows: 48 cycles over 48 pixels along x, 5 along y
+@example(case=(dict(components=((1.0, 48.0, 0.0), (0.5, 5.0, math.pi / 2)), background_amplitude=0.0,
+                    background_max_cycles=2), 240, 48, 24), seed=3)
+# rows that differ by about their rounding: which one holds the min depends on the summation order
+@example(case=(dict(components=((1.0, 48.0, 0.0), (1e-16, 3.0, math.pi / 2)), background_amplitude=0.0,
+                    background_max_cycles=2), 24, 48, 7), seed=0)
+@example(case=(dict(components=((1.0, 48.0, 0.0), (1e-16, 3.0, math.pi / 2)), background_amplitude=0.0,
+                    background_max_cycles=2), 24, 48, 7), seed=2)
+@example(case=(dict(components=((1e6, 3.0, 0.2), (1e-6, 40.0, 1.0)), background_amplitude=0.4,
+                    background_max_cycles=3), 1, 17, 1), seed=4)
+@example(case=(dict(components=((1.0, 3.0, 0.4),), background_amplitude=0.4, background_max_cycles=3), 17, 1, 5),
+         seed=5)
+def test_synth_range_is_the_fields_min_and_max(case, seed):
+    spec, h, w, band = case
+    spec = SpectrumSpec(**spec)
+    field, plan = synth_field(seed, h, w, spec), _synth_plan(seed, h, w, spec)
+    expected = (field.min().tobytes(), field.max().tobytes())
+    assert tuple(np.float64(v).tobytes() for v in _synth_range(plan, np.empty((band, w)))) == expected
+    # Another BLAS kernel rounds the product otherwise, by up to 2 gamma_k M a value: the range stays.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "matmul", _rounded_otherwise(np.matmul, np.random.default_rng(seed)))
+        assert tuple(np.float64(v).tobytes() for v in _synth_range(plan, np.empty((band, w)))) == expected
+
+
+def _rounded_otherwise(matmul, rng):
+    """matmul whose every value moves at random by up to the 2 gamma_k sum|a_iq b_qj| that
+    separates two summation orders."""
+    def moved(a, b, out):
+        k = a.shape[1]
+        gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+        matmul(a, b, out=out)
+        out += 2.0 * gamma * matmul(np.abs(a), np.abs(b)) * rng.uniform(-1.0, 1.0, out.shape)
+        return out
+    return moved
+
+
+@pytest.mark.parametrize("spec", [SpectrumSpec(components=((1e308, 1.0, 0.0), (1e308, 1.0, math.pi / 2))),
+                                  SpectrumSpec(components=((1.0, 1e308, 0.0),))], ids=["sum", "argument"])
+def test_synth_range_raises_what_synth_field_raises(spec):
+    # A sum that overflows, or an argument that does (a NaN sine): every row is made exactly and checked.
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite") as whole:
+            synth_field(0, 16, 16, spec)
+        with pytest.raises(ValueError, match="non-finite") as banded:
+            _synth_range(_synth_plan(0, 16, 16, spec), np.empty((5, 16)))
+    assert str(banded.value) == str(whole.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_spectra().filter(_adds_something), h=_EDGE, w=_EDGE, seed=st.integers(0, 2 ** 32), data=st.data())
+@example(spec=dict(components=((1.0, 2.0, 0.3), (0.35, 23.0, 0.0)), background_amplitude=0.4, background_max_cycles=3),
+         h=_TALL, w=_WIDE, seed=7, data=None)
+def test_synth_rows_are_the_fields_rows(spec, h, w, seed, data):
+    # Any range of rows, or any list of them, comes out with the whole field's bits.
+    spec = SpectrumSpec(**spec)
+    field, plan = synth_field(seed, h, w, spec), _synth_plan(seed, h, w, spec)
+    if data is None:
+        start, stop, rows = 1, h - 3, np.array([h - 1, 0, _BLOCK_VALUES // w, 2])
+    else:
+        start = data.draw(st.integers(0, h - 1))
+        stop = data.draw(st.integers(start + 1, h))
+        rows = np.array(data.draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=8)))
+    assert _synth_rows(plan, slice(start, stop), np.empty((stop - start, w))).tobytes() == field[start:stop].tobytes()
+    assert _synth_rows(plan, rows, np.empty((len(rows), w))).tobytes() == field[rows].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -591,12 +679,12 @@ def test_build_dataset_tiles_are_hxwx3(tmp_path):
 
 
 def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
-    # A source's three fields, each normalized in place, plus one HR tile stacked
-    # from their windows and its reduction: about 1.32 grids.  An RGB grid beside
-    # the fields (1.46), a normalized copy of a field, full-size coordinate grids,
-    # per-term temporaries or a second copy of each tile would pass 1.4.  numpy loads
-    # numpy.random (0.06 grids of module objects) on first use, so it is loaded
-    # before tracing starts.
+    # A source's three channels made a band of tile rows at a time, plus one HR tile
+    # stacked from the band and its reduction: about 0.88 grids (1.32 when the three
+    # fields were held whole).  An RGB grid beside the fields (1.46), a normalized copy
+    # of a field, full-size coordinate grids, per-term temporaries or a second copy of
+    # each tile would pass 1.4.  numpy loads numpy.random (0.06 grids of module
+    # objects) on first use, so it is loaded before tracing starts.
     cfg = DataConfig(sources=2, source_height=480, source_width=960, tile=240, scale=4, seed=1)
     np.random.default_rng(0)
     tracemalloc.start()
@@ -608,6 +696,20 @@ def test_build_dataset_peak_memory_is_below_two_rgb_grids(tmp_path):
         tracemalloc.stop()
     rgb_bytes = 480 * 960 * 3 * 8
     assert peak <= 1.4 * rgb_bytes, peak / rgb_bytes
+
+
+def test_build_dataset_holds_one_band_of_rows_not_the_fields(tmp_path):
+    # A source is made a band of tile rows at a time: three channel bands (1/3 of the three
+    # fields here) and the band's tiles.  Holding the three 720x480 fields would pass 8.3 MB.
+    cfg = DataConfig(sources=1, source_height=720, source_width=480, tile=240, scale=4, seed=2)
+    np.random.default_rng(0)  # numpy.random's module objects load on first use
+    tracemalloc.start()
+    try:
+        build_dataset(cfg, tmp_path / "d")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 720 * 480 * 8, peak
 
 
 @pytest.mark.parametrize("named,bad", [

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -394,6 +395,22 @@ def test_checkpoint_trailing_garbage(tmp_path):
     (tmp_path / "fat.vsck").write_bytes(blob + b"extra")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(tmp_path / "fat.vsck")
+
+
+def test_checkpoint_trailing_bytes_are_refused_before_they_are_read(tmp_path):
+    # The file's size is checked against its config's layout before a value is read,
+    # so 64 MB of trailing bytes are refused without being held.
+    save_checkpoint(init_parameters(TINY, seed=0), tmp_path / "m.vsck")
+    with open(tmp_path / "m.vsck", "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) + 64 * 2 ** 20)  # zero bytes, sparse where the filesystem allows
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="trailing bytes after checkpoint payload"):
+            load_checkpoint(tmp_path / "m.vsck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
