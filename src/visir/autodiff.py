@@ -49,6 +49,7 @@ parameter vector, which every gradient reaches.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import threading
@@ -304,12 +305,65 @@ def sine_activation(a: Tensor, omega0: float) -> Tensor:
     return _make(out, (a.key,), pull)
 
 
-def gelu(a: Tensor) -> Tensor:
-    # scipy is loaded on the first call: only the vit_mlp baseline uses GELU.
-    from scipy.special import erf
+# The normal CDF table: a grid of step 1/_CDF_STEPS over [-_CDF_EDGE, _CDF_EDGE], beyond which Phi is within
+# 1e-17 of 0 or 1, and _CDF_TERMS Taylor terms about each grid point.  Four terms at this step keep the truncation
+# under 2**-53; they also make a 32-byte row, which numpy's gather copies about 1.6 times as fast as a 40-byte one.
+_CDF_STEPS = 2048
+_CDF_EDGE = 8.5
+_CDF_TERMS = 4
 
+
+@functools.cache
+def _cdf_table() -> np.ndarray:
+    """Row k (negative k counting from the end) holds Phi's Taylor coefficients about x0 = k / _CDF_STEPS in
+    powers of the grid fraction t: Phi(x0 + t / _CDF_STEPS) = sum_j row[j] * t**j for |t| <= 1/2.  Built on
+    GELU's first call, in about 20 ms, from libm's erfc and exp and the Hermite recurrence of the derivatives."""
+    h = 1.0 / _CDF_STEPS
+    edge = round(_CDF_EDGE * _CDF_STEPS)
+    size = 2 * edge + 1
+
+    def grid():
+        return (k * h for k in itertools.chain(range(edge + 1), range(-edge, 0)))
+
+    table = np.empty((size, _CDF_TERMS))
+    # erfc where it is small, so a value near 1 is rounded once.
+    table[:, 0] = np.fromiter((1.0 - 0.5 * math.erfc(v / math.sqrt(2.0)) if v > 0 else
+                               0.5 * math.erfc(-v / math.sqrt(2.0)) for v in grid()), float, size)
+    deriv = np.fromiter((math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) for v in grid()), float, size)
+    x0, deriv_prev = np.fromiter(grid(), float, size), 0.0
+    for j in range(1, _CDF_TERMS):  # deriv is Phi's j-th derivative, phi^(j-1)
+        table[:, j] = deriv * (h ** j / math.factorial(j))
+        deriv_prev, deriv = deriv, -x0 * deriv - (j - 1) * deriv_prev  # phi^(n+1) = -x phi^(n) - n phi^(n-1)
+    table[edge] = table[edge + 1] = 0.0  # flat ends, so a clamped infinity gives exactly 1 or 0
+    table[edge, 0] = 1.0
+    return table
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, Phi(x) = (1 + erf(x / sqrt(2))) / 2, within 4 * 2**-53 of the exact value.
+
+    Elementwise float64 ufuncs and one table lookup, no BLAS.  The grid fraction is exact, so only the table and
+    the polynomial round.  NaN gives NaN and -inf, inf give 0, 1; a NaN reads a valid row, never a cast NaN.
+    The work is on one flat axis: numpy's loops over small 2-D arrays cost more."""
+    table = _cdf_table()
+    t = np.minimum(x.reshape(-1), _CDF_EDGE)
+    np.maximum(t, -_CDF_EDGE, out=t)
+    t *= _CDF_STEPS
+    k = np.rint(t)
+    t -= k
+    rows = np.take(table, np.fmin(k, _CDF_EDGE * _CDF_STEPS, out=k).astype(np.intp), axis=0)
+    p = rows[:, -1] * t
+    for j in range(_CDF_TERMS - 2, 0, -1):
+        p += rows[:, j]
+        p *= t
+    p += rows[:, 0]
+    return p.reshape(x.shape)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x), Phi the standard normal CDF."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    cdf = _normal_cdf(x)
     out = x * cdf
 
     def pull(g):

@@ -163,15 +163,17 @@ def load_settings(ns: argparse.Namespace) -> Settings:
 
 
 def _config(cls, section: str, settings: dict, **fixed):
-    """`cls` from its `section.*` settings and the `fixed` fields.
+    """`cls` from its `section.*` settings, the `run.*` settings its fields are named after (the seed)
+    and the `fixed` fields.
 
-    A value that `cls` rejects is a ConfigError whose message names each key as `section.name`.
+    A value that `cls` rejects is a ConfigError whose message names each of those keys in full.
     """
-    names = [f.name for f in _key_fields(cls)]
+    keys = {f.name: f"{section}.{f.name}" for f in _key_fields(cls)}
+    keys.update((f.name, f"run.{f.name}") for f in fields(cls) if f"run.{f.name}" in KEYS)
     try:
-        return cls(**{name: settings[f"{section}.{name}"] for name in names}, **fixed)
+        return cls(**{name: settings[key] for name, key in keys.items()}, **fixed)
     except ValueError as exc:
-        raise ConfigError(re.sub(rf"\b({'|'.join(names)})\b", rf"{section}.\1", str(exc))) from exc
+        raise ConfigError(re.sub(rf"\b({'|'.join(keys)})\b", lambda m: keys[m[0]], str(exc))) from exc
 
 
 def _geometry(manifest) -> dict:
@@ -207,7 +209,7 @@ def _spectrum(settings: dict) -> SpectrumSpec:
 # Each command writes its files into `stage`, a new directory that `main` empties into --out when the command returns.
 
 def cmd_build_data(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
-    cfg = _config(DataConfig, "data", settings, seed=settings["run.seed"], spectrum=_spectrum(settings))
+    cfg = _config(DataConfig, "data", settings, spectrum=_spectrum(settings))
     manifest = datamod.build_dataset(cfg, stage)
     train_n = len(manifest.split("train"))
     test_n = len(manifest.split("test"))
@@ -219,10 +221,10 @@ def cmd_build_data(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
 def cmd_train(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
-    train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
+    train_cfg = _config(TrainConfig, "train", settings)
     pairs = datamod.load_pairs(manifest, "train")
     eval_pairs = datamod.load_pairs(manifest, "test") if train_cfg.eval_interval > 0 else None
-    result = training.train(init_parameters(model_cfg, settings["run.seed"]), pairs, train_cfg, eval_pairs=eval_pairs)
+    result = training.train(init_parameters(model_cfg, train_cfg.seed), pairs, train_cfg, eval_pairs=eval_pairs)
     save_checkpoint(result.model, stage / "model.vsck")
     training.write_loss_curve(result.curve, stage / "loss_curve.csv")
     out = Path(settings["run.out"])
@@ -266,7 +268,7 @@ def cmd_eval(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
 def cmd_sweep(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
     manifest = datamod.load_manifest(ns.manifest)
     model_cfg = _config(ModelConfig, "model", settings, **_geometry(manifest))
-    train_cfg = _config(TrainConfig, "train", settings, seed=settings["run.seed"])
+    train_cfg = _config(TrainConfig, "train", settings)
     split = {name: datamod.load_pairs(manifest, name) for name in ("train", "test")}
     result = training.sweep(model_cfg, split, train_cfg, settings["sweep.frequencies"], settings["sweep.layers"])
     training.write_sweep_csv(result, stage / "sweep.csv")

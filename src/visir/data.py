@@ -553,6 +553,8 @@ class DataConfig:
             raise ValueError(f"scale {self.scale} does not divide tile {self.tile}")
         if not 0.0 <= self.train_fraction <= 1.0:
             raise ValueError(f"train_fraction {self.train_fraction} is outside [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

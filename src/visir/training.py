@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.eval_interval < 0:
             raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -144,6 +144,22 @@ def mse_entry(out, target: np.ndarray):
     return ad._make((diff * diff).mean(), (out.key,), lambda g: (diff * (g * (2.0 / diff.size)),))
 
 
+def normal_cdf_erfc(x: float) -> float:
+    """The standard normal CDF from libm's erfc: NaN stays NaN, -inf and inf give 0 and 1."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def normal_cdf_mpmath(x: float) -> float:
+    """The standard normal CDF at 60 digits with mpmath, rounded once to a float.  Beyond +-40 it
+    is 0 or 1 to well past double precision, and mpmath's series would overflow there, so x is clamped."""
+    import mpmath
+
+    if math.isnan(x):
+        return math.nan
+    with mpmath.workdps(60):
+        return float(mpmath.ncdf(mpmath.mpf(min(max(x, -40.0), 40.0))))
+
+
 def mse_plain(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference as the plain expression, with its temporaries."""
     return float(((a - b) * (a - b)).mean())

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,6 +28,8 @@ from oracles import (
     grads_close,
     layer_norm_two_pass,
     mse_entry,
+    normal_cdf_erfc,
+    normal_cdf_mpmath,
 )
 
 finite_elements = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -521,6 +523,61 @@ _GRADIENT_ROWS = [
        lambda t, final=final: ad.output_head(t["x"], t["w"], t["b"], 20.0, final, _token_view_parts()),
        {"x": (2, 4, 3), "w": (4, 3), "b": (4,)}) for final in ("sine", "sigmoid")],
 ]
+
+
+# Signed zeros, subnormals, grid points and midpoints of the CDF table, both sides of its clamp edge,
+# far beyond it, and the non-finite values.
+_STEP = 1.0 / ad._CDF_STEPS
+_CDF_EXAMPLES = [0.0, -0.0, 5e-324, -2.2e-310, 1.0, -3 * _STEP, 0.5 * _STEP, -2.0 - 0.5 * _STEP, 6.0 + 0.5 * _STEP,
+                 *(s * e for s in (1, -1) for e in (np.nextafter(ad._CDF_EDGE, 0), ad._CDF_EDGE,
+                                                   np.nextafter(ad._CDF_EDGE, 9), ad._CDF_EDGE - 0.5 * _STEP)),
+                 40.0, -40.0, math.nan, math.inf, -math.inf]
+
+
+def _with_examples(values):
+    def wrap(test):
+        for value in reversed(values):
+            test = example(x=value)(test)
+        return test
+    return wrap
+
+
+def _check_cdf(x, ref):
+    # Within 4 * 2**-53 absolute, exactly 0 or 1 at an infinity, and NaN for NaN.
+    got = float(ad._normal_cdf(np.array([x]))[0])
+    if math.isnan(ref) or math.isinf(x):
+        assert got == ref or math.isnan(got) and math.isnan(ref), (got, ref)
+    else:
+        assert abs(got - ref) <= 4 * 2.0 ** -53, (got, ref, (got - ref) / 2.0 ** -53)
+
+
+_CDF_INPUTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-9.0, 9.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_CDF_INPUTS)
+@_with_examples(_CDF_EXAMPLES)
+def test_normal_cdf_matches_the_erfc_form(x):
+    _check_cdf(x, normal_cdf_erfc(x))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_CDF_INPUTS)
+@_with_examples(_CDF_EXAMPLES)
+def test_normal_cdf_matches_mpmath(x):
+    pytest.importorskip("mpmath")
+    _check_cdf(x, normal_cdf_mpmath(x))
+
+
+def test_normal_cdf_keeps_its_input_shape_and_holds_warnings():
+    # Elementwise over any shape, a 0-d array included; overflow, invalid and divide stay quiet.
+    x = np.array([[np.nan, np.inf, -np.inf], [1e308, -1e308, 0.25]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = ad._normal_cdf(x)
+        scalar = ad._normal_cdf(np.array(0.25))
+    assert got.shape == x.shape and np.isnan(got[0, 0])
+    assert got.tolist()[0][1:] == [1.0, 0.0] and got.tolist()[1][:2] == [1.0, 0.0]
+    assert float(scalar) == got[1, 2]
 
 
 @pytest.mark.parametrize("name,build,shapes", _GRADIENT_ROWS)

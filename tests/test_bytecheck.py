@@ -1,19 +1,28 @@
 """The CLI is deterministic end to end: scripts/bytecheck.py's command matrix,
 run twice on this checkout, writes the same bytes.
 
-This pins the determinism contract without pinning output hashes, which
-depend on the machine.  `build-data` is also pinned across host classes: the
-CPU kernels that OpenBLAS and numpy pick must not move its bytes.
+Trained and predicted bytes depend on the machine, so only the outputs that do
+not are pinned to committed digests (tests/golden.json): every `build-data`
+file, which is also pinned across host classes (the CPU kernels that OpenBLAS
+and numpy pick must not move its bytes), and the pixels `write_png` stores.
 """
 
+import hashlib
 import importlib.util
+import json
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from visir.cli import main
+from visir.data import write_png
+
+from oracles import read_png_per_byte
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +84,22 @@ def test_build_data_bytes_are_the_same_across_host_classes(tmp_path):
     assert len(outputs[0]) == 2 * 2 * 8 + 1  # two sources of 8 tiles, two grids a pair, and the manifest
     for i, other in enumerate(outputs[1:], 1):
         assert other == outputs[0], _HOST_CLASSES[i]
+
+
+def _golden_png_input() -> np.ndarray:
+    """A fixed 16x17 RGB image from exact arithmetic alone: values spread over [-0.1, 1.1], so
+    both clips show, and the 256 half-way points k / 255 + 0.5 / 255 of the rounding."""
+    spread = (np.arange(16 * 17 * 3) * 0.6180339887498949) % 1.0 * 1.2 - 0.1
+    spread[:256] = (np.arange(256) + 0.5) / 255.0
+    return spread.reshape(16, 17, 3)
+
+
+def test_build_data_and_png_pixels_match_the_golden_digests(tmp_path):
+    # A change that means to move these bytes updates tests/golden.json with the digests
+    # this test prints, and gives its byte story from scripts/bytecheck.py.
+    assert main(["build-data", *_load_bytecheck().DATA, "--out", str(tmp_path / "data")]) == 0
+    files = sorted(p for p in (tmp_path / "data").rglob("*") if p.is_file())
+    write_png(tmp_path / "fixed.png", _golden_png_input())
+    got = {"build-data": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
+           "write_png pixels": hashlib.sha256(read_png_per_byte(tmp_path / "fixed.png").tobytes()).hexdigest()}
+    assert got == json.loads((ROOT / "tests" / "golden.json").read_text()), json.dumps(got, indent=2)

@@ -249,8 +249,8 @@ def test_any_text_for_any_key_is_accepted_or_a_value_error(key, text):
     try:
         loaded = load_settings(ns)
         _config(ModelConfig, "model", loaded, **_geometry(_DEFAULT_MANIFEST))
-        _config(TrainConfig, "train", loaded, seed=loaded["run.seed"])
-        _config(DataConfig, "data", loaded, seed=loaded["run.seed"], spectrum=_spectrum(loaded))
+        _config(TrainConfig, "train", loaded)
+        _config(DataConfig, "data", loaded, spectrum=_spectrum(loaded))
     except ValueError:
         pass
 
@@ -401,16 +401,25 @@ def test_train_peak_memory_does_not_grow_with_the_split(tmp_path):
     assert abs(peaks[2] - peaks[1]) < 2 * pair_bytes, (peaks, pair_bytes)
 
 
-def test_train_diverged_exits_4_without_out(tmp_path, capsys):
+def _check_train_diverges(tmp_path, capsys, *flags):
     manifest = build_small_dataset(tmp_path)
     capsys.readouterr()
-    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, "--train.learning_rate", "1e200",
-                 "--train.steps", "3", "--out", str(tmp_path / "run")])
+    code = main(["train", "--manifest", str(manifest), *TINY_MODEL_FLAGS, *flags,
+                 "--train.learning_rate", "1e200", "--train.steps", "3", "--out", str(tmp_path / "run")])
     assert code == EXIT_DIVERGED
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("diverged: ")
     assert not (tmp_path / "run").exists()
     assert _staging_leftovers(tmp_path) == []
+
+
+def test_train_diverged_exits_4_without_out(tmp_path, capsys):
+    _check_train_diverges(tmp_path, capsys)
+
+
+def test_vit_mlp_train_diverged_exits_4_without_out(tmp_path, capsys):
+    # Its GELU then meets NaN and infinities, which must reach the sigmoid head's check.
+    _check_train_diverges(tmp_path, capsys, "--model.variant", "vit_mlp")
 
 
 def test_train_missing_manifest_exits_3(tmp_path):
@@ -1038,6 +1047,19 @@ def test_failed_command_leaves_existing_out_as_it_was(tmp_path, monkeypatch, sma
     assert _staging_leftovers(tmp_path) == []
 
 
+@pytest.mark.parametrize("command,code", [("build-data", EXIT_CONFIG), ("train", EXIT_CONFIG), ("sweep", EXIT_CONFIG),
+                                          ("eval", EXIT_OK), ("reconstruct", EXIT_OK)])
+def test_negative_seed_is_a_config_error_naming_run_seed(tmp_path, capsys, small_run, command, code):
+    # DataConfig and TrainConfig hold the bound, so every command that draws from the seed
+    # refuses it before any work; eval and reconstruct read no seed, like any key they do not use.
+    argv, _, _ = _staged_command(command, *small_run)
+    assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "x")]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert out == "" and err == "config error: run.seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("out", [".", "fresh/nested"])
 @pytest.mark.parametrize("command", COMMAND_NAMES)
 def test_command_commits_into_out(tmp_path, monkeypatch, small_run, command, out):
@@ -1119,21 +1141,28 @@ def test_module_entry_point_runs():
     assert "build-data" in proc.stdout
 
 
-def test_sine_paths_never_load_scipy(tmp_path):
-    # scipy provides only erf, for the vit_mlp baseline's GELU; importing visir,
-    # training the sine variant and reconstructing through the CLI must not load it.
+def test_no_command_loads_a_module_beyond_numpy_and_the_standard_library(tmp_path):
+    # numpy is visir's one dependency.  Every command, with the vit_mlp baseline (whose GELU
+    # is the path that once loaded scipy), runs in one process, which then holds no other
+    # module than those the interpreter loaded at start-up (site's .pth files may load some).
+    # Cython registers `cython_runtime` and `_cython_<version>` for numpy's compiled modules.
     root = Path(__file__).resolve().parents[1]
     script = f"""
 import sys
-import tempfile
-import visir, visir.cli
+at_start = set(sys.modules)
 from visir.cli import main
+model = [*{TINY_MODEL_FLAGS!r}, "--model.variant", "vit_mlp"]
 assert main(["build-data", *{SMALL_DATA_FLAGS!r}, "--out", "data"]) == 0
-assert main(["train", "--manifest", "data/manifest.json", *{TINY_MODEL_FLAGS!r}, "--train.steps", "1",
+assert main(["train", "--manifest", "data/manifest.json", *model, "--train.steps", "2", "--train.batch_size", "2",
              "--out", "run"]) == 0
+assert main(["eval", "--manifest", "data/manifest.json", "--checkpoint", "run/model.vsck", "--out", "ev"]) == 0
 assert main(["reconstruct", "--checkpoint", "run/model.vsck", "--input", "data/s000_t00_lr.vsgr",
              "--hr", "data/s000_t00_hr.vsgr", "--out", "rec"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["sweep", "--manifest", "data/manifest.json", *model, "--train.steps", "1",
+             "--sweep.frequencies", "20", "--sweep.layers", "1", "--out", "sw"]) == 0
+allowed = {{"numpy", "visir", "cython_runtime", *sys.stdlib_module_names}}
+loaded = sorted({{m.split(".")[0] for m in set(sys.modules) - at_start}} - allowed)
+loaded = [m for m in loaded if not m.startswith("_cython_")]
 assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
