@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The tape is define-by-run: every primitive called outside ``no_grad``
-appends one entry, so wrap inference in ``no_grad``.  ``backward(loss,
+appends one entry.  The model's inference forwards enter ``no_grad``
+themselves, so only the losses record.  ``backward(loss,
 params)`` pops the entries in reverse, dropping each one and its output
 gradient as it passes, and returns the gradient of ``params`` as one vector in
 ``params`` order: those tensors, and no flag on a tensor, decide what is
@@ -12,7 +13,7 @@ tensors for training as well as for inference.
 
 An entry holds no tensor.  It names its output and its parents by their
 ``key``, an integer no other tensor of the process has, and its pull closes
-over only what the pull reads: ``add`` and ``reshape`` keep shapes, ``affine``
+over only what the pull reads: ``add`` keeps shapes, ``affine``
 its input rows, ``attention`` its per-head operands and weights,
 ``sine_activation`` its input (``omega0 * x`` is computed again in the pull:
 one multiply, with the same bits), and ``output_head`` its input rows and at
@@ -34,11 +35,13 @@ store).  The sigmoid head keeps the activation and the residual.  One
 CLI-default training step at batch 4 peaks at 18.9 MB in tracemalloc, 3.41
 times its HR batch, which the step never stacks.
 
-Deleted: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul``, ``narrow``, ``concat``,
-``tensor_sum``, ``mean``, ``sigmoid`` and ``softmax``.  ``affine`` makes the
-products, ``attention`` its own softmax and ``output_head`` its own sigmoid and
-mean.  The names remain, out of ``__all__``, bound to one function that raises
-``NotImplementedError``, until the benchmark's tracer stops looking them up.
+Deleted: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul``, ``transpose``,
+``reshape``, ``narrow``, ``concat``, ``tensor_sum``, ``mean``, ``sigmoid`` and
+``softmax``.  ``affine`` makes the products, ``attention`` its own softmax and
+``output_head`` its own sigmoid and mean; the model's inference forwards move
+axes with numpy.  The names remain, out of ``__all__``, bound to one function
+that raises ``NotImplementedError``, until the benchmark's tracer stops looking
+them up.
 
 Primitives do not check for NaN or infinity.  ``Tensor(...)`` checks data from outside,
 ``output_head`` its sine output (``omega0 * z`` overflows where ``z`` is finite) or its
@@ -67,8 +70,6 @@ __all__ = [
     "tape_length",
     "backward",
     "add",
-    "transpose",
-    "reshape",
     "sine_activation",
     "gelu",
     "layer_norm",
@@ -263,26 +264,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(out, (a.key, b.key), pull)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    out = np.transpose(a.data, axes).copy()
-    inv = None if axes is None else tuple(np.argsort(axes))
-
-    def pull(g):
-        return (np.transpose(g, inv).copy(),)
-
-    return _make(out, (a.key,), pull)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)  # a view: tensors are immutable
-    a_shape = a.shape
-
-    def pull(g):
-        return (g.reshape(a_shape),)
-
-    return _make(out, (a.key,), pull)
 
 
 def _scaled(x: np.ndarray, c: float) -> np.ndarray:
@@ -488,9 +469,9 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
     z = x @ W^T + b as in `affine`.  final: "sine", (sin(omega0 * z) + 1) / 2, or "sigmoid",
     1 / (1 + exp(-z)) (omega0 unused).  Without a target the result is that activation,
     shape (..., out).  With one it is the mean of (activation - target)^2 as a scalar:
-    `target` is a sequence of arrays whose sizes sum to the activation's, and whose C-order
-    elements, one part after the other, are the activation's targets (one transposed view
-    per image will do), read in this call only.
+    `target` is a sequence of arrays whose sizes sum to the activation's, not 0, and whose
+    C-order elements, one part after the other, are the activation's targets (one transposed
+    view per image will do), read in this call only.
     The sine entry keeps x and, with a target, the residual: its pull makes z again, one
     product of the stack at a time.  The sigmoid entry keeps x and the activation, and the
     residual beside it.  The pull overwrites what it keeps.
@@ -499,7 +480,7 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
         raise ValueError(f"final must be one of {HEAD_FINALS}, got {final!r}")
     _check_rows("output_head", x, weight, bias)
     out_shape = x.shape[:-1] + weight.shape[:1]
-    if target is not None and sum(np.size(part) for part in target) != math.prod(out_shape):
+    if target is not None and not 0 < sum(np.size(part) for part in target) == math.prod(out_shape):
         raise ShapeError(f"output_head: output {out_shape}, target parts {[np.shape(part) for part in target]}")
     omega0 = float(omega0)
     xs, b = x.data, bias.data
@@ -560,12 +541,13 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
 
 
 def _deleted(*args, **kwargs):
-    """Stands in for eleven deleted primitives.  It exists only because perfbench/tracer.py
+    """Stands in for thirteen deleted primitives.  It exists only because perfbench/tracer.py
     looks their names up with getattr; the benchmark revision (ROADMAP item 1) deletes it."""
     raise NotImplementedError("a deleted primitive: use affine, attention, output_head or numpy")
 
 
-sub = mul = neg = scale = matmul = narrow = concat = tensor_sum = mean = sigmoid = softmax = _deleted
+sub = mul = neg = scale = matmul = transpose = reshape = _deleted
+narrow = concat = tensor_sum = mean = sigmoid = softmax = _deleted
 
 
 # ---------------------------------------------------------------------------

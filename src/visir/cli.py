@@ -26,7 +26,7 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .autodiff import NonFiniteError, no_grad
+from .autodiff import NonFiniteError
 from .data import CHANNEL_NAMES, DEFAULT_SPECTRUM, DataConfig, SpectrumSpec, read_grid, read_png, write_grid, write_png
 from .metrics import evaluate_pair
 from .model import ModelConfig, init_parameters, predict
@@ -303,8 +303,7 @@ def cmd_reconstruct(ns: argparse.Namespace, settings: dict, stage: Path) -> int:
                      "input shape {} does not match checkpoint LR shape {}")
     hr = None if ns.hr is None else _read_image(ns.hr, (cfg.hr_height, cfg.hr_width, cfg.channels),
                                                 "HR reference shape {} does not match output {}")
-    with no_grad():
-        recon = predict(lr, model).data
+    recon = predict(lr, model).data
     write_png(stage / "reconstruction.png", recon)
     write_grid(stage / "reconstruction.vsgr", recon)
     out = Path(settings["run.out"])

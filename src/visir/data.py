@@ -247,14 +247,13 @@ def _span(lo: float, hi: float) -> float:
     return hi - lo
 
 
-def normalize_field(f: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[float, float]]:
-    """Affine map to [0, 1]; returns the channel and the (min, max) range.  The channel
-    is written into `out` (say, `f` itself) when it is given."""
+def normalize_field(f: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """Affine map to [0, 1]; returns the channel, a new array, and the (min, max) range."""
     v = np.asarray(f, dtype=np.float64)
     lo = float(v.min())
     hi = float(v.max())
     span = _span(lo, hi)
-    out = np.subtract(v, lo, out=out)
+    out = v - lo
     out /= span
     return out, (lo, hi)
 
@@ -707,8 +706,9 @@ def load_manifest(path) -> DatasetManifest:
                            normalization=normalization, root=path.parent)
 
 
-class _SplitPairs(Sequence):
-    """The pairs of manifest entries, each read from its two grid files when it is indexed."""
+class _SplitPairs:
+    """The pairs of manifest entries, each read from its two grid files when it is indexed.
+    A slice is another such sequence; iteration ends at the entries' IndexError."""
 
     __slots__ = ("_root", "_entries", "_scale")
 

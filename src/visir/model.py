@@ -24,10 +24,9 @@ from .autodiff import (
     attention,
     gelu,
     layer_norm,
+    no_grad,
     output_head,
-    reshape,
     sine_activation,
-    transpose,
 )
 
 __all__ = [
@@ -219,12 +218,11 @@ def extract_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
     return x.reshape(*lead, h * w // (p * p), p * p * c)
 
 
-def patches_to_image(tokens: Tensor, grid_rows: int, grid_cols: int, p_out: int, channels: int) -> Tensor:
-    """Inverse of extract_patches at the output resolution: (..., N, P*P*C) -> (..., H, W, C)."""
+def patches_to_image(tokens: np.ndarray, grid_rows: int, grid_cols: int, p_out: int, channels: int) -> np.ndarray:
+    """Inverse of extract_patches at the output resolution: (..., N, P*P*C) -> (..., H, W, C), a copy."""
     lead = tokens.shape[:-2]
-    x = reshape(tokens, lead + (grid_rows, grid_cols, p_out, p_out, channels))
-    x = transpose(x, _grid_axes(len(lead)))
-    return reshape(x, lead + (grid_rows * p_out, grid_cols * p_out, channels))
+    x = tokens.reshape(lead + (grid_rows, grid_cols, p_out, p_out, channels)).transpose(_grid_axes(len(lead)))
+    return x.copy().reshape(lead + (grid_rows * p_out, grid_cols * p_out, channels))
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +330,25 @@ def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | Sequence[np.ndar
 
 
 def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
-    """Tokens, (N, D) or (B, N, D) -> HR image in [0, 1], (H, W, C) or (B, H, W, C).
+    """Tokens, (N, D) or (B, N, D) -> HR image in [0, 1], (H, W, C) or (B, H, W, C); inference,
+    which records no tape entry.
 
     The shared decoder stack maps each token to its own HR patch.
     """
     cfg = model.config
-    return patches_to_image(_decode(tokens, model), cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale,
-                            cfg.channels)
+    with no_grad():
+        out = _decode(tokens, model).data
+    return Tensor._view(patches_to_image(out, cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale,
+                                         cfg.channels))
 
 
 def predict(img: np.ndarray, model: VisirModel) -> Tensor:
     """(H, W, C) LR image or (B, H, W, C) batch -> HR image(s) in [0, 1], (H', W', C) or
-    (B, H', W', C), differentiable; the forward pass of both variants (sine stacks and output,
-    or the MLP baseline's GELU stacks and sigmoid output).  A batch gives each image's own output."""
-    return decode_hr(encode(img, model), model)
+    (B, H', W', C); the inference forward of both variants (sine stacks and output, or the MLP
+    baseline's GELU stacks and sigmoid output), which records no tape entry: predict_loss is
+    the one to differentiate.  A batch gives each image's own output."""
+    with no_grad():
+        return decode_hr(encode(img, model), model)
 
 
 def predict_loss(img: np.ndarray, hr: np.ndarray | Sequence[np.ndarray], model: VisirModel) -> Tensor:
@@ -379,12 +382,14 @@ def _coordinate_rows(coords: np.ndarray, params: dict[str, Tensor],
 
 
 def siren_inr_forward(coords: np.ndarray, params: dict[str, Tensor], omega0: float) -> Tensor:
-    """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1].
+    """Coordinate network: (..., 2) grid -> (..., C) image values in [0, 1]; inference, which
+    records no tape entry (siren_inr_loss is the one to differentiate).
 
     `params` is a sine stack as init_siren_stack draws it ("w0", "b0", ...).
     """
-    out = output_head(*_coordinate_rows(coords, params, omega0), omega0, "sine")
-    return reshape(out, coords.shape[:-1] + out.shape[-1:])
+    with no_grad():
+        out = output_head(*_coordinate_rows(coords, params, omega0), omega0, "sine").data
+    return Tensor._view(out.reshape(coords.shape[:-1] + out.shape[-1:]))
 
 
 def siren_inr_loss(coords: np.ndarray, target: np.ndarray, params: dict[str, Tensor], omega0: float) -> Tensor:

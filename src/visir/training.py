@@ -25,7 +25,6 @@ from .autodiff import (
     clear_tape,
     init_adam,
     adam_step,
-    no_grad,
 )
 from .data import SRPair
 from .metrics import MetricsReport, evaluate_pair
@@ -191,11 +190,7 @@ def evaluate(model: VisirModel, pairs: Sequence[SRPair]) -> tuple[list[MetricsRe
     """
     if not pairs:
         raise ValueError("empty evaluation split")
-    reports = []
-    with no_grad():
-        for pair in pairs:
-            out = predict(pair.lr, model).data
-            reports.append(evaluate_pair(pair.hr, out))
+    reports = [evaluate_pair(pair.hr, predict(pair.lr, model).data) for pair in pairs]
     return reports, _summarize(reports)
 
 
@@ -275,10 +270,8 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
     for step in range(1, steps + 1):
         vector, _ = _adam_update(params, opt, loss, step)
         params = Parameters(vector, params.shapes)
-    with no_grad():
-        hr_coords = coordinate_grid(pair.hr.shape[0], pair.hr.shape[1])
-        recon = siren_inr_forward(hr_coords, params, omega0).data
-    return params, recon
+    hr_coords = coordinate_grid(pair.hr.shape[0], pair.hr.shape[1])
+    return params, siren_inr_forward(hr_coords, params, omega0).data
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -57,9 +58,10 @@ def test_scalar_results_are_read_only_arrays():
 
 def test_deleted_primitives_keep_only_their_names():
     # perfbench/tracer.py looks these names up; each is the one function that raises, out of __all__.
-    names = ("sub", "mul", "neg", "scale", "matmul", "narrow", "concat", "tensor_sum", "mean", "sigmoid", "softmax")
+    names = ("sub", "mul", "neg", "scale", "matmul", "transpose", "reshape", "narrow", "concat", "tensor_sum", "mean",
+             "sigmoid", "softmax")
     assert all(hasattr(ad, name) for name in names)
-    assert len({getattr(ad, name) for name in names}) == 1
+    assert {getattr(ad, name) for name in names} == {ad._deleted}
     for name in names:
         with pytest.raises(NotImplementedError):
             getattr(ad, name)(Tensor([1.0]), Tensor([2.0]))
@@ -497,8 +499,10 @@ _GRADIENT_ROWS = [
     ("add", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (3, 4)}),
     ("add_broadcast", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (4,)}),
     ("add_broadcast_size_1", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (3, 4), "b": (1, 4)}),
-    ("transpose", lambda t: _weighted(ad.transpose(t["a"])), {"a": (3, 4)}),
-    ("reshape", lambda t: _weighted(ad.reshape(t["a"], (6, 2))), {"a": (3, 4)}),
+    # The positional add at batch > 1: one (N, D) table over every image's tokens.
+    ("add_broadcast_batch", lambda t: _weighted(ad.add(t["a"], t["b"])), {"a": (2, 3, 4), "b": (3, 4)}),
+    ("layer_norm_batched", lambda t: _weighted(ad.layer_norm(t["a"], t["g"], t["s"])),
+     {"a": (2, 3, 6), "g": (6,), "s": (6,)}),
     ("sine", lambda t: _weighted(ad.sine_activation(t["a"], 20.0)), {"a": (2, 3)}),
     ("gelu", lambda t: _weighted(ad.gelu(t["a"])), {"a": (2, 4)}),
     ("layer_norm", lambda t: _weighted(ad.layer_norm(t["a"], t["g"], t["s"])),
@@ -649,6 +653,22 @@ def test_fused_primitives_reject_bad_shapes():
         for final in ("sine", "sigmoid"):  # parts whose sizes do not sum to the 8 outputs
             with pytest.raises(ShapeError):
                 ad.output_head(x, w, b, 1.0, final, parts)
+    assert ad.tape_length() == 0
+
+
+@pytest.mark.parametrize("final", ["sine", "sigmoid"])
+@pytest.mark.parametrize("x_shape,out", [((0, 3), 4), ((2, 0, 3), 4), ((2, 3), 0)])
+def test_a_loss_over_no_outputs_is_a_shape_error(final, x_shape, out):
+    # The mean of no squares would be 0 / 0: a NaN and a RuntimeWarning, here made errors.
+    x, w, b = Tensor(np.zeros(x_shape)), Tensor(np.zeros((out, 3))), Tensor(np.zeros(out))
+    target = np.zeros(x_shape[:-1] + (out,))
+    ad.clear_tape()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError):
+            ad.output_head(x, w, b, 1.0, final, [target])
+        with pytest.raises(ShapeError):
+            ad.output_head(x, w, b, 1.0, final, [])
     assert ad.tape_length() == 0
 
 

@@ -1,7 +1,7 @@
 """The benchmark's layer tracer still fits the library.
 
 perfbench/tracer.py wraps visir's public functions by module attribute and
-reads some of their arguments and results.  It also looks up eleven deleted
+reads some of their arguments and results.  It also looks up thirteen deleted
 autodiff primitives, which remain as names of one function that raises; no
 model calls them, so their figures read 0.  This runs a tiny train, evaluate
 and coordinate-net fit under the tracer and checks that every per-layer metric

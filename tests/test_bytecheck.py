@@ -4,7 +4,8 @@ run twice on this checkout, writes the same bytes.
 Trained and predicted bytes depend on the machine, so only the outputs that do
 not are pinned to committed digests (tests/golden.json): every `build-data`
 file, which is also pinned across host classes (the CPU kernels that OpenBLAS
-and numpy pick must not move its bytes), and the pixels `write_png` stores.
+and numpy pick must not move its bytes), the pixels `write_png` stores, and the
+checkpoint of a freshly initialized model of each variant, on every host class.
 """
 
 import hashlib
@@ -70,16 +71,22 @@ _HOST_CLASSES = ({}, {"OPENBLAS_CORETYPE": "Haswell"},
                  {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}, {"OPENBLAS_CORETYPE": "Sandybridge"})
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="the settings name x86-64 kernels")
+_X86 = platform.machine() in ("x86_64", "AMD64")
+
+
+def _child_env(host: dict) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    return {**env, "PYTHONPATH": str(ROOT / "src"), **host}
+
+
+@pytest.mark.skipif(not _X86, reason="the settings name x86-64 kernels")
 def test_build_data_bytes_are_the_same_across_host_classes(tmp_path):
     bytecheck = _load_bytecheck()
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    env["PYTHONPATH"] = str(ROOT / "src")
     outputs = []
     for i, host in enumerate(_HOST_CLASSES):
         out = tmp_path / f"host{i}"
         subprocess.run([sys.executable, "-m", "visir", "build-data", *bytecheck.DATA, "--data.background", "0.4",
-                        "--out", str(out)], env={**env, **host}, check=True, capture_output=True)
+                        "--out", str(out)], env=_child_env(host), check=True, capture_output=True)
         outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))})
     assert len(outputs[0]) == 2 * 2 * 8 + 1  # two sources of 8 tiles, two grids a pair, and the manifest
     for i, other in enumerate(outputs[1:], 1):
@@ -102,4 +109,31 @@ def test_build_data_and_png_pixels_match_the_golden_digests(tmp_path):
     write_png(tmp_path / "fixed.png", _golden_png_input())
     got = {"build-data": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files},
            "write_png pixels": hashlib.sha256(read_png_per_byte(tmp_path / "fixed.png").tobytes()).hexdigest()}
-    assert got == json.loads((ROOT / "tests" / "golden.json").read_text()), json.dumps(got, indent=2)
+    golden = json.loads((ROOT / "tests" / "golden.json").read_text())
+    assert got == {key: golden[key] for key in got}, json.dumps(got, indent=2)
+
+
+# The digests of save_checkpoint(init_parameters(cfg, 0)) for a 12x12x3 LR model and its MLP
+# twin, printed as JSON; the checkpoints are written into the directory argv[1].
+_INIT_CHECKPOINT_DIGESTS = """
+import hashlib, json, sys
+from pathlib import Path
+from visir.model import ModelConfig, as_mlp_baseline, init_parameters
+from visir.training import save_checkpoint
+cfg = ModelConfig(lr_height=12, lr_width=12, num_layers=1, num_heads=2, embed_dim=16, siren_hidden_dim=16)
+digests = {}
+for c in (cfg, as_mlp_baseline(cfg)):
+    path = Path(sys.argv[1]) / f"{c.variant}.vsck"
+    save_checkpoint(init_parameters(c, 0), path)
+    digests[c.variant] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_init_checkpoints_match_the_golden_digests_on_every_host_class(tmp_path):
+    # The draw is numpy's generator alone, so no kernel choice may move a fresh model's bytes.
+    golden = json.loads((ROOT / "tests" / "golden.json").read_text())["init_parameters checkpoint"]
+    for host in _HOST_CLASSES if _X86 else ({},):
+        out = subprocess.run([sys.executable, "-c", _INIT_CHECKPOINT_DIGESTS, str(tmp_path)], env=_child_env(host),
+                             check=True, capture_output=True, text=True).stdout
+        assert json.loads(out) == golden, (host, out)

@@ -1,13 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from visir import autodiff as ad
-from visir import training
+from visir import cli, training
 from visir.autodiff import ShapeError, Tensor
-from visir.data import SRPair
+from visir.data import SRPair, write_grid
 from visir.model import (
     VARIANTS,
     ModelConfig,
@@ -100,8 +101,9 @@ def test_patches_reconstruct_image_exactly():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 1, (12, 18, 3))
     patches = extract_patches(img, 3)
-    back = patches_to_image(Tensor(patches), 4, 6, 3, 3)
-    assert np.array_equal(back.data, img)
+    back = patches_to_image(patches, 4, 6, 3, 3)
+    assert type(back) is np.ndarray and back.flags.c_contiguous and not np.shares_memory(back, patches)
+    assert np.array_equal(back, img)
 
 
 def test_patches_are_row_major():
@@ -463,14 +465,52 @@ def test_predict_tape_entries_all_reach_a_parameter(variant, num_layers, siren_h
     with pytest.raises(ShapeError):  # a swapped-in vector must hold the layout's values
         model.vector = np.zeros(model.vector.size + 1)
     for img in (tiny_image(0), np.stack([tiny_image(0), tiny_image(1)])):
-        for run in (lambda: predict(img, model),
-                    lambda: predict_loss(img, np.zeros(img.shape[:-3] + (cfg.hr_height, cfg.hr_width, 1)), model)):
+        ad.clear_tape()
+        predict(img, model)  # inference: no entry at all
+        assert ad.tape_length() == 0
+        predict_loss(img, np.zeros(img.shape[:-3] + (cfg.hr_height, cfg.hr_width, 1)), model)
+        try:
+            _assert_every_entry_reaches_a_parameter(model.params)
+        finally:
             ad.clear_tape()
-            run()
-            try:
-                _assert_every_entry_reaches_a_parameter(model.params)
-            finally:
-                ad.clear_tape()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_records_no_tape_with_grad_enabled(variant, tmp_path):
+    # predict and siren_inr_forward enter no_grad themselves, so no caller has to.
+    model = init_parameters(replace(TINY, variant=variant), seed=0)
+    rng = np.random.default_rng(1)
+    pairs = [SRPair(hr=rng.uniform(0, 1, (16, 16, 1)), lr=tiny_image(seed), scale=2) for seed in range(2)]
+    training.save_checkpoint(model, tmp_path / "m.vsck")
+    write_grid(tmp_path / "lr.vsgr", tiny_image(0))
+    reconstruct = ["reconstruct", "--checkpoint", str(tmp_path / "m.vsck"), "--input", str(tmp_path / "lr.vsgr"),
+                   "--out", str(tmp_path / "rec")]
+    runs = [lambda: predict(tiny_image(0), model),
+            lambda: predict(np.stack([tiny_image(0), tiny_image(1)]), model),
+            lambda: siren_inr_forward(coordinate_grid(3, 4), init_siren_stack([2, 8, 1], 20.0, seed=0), 20.0),
+            lambda: training.evaluate(model, pairs),
+            lambda: cli.main(reconstruct)]
+    assert ad._state.grad_enabled
+    for run in runs:
+        ad.clear_tape()
+        run()
+        assert ad.tape_length() == 0
+    assert (tmp_path / "rec" / "reconstruction.png").exists()  # reconstruct ran to the end
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_loss_over_an_empty_batch_is_a_shape_error(variant):
+    # Not NaN from 0 / 0 with a RuntimeWarning: the head raises before it computes.
+    model = init_parameters(replace(TINY, variant=variant), seed=0)
+    lr = np.zeros((0, TINY.lr_height, TINY.lr_width, TINY.channels))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for hr in (np.zeros((0, TINY.hr_height, TINY.hr_width, TINY.channels)), []):
+                with pytest.raises(ShapeError):
+                    predict_loss(lr, hr, model)
+    finally:
+        ad.clear_tape()
 
 
 # ---------------------------------------------------------------------------
