@@ -6,18 +6,20 @@ themselves, so only the losses record.  ``backward(loss,
 params)`` pops the entries in reverse, dropping each one and its output
 gradient as it passes, and returns the gradient of ``params`` as one vector in
 ``params`` order: those tensors, and no flag on a tensor, decide what is
-differentiated.  ``adam_step`` takes that vector and the parameter vector, and
+differentiated.  The vector comes from ``gradient_vector`` unless the caller
+passes one; a training loop makes it at the forward's peak, so that it pins the
+top of the heap.  ``adam_step`` takes that vector and the parameter vector, and
 returns a new parameter vector.  Each thread has its own tape and its own
 ``no_grad`` flag, and tensors are immutable, so threads may share parameter
 tensors for training as well as for inference.
 
 An entry holds no tensor.  It names its output and its parents by their
 ``key``, an integer no other tensor of the process has, and its pull closes
-over only what the pull reads: ``add`` keeps shapes, ``affine``
-its input rows, ``attention`` its per-head operands and weights,
-``sine_activation`` its input (``omega0 * x`` is computed again in the pull:
-one multiply, with the same bits), and ``output_head`` its input rows and at
-most two output-sized buffers, which its pull overwrites.  So an intermediate
+over only what the pull reads: ``add`` keeps shapes, ``affine`` its input rows,
+``attention`` its per-head operands (its pull makes the softmax weights again,
+with the same bits), ``sine_activation`` its input (``omega0 * x`` is computed
+again in the pull: one multiply, with the same bits), and ``output_head`` its
+input rows and at most two output-sized buffers, which its pull overwrites.  So an intermediate
 that no pull reads is freed as soon as its caller drops it, and what a pull
 reads is freed when ``backward`` pops its entry.
 
@@ -32,7 +34,7 @@ the gradient in place.  The sine head keeps only the residual: it writes the
 activation over z, and its pull makes z again one product of the stack at a
 time, with the forward's bits (Chen et al., 2016: recompute rather than
 store).  The sigmoid head keeps the activation and the residual.  One
-CLI-default training step at batch 4 peaks at 18.9 MB in tracemalloc, 3.41
+CLI-default training step at batch 4 peaks at 16.3 MB in tracemalloc, 2.95
 times its HR batch, which the step never stacks.
 
 Deleted: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul``, ``transpose``,
@@ -69,6 +71,7 @@ __all__ = [
     "clear_tape",
     "tape_length",
     "backward",
+    "gradient_vector",
     "add",
     "sine_activation",
     "gelu",
@@ -161,7 +164,7 @@ class _ThreadState(threading.local):
     def __init__(self):
         self.tape: list[_TapeEntry] = []
         self.grad_enabled = True
-        self.last_grads = np.zeros(0)
+        self.last_grads: np.ndarray | None = None
 
 
 _state = _ThreadState()
@@ -207,11 +210,23 @@ def _pull_into(grads: dict[int, np.ndarray], leaves: dict[int, np.ndarray], entr
             grads[key] = pg
 
 
-def backward(loss: Tensor, params: Mapping[str, Tensor]) -> np.ndarray:
+def gradient_vector(size: int) -> np.ndarray:
+    """A new vector of `size` values for ``backward`` to overwrite.  The thread keeps it until
+    its next call, so that where it lands in the heap, malloc keeps the memory below it from
+    step to step instead of returning it and faulting it in again.  The last one goes first,
+    so the two are never both live."""
+    _state.last_grads = None
+    _state.last_grads = np.empty(size)
+    return _state.last_grads
+
+
+def backward(loss: Tensor, params: Mapping[str, Tensor], out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the scalar ``loss`` with respect to the tensors in ``params``, as one
     vector in ``params`` order, each tensor's piece in C order; zeros for a tensor that
     does not feed the loss.  The tensors must be leaves, made by no primitive on the
-    tape, and distinct: a tensor named twice is a ValueError.
+    tape, and distinct: a tensor named twice is a ValueError.  The vector is ``out`` when
+    one is given, a contiguous float64 vector of that length, which is overwritten, and
+    one from ``gradient_vector`` otherwise.
 
     The tape is popped one entry at a time, so what a pull reads is freed with its
     entry, and a gradient once the sweep has passed the entries that use and make
@@ -223,10 +238,11 @@ def backward(loss: Tensor, params: Mapping[str, Tensor]) -> np.ndarray:
         tensors = {p.key: p for p in params.values()}
         if len(tensors) != len(params):
             raise ValueError("backward: a tensor is named twice in params")
-        # One zeroed vector, made before the sweep frees the forward's memory and kept until the next
-        # call, so that malloc keeps that memory for the next step instead of returning it and
-        # faulting it in again.
-        flat = _state.last_grads = np.zeros(sum(p.size for p in tensors.values()))
+        size = sum(p.size for p in tensors.values())
+        flat = gradient_vector(size) if out is None else out
+        if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ShapeError(f"backward: out must be a contiguous float64 vector of {size} values")
+        flat.fill(0.0)
         leaves, start = {}, 0
         for key, p in tensors.items():
             leaves[key] = flat[start:start + p.size].reshape(p.shape)
@@ -411,7 +427,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention of (..., N, D) queries, keys and values, with the D
     features split into `num_heads` heads; the heads' outputs are concatenated back to D.
 
-    Heads and leading axes are stack axes of np.matmul, one contiguous product per head."""
+    Heads and leading axes are stack axes of np.matmul, one contiguous product per head.
+    The entry keeps the per-head queries, transposed keys and values, and not the
+    (..., H, N, N) softmax weights: its pull makes them again from the first two with the
+    forward's operations, so with its bits (Dao et al., 2022)."""
     if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal (..., N, D) operands, got {q.shape}, {k.shape}, {v.shape}")
     shape = q.shape
@@ -431,15 +450,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     # that one head alone would make, with the same rounding.
     qh, vh = np.ascontiguousarray(heads(q.data)), np.ascontiguousarray(heads(v.data))
     kt = np.ascontiguousarray(np.swapaxes(heads(k.data), -1, -2))
-    # The softmax in place over the scores, with the bits of exp(s - max) / sum.
-    w = qh @ kt
-    w *= c
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = merge(w @ vh)
 
-    def pull(g):
+    def weights():  # the softmax in place over the scores, with the bits of exp(s - max) / sum
+        w = qh @ kt
+        w *= c
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w
+
+    out = merge(weights() @ vh)
+
+    def pull(g):  # the weights again rather than kept: the same operations, so the same bits
+        w = weights()
         gh = np.ascontiguousarray(heads(g))
         # The softmax pull w * (dw - sum(dw * w)) * c, in place over dw = g V^T; the same bits.
         dscores = gh @ np.swapaxes(vh, -1, -2)
@@ -562,28 +585,29 @@ ADAM_EPS = 1e-8
 @dataclass
 class OptimizerState:
     """Bias-corrected first/second moment accumulators as two vectors in ``params``
-    order, and one work vector of the same length."""
+    order.  ``adam_step`` makes its scratch vector for the step, so a forward and a
+    backward do not carry it."""
 
     lr: float
     step: int
     m: np.ndarray
     v: np.ndarray
-    work: np.ndarray
 
 
 def init_adam(params: np.ndarray, lr: float = 1e-4) -> OptimizerState:
     """Adam's state for the parameter vector `params`."""
     size = params.size
-    return OptimizerState(lr=lr, step=0, m=np.zeros(size), v=np.zeros(size), work=np.empty(size))
+    return OptimizerState(lr=lr, step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(params: np.ndarray, state: OptimizerState, grads: np.ndarray) -> np.ndarray:
     """One Adam update of the parameter vector by ``backward``'s gradient vector: a fresh read-only
     vector, and `state` mutated; neither argument is written to.  A vector of another size than
     `state` was made for is a ShapeError that leaves `state` as it was."""
-    m, v, work = state.m, state.v, state.work
+    m, v = state.m, state.v
     if np.shape(params) != m.shape or np.shape(grads) != m.shape:
         raise ShapeError(f"adam_step: vectors of shapes {np.shape(params)} and {np.shape(grads)}, not {m.size} values")
+    work = np.empty(m.size)
     state.step += 1
     t = state.step
     # Each value goes through the operations of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and

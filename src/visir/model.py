@@ -284,12 +284,16 @@ def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tenso
     return add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, act))
 
 
-def encode(img: np.ndarray, model: VisirModel) -> Tensor:
-    """(H, W, C) LR image or (B, H, W, C) batch -> contextualized tokens, (N, D) or (B, N, D)."""
-    cfg = model.config
+def _check_lr(img: np.ndarray, cfg: ModelConfig) -> None:
     expected = (cfg.lr_height, cfg.lr_width, cfg.channels)
     if img.shape[-3:] != expected or img.ndim > 4:
         raise ShapeError(f"model expects an LR image of shape {expected} or a batch of them, got {img.shape}")
+
+
+def encode(img: np.ndarray, model: VisirModel) -> Tensor:
+    """(H, W, C) LR image or (B, H, W, C) batch -> contextualized tokens, (N, D) or (B, N, D)."""
+    cfg = model.config
+    _check_lr(img, cfg)
     p = model.params
     patches = Tensor(extract_patches(img, cfg.patch_size))
     tokens = add(affine(patches, p["embed.weight"], p["embed.bias"]), p["pos"])
@@ -299,32 +303,29 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
     return tokens
 
 
-def _hr_images(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
-               cfg: ModelConfig) -> Sequence[np.ndarray]:
-    """The HR image of each token set of a lead-shaped batch: `hr` of shape lead + (H', W', C),
-    or a sequence of that many (H', W', C) images."""
+def _hr_target(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
+               cfg: ModelConfig) -> list[np.ndarray]:
+    """The HR image of each token set of a lead-shaped batch, as a view in token order (not
+    extract_patches' copy): `hr` of shape lead + (H', W', C), or a sequence of that many
+    (H', W', C) images."""
     image = (cfg.hr_height, cfg.hr_width, cfg.channels)
     if isinstance(hr, np.ndarray):
         if hr.shape != lead + image:
             raise ShapeError(f"HR target of shape {hr.shape}, model output {lead + image}")
-        return hr.reshape((-1,) + image)
-    if len(hr) != math.prod(lead) or any(np.shape(img) != image for img in hr):
+        hr = hr.reshape((-1,) + image)
+    elif len(hr) != math.prod(lead) or any(np.shape(img) != image for img in hr):
         raise ShapeError(f"HR images of shapes {[np.shape(img) for img in hr]}, model output {lead + image}")
-    return hr
+    p = cfg.patch_size * cfg.scale
+    return [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
+            for img in hr]
 
 
-def _decode(tokens: Tensor, model: VisirModel, hr: np.ndarray | Sequence[np.ndarray] | None = None) -> Tensor:
-    """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C); given the HR
-    images `hr` (see _hr_images), its MSE against them."""
+def _decode(tokens: Tensor, model: VisirModel, target: Sequence[np.ndarray] | None = None) -> Tensor:
+    """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C); given the
+    `target` of _hr_target, its MSE against it."""
     cfg = model.config
-    lead = tokens.shape[:-2]
     if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
-    target = None
-    if hr is not None:  # views in token order, not extract_patches' copies
-        p = cfg.patch_size * cfg.scale
-        target = [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
-                  for img in _hr_images(hr, lead, cfg)]
     rows, weight, bias = _hidden_rows(tokens, model.params, "decoder.", cfg.omega0, _hidden_act(cfg))
     return output_head(rows, weight, bias, cfg.omega0, "sine" if cfg.variant == "visir" else "sigmoid", target)
 
@@ -357,8 +358,9 @@ def predict_loss(img: np.ndarray, hr: np.ndarray | Sequence[np.ndarray], model: 
 
     The same encoder and decoder as predict, but the decoder's last layer, output and loss
     are one autodiff.output_head entry, so the HR image is never made, and a batch's HR
-    images need not be stacked."""
-    return _decode(encode(img, model), model, hr)
+    images need not be stacked.  Both shapes are checked before the encoder records an entry."""
+    _check_lr(img, model.config)
+    return _decode(encode(img, model), model, _hr_target(hr, img.shape[:-3], model.config))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .autodiff import (
     Tensor,
     backward,
     clear_tape,
+    gradient_vector,
     init_adam,
     adam_step,
 )
@@ -114,32 +115,44 @@ class TrainResult:
 
 
 def _adam_update(params: Parameters, opt, loss_fn, step: int) -> tuple[np.ndarray, float]:
-    """One Adam step on `loss_fn()`: (new parameter vector, loss value).
+    """One Adam step on the loss of `loss_fn()`: (new parameter vector, loss value).  `loss_fn`
+    gives the loss and the vector that backward writes the gradient to, or None for a new one.
 
-    A non-finite value in the forward or backward pass is a DivergenceError at `step`, not a warning."""
+    A non-finite value in the forward or backward pass is a DivergenceError at `step`, not a warning.
+    The tape is empty afterwards, whatever the step raised."""
     try:
         with np.errstate(all="ignore"):
-            loss = loss_fn()
-            return adam_step(params.vector, opt, backward(loss, params)), loss.item()
+            loss, grads = loss_fn()
+            return adam_step(params.vector, opt, backward(loss, params, grads)), loss.item()
     except NonFiniteError as exc:
-        clear_tape()
         raise DivergenceError(step, str(exc)) from exc
+    finally:
+        clear_tape()
 
 
 def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
           eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
     """Adam on the MSE reconstruction loss over `pairs`, swapping `model.vector` once a step;
-    mean PSNR on `eval_pairs` every `cfg.eval_interval` steps."""
+    mean PSNR on `eval_pairs` every `cfg.eval_interval` steps.
+
+    A step reads its batch inside the loss, so the batch's images are freed before the backward."""
     if not pairs:
         raise ValueError("no training pairs")
     rng = np.random.default_rng(cfg.seed)
     opt = init_adam(model.vector, lr=cfg.learning_rate)
     curve: list[tuple[int, float]] = []
     eval_curve: list[tuple[int, float]] = []
+
+    def loss(indices) -> tuple[Tensor, np.ndarray]:
+        batch = [pairs[i] for i in indices]
+        value = predict_loss(np.stack([p.lr for p in batch]), [p.hr for p in batch], model)  # HR not copied
+        # The gradient vector, made while the batch still holds its part of the heap, lands above the
+        # forward's memory, and each step's in the place of the last: malloc keeps that memory.
+        return value, gradient_vector(model.vector.size)
+
     for step in range(1, cfg.steps + 1):
-        batch = [pairs[i] for i in rng.integers(0, len(pairs), size=cfg.batch_size)]
-        lr, hr = np.stack([p.lr for p in batch]), [p.hr for p in batch]  # the HR images are not copied
-        model.vector, value = _adam_update(model.params, opt, lambda: predict_loss(lr, hr, model), step)
+        indices = rng.integers(0, len(pairs), size=cfg.batch_size)
+        model.vector, value = _adam_update(model.params, opt, lambda: loss(indices), step)
         curve.append((step, value))
         if eval_pairs and cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
             _, summary = evaluate(model, eval_pairs)
@@ -264,8 +277,8 @@ def fit_siren_inr(pair: SRPair, hidden_dim: int = 64, hidden_layers: int = 2,
     opt = init_adam(params.vector, lr=learning_rate)
     lr_coords = coordinate_grid(pair.lr.shape[0], pair.lr.shape[1])
 
-    def loss() -> Tensor:
-        return siren_inr_loss(lr_coords, pair.lr, params, omega0)
+    def loss() -> tuple[Tensor, None]:
+        return siren_inr_loss(lr_coords, pair.lr, params, omega0), None
 
     for step in range(1, steps + 1):
         vector, _ = _adam_update(params, opt, loss, step)

@@ -202,6 +202,34 @@ def test_backward_returns_grads_keyed_as_given():
     assert ad.tape_length() == 0
 
 
+def test_backward_overwrites_the_vector_it_is_given():
+    # Stale values are zeroed first, so a tensor that does not feed the loss reads 0; a vector
+    # of another length, dtype or layout is refused, and the tape is still cleared.
+    x, unused = Tensor([3.0, -1.0]), Tensor([7.0])
+    out = np.full(3, np.nan)
+    assert ad.backward(mse_entry(x, np.zeros(2)), {"x": x, "unused": unused}, out) is out
+    assert np.array_equal(out, [3.0, -1.0, 0.0])
+    for bad in (np.zeros(4), np.zeros(3, dtype=np.float32), np.zeros(6)[::2]):
+        with pytest.raises(ShapeError, match="out must be"):
+            ad.backward(mse_entry(x, np.zeros(2)), {"x": x, "unused": unused}, bad)
+        assert ad.tape_length() == 0
+
+
+def test_gradient_vector_drops_the_last_before_making_the_next():
+    # The thread keeps the vector it made last, and only that one: the two are never both live.
+    size = 10_000
+    tracemalloc.start()
+    try:
+        ad.gradient_vector(size)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ad.gradient_vector(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 8 * size and peak < held + 4 * size, (held, peak)
+
+
 def test_params_alone_decide_what_is_differentiated():
     # A plain Tensor, made with no flag, gets its exact gradient once it is named in
     # params, and Adam moves it toward the minimum of mean((w - t)^2) on every step.
@@ -263,24 +291,26 @@ def _one_step_peak(model, lr, hr) -> int:
 
 def test_training_step_peak_memory_is_below_two_and_a_quarter_outputs():
     # One batch-4 step.  The forward pass peaks at about 1.7 output batches and the step at
-    # about 2.05, in the head's pull: the residual, the encoder's tape and the gradient
-    # vector.  The sine head keeps the residual only and makes z again, one image at a time,
-    # in its pull; when it kept z too the step peaked at 2.95 batches, and when the last
-    # affine, the final sine, the patch merge and the MSE were six entries, at 4.73.
+    # about 1.96, in the head's pull: the residual, the encoder's tape and the gradient
+    # vector (2.05 when the attention entries kept their softmax weights).  The sine head
+    # keeps the residual only and makes z again, one image at a time, in its pull; when it
+    # kept z too the step peaked at 2.95 batches, and when the last affine, the final sine,
+    # the patch merge and the MSE were six entries, at 4.73.
     rng = np.random.default_rng(0)
     lr, hr = rng.uniform(0.0, 1.0, (4, 24, 24, 3)), rng.uniform(0.0, 1.0, (4, 96, 96, 3))
     peak = _one_step_peak(init_parameters(ModelConfig(**_BIG_OUTPUT), seed=0), lr, hr)
     assert peak <= 2.25 * hr.nbytes, peak / hr.nbytes
 
 
-def test_cli_default_step_peak_memory_is_below_three_and_a_half_hr_batches():
+def test_cli_default_step_peak_memory_is_below_three_hr_batches():
     # At the CLI default the 64-d tokens weigh more against the 240x240x3 output: the step
-    # peaks at about 3.41 HR batches, in the head's pull, over the encoder's 8.6 MB tape
-    # (1.55 batches).  4.36 when the sine head kept z.
+    # peaks at about 2.95 HR batches (16.3 MB), in the head's pull, over the encoder's tape.
+    # 3.41 when the attention entries kept their (4, 4, 100, 100) softmax weights, 4.36
+    # when the sine head kept z too.
     rng = np.random.default_rng(0)
     lr, hr = rng.uniform(0.0, 1.0, (4, 60, 60, 3)), rng.uniform(0.0, 1.0, (4, 240, 240, 3))
     peak = _one_step_peak(init_parameters(ModelConfig(), seed=0), lr, list(hr))
-    assert peak <= 3.5 * hr.nbytes, peak / hr.nbytes
+    assert peak <= 3.0 * hr.nbytes, peak / hr.nbytes
 
 
 @pytest.mark.parametrize("with_target", [False, True], ids=["output", "loss"])
@@ -306,10 +336,11 @@ def test_sine_head_entry_keeps_no_z(with_target):
 
 
 def test_train_holds_no_stacked_hr_batch():
-    # training.train at batch 4, the pairs made before tracing: its peak is the step's bound
-    # above plus the five parameter-sized vectors a step holds (Adam's two moments and work
-    # vector, the gradient vector and the new parameters), and no copy of the HR batch.
-    # About 2.57 output batches; 4.46 when train stacked the batch's HR images.
+    # training.train at batch 4, the pairs made before tracing: its peak is the step's peak
+    # above with some room, plus the four parameter-sized vectors a step holds (Adam's two
+    # moments, the gradient vector and the new parameters), and no copy of the HR batch.
+    # About 2.26 output batches; 2.56 when Adam kept a work vector and the attention entries
+    # their weights, 4.46 when train stacked the batch's HR images.
     model = init_parameters(ModelConfig(**_BIG_OUTPUT), seed=0)
     rng = np.random.default_rng(0)
     pairs = [SRPair(hr=rng.uniform(0.0, 1.0, (96, 96, 3)), lr=rng.uniform(0.0, 1.0, (24, 24, 3)), scale=4)
@@ -322,7 +353,27 @@ def test_train_holds_no_stacked_hr_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * hr_batch + 5 * param_bytes, (peak / hr_batch, param_bytes / hr_batch)
+    assert peak <= 2.0 * hr_batch + 4 * param_bytes, (peak / hr_batch, param_bytes / hr_batch)
+
+
+def test_attention_entry_keeps_no_weights():
+    # The entry keeps the per-head queries, transposed keys and values, three arrays of
+    # the operands' size, and not the (B, H, N, N) softmax weights, 16 times that size
+    # here: the pull makes them again.
+    rng = np.random.default_rng(2)
+    q, k, v = (Tensor(rng.uniform(-1.0, 1.0, (2, 64, 8))) for _ in range(3))
+    operand_bytes, weight_bytes = q.data.nbytes, 2 * 4 * 64 * 64 * 8
+    ad.clear_tape()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = ad.attention(q, k, v, 4)
+        del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        ad.clear_tape()
+    assert 3 * operand_bytes <= held < 3 * operand_bytes + weight_bytes // 8, (held, operand_bytes)
 
 
 def test_no_grad_suppresses_tape():

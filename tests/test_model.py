@@ -666,10 +666,10 @@ def test_coordinate_net_loss_tape_entries_all_reach_a_parameter(monkeypatch):
     # The loss fit_siren_inr differentiates, inspected as it reaches backward.
     checked = []
 
-    def checking_backward(loss, params):
+    def checking_backward(loss, params, out=None):
         _assert_every_entry_reaches_a_parameter(params)
         checked.append(ad.tape_length())
-        return ad.backward(loss, params)
+        return ad.backward(loss, params, out)
 
     monkeypatch.setattr(training, "backward", checking_backward)
     rng = np.random.default_rng(0)

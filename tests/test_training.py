@@ -3,13 +3,14 @@ import json
 import math
 import struct
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from visir.autodiff import Tensor, no_grad
+from visir.autodiff import ShapeError, Tensor, no_grad
 from visir.data import (DataConfig, SRPair, SpectrumSpec, bicubic_downsample, build_dataset, load_pairs,
                         normalize_field, synth_field)
 from visir.metrics import evaluate_pair
@@ -117,15 +118,64 @@ def test_pairs_read_at_each_step_train_and_evaluate_as_a_list_of_them(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_a_failed_step_leaves_no_tape_entries(monkeypatch):
+    # Scale-4 pairs whose LR images fit a scale-2 model: the HR images do not fit its output,
+    # and the shapes are checked before the encoder records.  A step that fails after its
+    # forward has recorded clears the tape whatever it raised.  So no entry, and no array a
+    # pull reads, outlives a failed step.
+    from visir import autodiff, training
+
+    autodiff.clear_tape()
+    with pytest.raises(ShapeError, match="HR images"):
+        train(init_parameters(TINY, seed=0), make_pairs(2, scale=4), TrainConfig(steps=1, batch_size=2))
+    assert autodiff.tape_length() == 0
+
+    predict_loss = training.predict_loss
+
+    def interrupted_loss(*args):
+        predict_loss(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "predict_loss", interrupted_loss)
+    with pytest.raises(KeyboardInterrupt):
+        train(init_parameters(TINY, seed=0), make_pairs(2), TrainConfig(steps=1, batch_size=2))
+    assert autodiff.tape_length() == 0
+
+
+def test_train_frees_the_batch_before_backward(monkeypatch):
+    # Each step reads its batch inside the loss, so a split that reads a pair when it is
+    # indexed has each of the batch's HR images freed before the backward starts.
+    from visir import autodiff, training
+
+    refs, alive = [], []
+
+    class Split:
+        def __len__(self):
+            return 4
+
+        def __getitem__(self, index):
+            pair = make_pair(seed=index)
+            refs.append(weakref.ref(pair.hr))
+            return pair
+
+    def checking_backward(loss, params, out=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        return autodiff.backward(loss, params, out)
+
+    monkeypatch.setattr(training, "backward", checking_backward)
+    train(init_parameters(TINY, seed=0), Split(), TrainConfig(steps=2, batch_size=3))
+    assert len(refs) == 6 and alive == [0, 0]
+
+
 def test_tape_entries_per_step_do_not_grow_with_batch(monkeypatch):
     # The batch is a tensor axis: one predict and one loss per step, whatever the batch size.
     from visir import autodiff, training
 
     lengths = []
 
-    def counting_backward(loss, params):
+    def counting_backward(loss, params, out=None):
         lengths.append(autodiff.tape_length())
-        return autodiff.backward(loss, params)
+        return autodiff.backward(loss, params, out)
 
     monkeypatch.setattr(training, "backward", counting_backward)
     for batch in (1, 4):
