@@ -19,7 +19,7 @@ over only what the pull reads: ``add`` keeps shapes, ``affine`` its input rows,
 ``attention`` its per-head operands (its pull makes the softmax weights again,
 with the same bits), ``sine_activation`` its input (``omega0 * x`` is computed
 again in the pull: one multiply, with the same bits), and ``output_head`` its
-input rows and at most two output-sized buffers, which its pull overwrites.  So an intermediate
+input rows and its residual, which its pull overwrites.  So an intermediate
 that no pull reads is freed as soon as its caller drops it, and what a pull
 reads is freed when ``backward`` pops its entry.
 
@@ -30,10 +30,10 @@ separate products, so an image's result does not depend on the batch it is in.
 ``output_head`` is a decoder's last ``affine``, its sine or sigmoid output and,
 given a target in parts (one per image), the mean squared error.  It takes the
 loss from the residual without a square, and its pull scales the residual into
-the gradient in place.  The sine head keeps only the residual: it writes the
-activation over z, and its pull makes z again one product of the stack at a
-time, with the forward's bits (Chen et al., 2016: recompute rather than
-store).  The sigmoid head keeps the activation and the residual.  One
+the gradient in place.  Either final keeps only the residual, written over the
+activation and so over z: the pull makes z again one product of the stack at a
+time, with the forward's bits (Chen et al., 2016: recompute rather than store).
+Without a target the head is inference and records no entry.  One
 CLI-default training step at batch 4 peaks at 16.3 MB in tracemalloc, 2.95
 times its HR batch, which the step never stacks.
 
@@ -484,20 +484,30 @@ def _stack(a: np.ndarray):
     return (a,) if a.ndim <= 2 else a.reshape((-1,) + a.shape[-2:])
 
 
+def _activate(z: np.ndarray, omega0: float, final: str) -> np.ndarray:
+    """The head's activation of z, written over z and returned."""
+    if final == "sine":  # (sin(omega0 * z) + 1) / 2
+        np.sin(np.multiply(z, omega0, out=z), out=z)
+        z += 1.0
+        return np.multiply(z, 0.5, out=z)
+    np.exp(np.negative(z, out=z), out=z)  # 1 / (1 + exp(-z))
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: str,
                 target: Sequence[np.ndarray] | None = None) -> Tensor:
     """A decoder's last affine layer, its final activation and, given a target, the mean
     squared error against it: one tape entry, computed in place.
 
     z = x @ W^T + b as in `affine`.  final: "sine", (sin(omega0 * z) + 1) / 2, or "sigmoid",
-    1 / (1 + exp(-z)) (omega0 unused).  Without a target the result is that activation,
-    shape (..., out).  With one it is the mean of (activation - target)^2 as a scalar:
-    `target` is a sequence of arrays whose sizes sum to the activation's, not 0, and whose
-    C-order elements, one part after the other, are the activation's targets (one transposed
-    view per image will do), read in this call only.
-    The sine entry keeps x and, with a target, the residual: its pull makes z again, one
-    product of the stack at a time.  The sigmoid entry keeps x and the activation, and the
-    residual beside it.  The pull overwrites what it keeps.
+    1 / (1 + exp(-z)) (omega0 unused).  Without a target the result is that activation, shape
+    (..., out), and no entry is recorded.  With one it is the mean of (activation - target)^2
+    as a scalar: `target` is a sequence of arrays, read in this call only, whose sizes sum to
+    the activation's, not 0, and whose C-order elements, one part after the other, are the
+    activation's targets (one transposed view per image will do).  Its entry keeps x and the
+    residual, written over the activation: the pull makes z again, one product of the stack
+    at a time, and overwrites the residual.
     """
     if final not in HEAD_FINALS:
         raise ValueError(f"final must be one of {HEAD_FINALS}, got {final!r}")
@@ -508,59 +518,40 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
     omega0 = float(omega0)
     xs, b = x.data, bias.data
     z, wt = _affine_rows(xs, weight.data, b)
-    if final == "sine":
-        s = np.multiply(z, omega0, out=z)  # the pull makes z again
-        np.sin(s, out=s)
-        s += 1.0
-        s *= 0.5
-        _check_finite(s)  # the output: omega0 * z overflows even where z is finite
-    else:
+    if final == "sigmoid":
         _check_finite(z)  # the input: sigmoid maps an infinity to a finite 0 or 1
-        s = np.negative(z, out=z)  # the pull reads only the activation
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-
-    # The sine pull makes z again and reads no activation; the sigmoid pull reads it, and may
-    # overwrite it when the output is a loss and not the activation itself.
-    kept, owns_kept = (None, False) if final == "sine" else (s, target is not None)
-
-    def pull_at_z(gz):  # gz, the gradient at the activation, in an array this entry may overwrite
-        if final == "sine":  # gz * 0.5 * omega0 * cos(omega0 * z), a factor at a time, as the plain formula
-            gz *= 0.5
-            gz *= omega0
-            # z again from each of the forward's products, so with its bits, in one buffer of one
-            # product's size.
-            c = None
-            for rows, g_rows in zip(_stack(xs), _stack(gz)):
-                c = np.matmul(rows, wt, out=c)
-                c += b
-                c *= omega0
-                g_rows *= np.cos(c, out=c)
-            del c  # before the affine pull makes its products
-        else:  # gz * s * (1 - s)
-            gz *= kept
-            gz *= np.subtract(1.0, kept, out=kept) if owns_kept else 1.0 - kept
-        return _affine_pull(xs, wt, gz)
-
+    s = _activate(z, omega0, final)
+    if final == "sine":
+        _check_finite(s)  # the output: omega0 * z overflows even where z is finite
     if target is None:
-        return _make(s, (x.key, weight.key, bias.key), lambda g: pull_at_z(g.copy()))
+        return Tensor._view(s)
 
-    # The residual, part by part: over the activation for "sine", beside it for "sigmoid".
-    act = s.reshape(-1)
-    flat = act if final == "sine" else np.empty(act.size)
+    flat = s.reshape(-1)  # the residual, part by part, over the activation
     start = 0
     for part in target:
         end, shape = start + np.size(part), np.shape(part)
-        np.subtract(act[start:end].reshape(shape), part, out=flat[start:end].reshape(shape))
+        np.subtract(flat[start:end].reshape(shape), part, out=flat[start:end].reshape(shape))
         start = end
-    count = flat.size
 
     def pull(g):  # backward calls it once: the residual becomes the gradient at z
-        return pull_at_z(np.multiply(flat, g * (2.0 / count), out=flat).reshape(out_shape))
+        gz = np.multiply(flat, g * (2.0 / flat.size), out=flat).reshape(out_shape)
+        c = None  # z again from each of the forward's products, so with its bits, in one product's buffer
+        for rows, g_rows in zip(_stack(xs), _stack(gz)):
+            c = np.matmul(rows, wt, out=c)
+            c += b
+            if final == "sine":  # g * 0.5 * omega0 * cos(omega0 * z), a factor at a time, as the plain formula
+                g_rows *= 0.5
+                g_rows *= omega0
+                c *= omega0
+                g_rows *= np.cos(c, out=c)
+            else:  # g * s * (1 - s)
+                g_rows *= _activate(c, omega0, final)
+                g_rows *= np.subtract(1.0, c, out=c)
+        del c  # before the affine pull makes its products
+        return _affine_pull(xs, wt, gz)
 
     # einsum's own loop: no output-sized square, and no BLAS call whose bits depend on threads.
-    return _make(np.einsum("i,i->", flat, flat) / count, (x.key, weight.key, bias.key), pull)
+    return _make(np.einsum("i,i->", flat, flat) / flat.size, (x.key, weight.key, bias.key), pull)
 
 
 def _deleted(*args, **kwargs):

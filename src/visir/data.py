@@ -685,6 +685,12 @@ def _key(doc, key: str, kind: type, prefix: str = ""):
     return value
 
 
+def _is_range(r) -> bool:
+    """Whether r is [min, max]: finite numbers, not bools (JSON makes no other kind), with min < max."""
+    return (isinstance(r, list) and len(r) == 2 and all(type(v) in (int, float) and -math.inf < v < math.inf for v in r)
+            and r[0] < r[1])
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -699,8 +705,9 @@ def load_manifest(path) -> DatasetManifest:
                for i, p in enumerate(_key(doc, "pairs", list))]
     normalization = {}
     for source, ranges in _key(doc, "normalization", dict).items():
-        if not (isinstance(ranges, list) and all(isinstance(r, list) and len(r) == 2 for r in ranges)):
-            raise ValueError(f"manifest key 'normalization.{source}' must be a list of [min, max] pairs")
+        if not (isinstance(ranges, list) and len(ranges) == len(CHANNEL_NAMES) and all(map(_is_range, ranges))):
+            raise ValueError(f"manifest key 'normalization.{source}' must be {len(CHANNEL_NAMES)} [min, max] pairs "
+                             f"of finite numbers with min < max, got {ranges!r:.40}")
         normalization[source] = [tuple(r) for r in ranges]
     return DatasetManifest(seed=seed, **sizes, entries=entries,
                            normalization=normalization, root=path.parent)

@@ -49,7 +49,9 @@ __all__ = [
     "parameter_count",
 ]
 
-VARIANTS = ("visir", "vit_mlp")
+# Each variant's hidden activation, in its feed-forward and decoder stacks, and its output head's final.
+_ACTIVATIONS = {"visir": ("sine", "sine"), "vit_mlp": ("gelu", "sigmoid")}
+VARIANTS = tuple(_ACTIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -268,11 +270,7 @@ def apply_stack(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-def _hidden_act(cfg: ModelConfig) -> str:
-    return "sine" if cfg.variant == "visir" else "gelu"
-
-
-def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tensor:
+def _encoder_block(tokens: Tensor, model: VisirModel, i: int) -> Tensor:
     cfg = model.config
     p = model.params
     attn, ffn = f"block{i}.attn.", f"block{i}.ffn."
@@ -281,7 +279,7 @@ def _encoder_block(tokens: Tensor, model: VisirModel, i: int, act: str) -> Tenso
         return layer_norm(x, p[f"block{i}.{which}.gain"], p[f"block{i}.{which}.shift"])
 
     tokens = add(tokens, mhsa(ln("ln1", tokens), p, attn, cfg.num_heads))
-    return add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, act))
+    return add(tokens, apply_stack(ln("ln2", tokens), p, ffn, cfg.omega0, _ACTIVATIONS[cfg.variant][0]))
 
 
 def _check_lr(img: np.ndarray, cfg: ModelConfig) -> None:
@@ -297,9 +295,8 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
     p = model.params
     patches = Tensor(extract_patches(img, cfg.patch_size))
     tokens = add(affine(patches, p["embed.weight"], p["embed.bias"]), p["pos"])
-    act = _hidden_act(cfg)
     for i in range(cfg.num_layers):
-        tokens = _encoder_block(tokens, model, i, act)
+        tokens = _encoder_block(tokens, model, i)
     return tokens
 
 
@@ -326,8 +323,8 @@ def _decode(tokens: Tensor, model: VisirModel, target: Sequence[np.ndarray] | No
     cfg = model.config
     if tokens.shape[-2:] != (cfg.num_tokens, cfg.embed_dim):
         raise ShapeError(f"decoder expects {cfg.num_tokens}x{cfg.embed_dim} tokens, got {tokens.shape}")
-    rows, weight, bias = _hidden_rows(tokens, model.params, "decoder.", cfg.omega0, _hidden_act(cfg))
-    return output_head(rows, weight, bias, cfg.omega0, "sine" if cfg.variant == "visir" else "sigmoid", target)
+    hidden, final = _ACTIVATIONS[cfg.variant]
+    return output_head(*_hidden_rows(tokens, model.params, "decoder.", cfg.omega0, hidden), cfg.omega0, final, target)
 
 
 def decode_hr(tokens: Tensor, model: VisirModel) -> Tensor:
@@ -430,7 +427,7 @@ def parameter_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], fl
     """
     cfg = config
     d = cfg.embed_dim
-    sine_init = cfg.variant == "visir"
+    sine_init = _ACTIVATIONS[cfg.variant][0] == "sine"
     layout = {"embed.weight": ((d, cfg.patch_dim), 1.0 / math.sqrt(cfg.patch_dim)),
               "embed.bias": ((d,), 1.0 / math.sqrt(cfg.patch_dim)),
               "pos": ((cfg.num_tokens, d), 1.0 / math.sqrt(d))}

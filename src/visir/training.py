@@ -322,8 +322,10 @@ def load_checkpoint(path) -> VisirModel:
             config = ModelConfig(**doc)
         except (ValueError, TypeError) as exc:
             raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
-        shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
-        count = sum(math.prod(shape) for shape in shapes.values())
+        # Counted from the layouts of no block and of one, which every block repeats: no work grows with num_layers.
+        zero, one = (sum(math.prod(shape) for shape, _ in parameter_layout(replace(config, num_layers=n)).values())
+                     for n in (0, 1))
+        count = zero + config.num_layers * (one - zero)
         if payload < 8 * count:
             raise CheckpointFormatError(f"truncated checkpoint: its config needs {8 * count} payload bytes, "
                                         f"have {payload}")
@@ -332,6 +334,7 @@ def load_checkpoint(path) -> VisirModel:
         vector = np.empty(count, dtype="<f8")
         if fh.readinto(vector) != vector.nbytes:
             raise CheckpointFormatError("truncated checkpoint: the file shrank while it was read")
+    shapes = {name: shape for name, (shape, _) in parameter_layout(config).items()}
     params = Parameters(vector.astype(np.float64, copy=False), shapes)
     if not np.isfinite(params.vector).all():
         name = next(name for name, p in params.items() if not np.isfinite(p.data).all())

@@ -432,6 +432,10 @@ def test_train_missing_manifest_exits_3(tmp_path):
     pytest.param("pairs", lambda doc: doc.update(pairs="s000_t00"), id="pairs-string"),
     pytest.param("lr", lambda doc: doc["pairs"][0].pop("lr"), id="entry-without-lr"),
     pytest.param("normalization", lambda doc: doc.pop("normalization"), id="no-normalization"),
+    pytest.param("normalization", lambda doc: doc["normalization"].update(s000=[["a", None], [True, {}], [1, 2]]),
+                 id="normalization-not-numbers"),
+    pytest.param("normalization", lambda doc: doc["normalization"].update(s000=[[2.0, 1.0]]),
+                 id="normalization-min-above-max"),
     pytest.param("scale", lambda doc: doc.update(scale="4"), id="scale-string"),
     pytest.param("tile_height", lambda doc: doc.update(tile_height=None), id="tile-height-null"),
 ])
@@ -559,6 +563,26 @@ def test_eval_corrupt_checkpoint_exits_5(tmp_path):
     code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(bad),
                  "--out", str(tmp_path / "e")])
     assert code == EXIT_MISMATCH
+
+
+def test_eval_checkpoint_of_many_blocks_and_no_values_exits_5_in_little_memory(tmp_path, capsys):
+    # A file of a config and no values that declares 10**5 blocks is found short before anything
+    # grows with them: building its layout of 18 entries a block first took 4.5 s and 595 MB.
+    manifest = build_small_dataset(tmp_path)
+    ckpt = _with_config(_small_checkpoint(tmp_path / "m.vsck"), num_layers=10 ** 5)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:12 + struct.unpack_from("<I", blob, 8)[0]])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: truncated checkpoint") and len(err.splitlines()) == 1
+    assert peak < 2 ** 18, peak
 
 
 # ---------------------------------------------------------------------------

@@ -744,6 +744,39 @@ def test_manifest_round_trip_and_pairs(tmp_path):
         assert p.lr.shape == (6, 6, 3)
 
 
+def _manifest_with_ranges(tmp_path, ranges):
+    path = tmp_path / "manifest.json"
+    doc = {"format": "visir-manifest", "version": 1, "seed": 0, "scale": 4, "tile_height": 24, "tile_width": 24,
+           "pairs": [], "normalization": {"s000": ranges}}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_manifest_ranges_of_finite_numbers_load_unchanged(tmp_path):
+    ranges = [[0, 1], [-1.5, 2.0], [-1e300, 10 ** 400]]
+    assert load_manifest(_manifest_with_ranges(tmp_path, ranges)).normalization == {"s000": list(map(tuple, ranges))}
+
+
+@pytest.mark.parametrize("ranges", [
+    [["a", None], [True, {}], [1, 2]],
+    [[2.0, 1.0]],
+    [[0.0, 1.0], [0.0, 1.0]],
+    [[0.0, 1.0]] * 4,
+    [[0.0, 1.0], [0.0, 1.0], [0.5, 0.5]],
+    [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0, 2.0]],
+    [[0.0, 1.0], [0.0, 1.0], [False, 1.0]],
+    [[0.0, 1.0], [0.0, 1.0], ["0", 1.0]],
+    [[0.0, 1.0], [0.0, 1.0], [0.0, math.inf]],
+    [[0.0, 1.0], [0.0, 1.0], [math.nan, 1.0]],
+    {"r": [0.0, 1.0]},
+], ids=["not-numbers", "min-above-max", "two-pairs", "four-pairs", "min-equals-max", "three-values", "bool",
+        "string", "infinity", "nan", "dict"])
+def test_manifest_needs_one_finite_range_per_channel(tmp_path, ranges):
+    # Python's json writes and reads NaN and Infinity, so they reach the check.
+    with pytest.raises(ValueError, match=r"^manifest key 'normalization\.s000' must be 3 \[min, max\] pairs"):
+        load_manifest(_manifest_with_ranges(tmp_path, ranges))
+
+
 def test_load_pairs_reads_each_pair_when_it_is_indexed(tmp_path):
     manifest = build_dataset(SMALL_CFG, tmp_path / "d")
     pairs = load_pairs(manifest, "train")
