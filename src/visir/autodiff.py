@@ -15,31 +15,36 @@ tensors for training as well as for inference.
 
 An entry holds no tensor.  It names its output and its parents by their
 ``key``, an integer no other tensor of the process has, and its pull closes
-over only what the pull reads: ``add`` keeps shapes, ``affine`` its input rows,
-``attention`` its per-head operands (its pull makes the softmax weights again,
-with the same bits), ``sine_activation`` its input (``omega0 * x`` is computed
-again in the pull: one multiply, with the same bits), and ``output_head`` its
-input rows and its residual, which its pull overwrites.  So an intermediate
-that no pull reads is freed as soon as its caller drops it, and what a pull
-reads is freed when ``backward`` pops its entry.
+over only what the pull reads: ``add`` keeps shapes, ``affine`` and
+``sine_layer`` their input rows (``sine_layer``'s pull makes z again, with the
+same bits), ``attention`` its per-head operands (its pull makes the softmax
+weights again, with the same bits), and ``output_head`` its input rows and its
+residual, which its pull overwrites.  So an intermediate that no pull reads is
+freed as soon as its caller drops it, and what a pull reads is freed when
+``backward`` pops its entry.
 
-``affine``, ``attention`` and ``output_head`` are fused: each is one tape entry
-for what would otherwise be a chain of them.  ``affine`` and ``attention`` take
-any leading axes (a batch, and inside ``attention`` the heads) as a stack of
+``affine``, ``sine_layer``, ``attention`` and ``output_head`` are fused: each is
+one tape entry for what would otherwise be a chain of them.  They take any
+leading axes (a batch, and inside ``attention`` the heads) as a stack of
 separate products, so an image's result does not depend on the batch it is in.
-``output_head`` is a decoder's last ``affine``, its sine or sigmoid output and,
-given a target in parts (one per image), the mean squared error.  It takes the
-loss from the residual without a square, and its pull scales the residual into
-the gradient in place.  Either final keeps only the residual, written over the
-activation and so over z: the pull makes z again one product of the stack at a
-time, with the forward's bits (Chen et al., 2016: recompute rather than store).
-Without a target the head is inference and records no entry.  One
-CLI-default training step at batch 4 peaks at 16.3 MB in tracemalloc, 2.95
-times its HR batch, which the step never stacks.
+``sine_layer`` is a sine stack's hidden layer, an ``affine`` and then
+sin(omega0 * z).  ``output_head`` is a decoder's last ``affine``, its sine or
+sigmoid output and, given a target in parts (one per image, each taken only
+when it is subtracted), the mean squared error.  It takes the loss from the
+residual without a square, and its pull scales the residual into the gradient
+in place.  Either final keeps only the residual, written over the activation
+and so over z.  The pulls of ``sine_layer`` and ``output_head`` make z again one
+product of the stack at a time, with the forward's bits (Chen et al., 2016:
+recompute rather than store).  Without a target the head is inference and
+records no entry.  One CLI-default training step at batch 4 against a list of
+HR images peaks at 15.1 MB in tracemalloc, 2.73 times its HR batch, which the
+step never stacks; read from a ``load_pairs`` split, it holds one HR image at a
+time.
 
 Deleted: ``sub``, ``mul``, ``neg``, ``scale``, ``matmul``, ``transpose``,
-``reshape``, ``narrow``, ``concat``, ``tensor_sum``, ``mean``, ``sigmoid`` and
-``softmax``.  ``affine`` makes the products, ``attention`` its own softmax and
+``reshape``, ``narrow``, ``concat``, ``tensor_sum``, ``mean``, ``sigmoid``,
+``softmax`` and ``sine_activation``.  ``affine`` makes the products,
+``sine_layer`` the hidden sines, ``attention`` its own softmax and
 ``output_head`` its own sigmoid and mean; the model's inference forwards move
 axes with numpy.  The names remain, out of ``__all__``, bound to one function
 that raises ``NotImplementedError``, until the benchmark's tracer stops looking
@@ -59,7 +64,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -73,10 +78,10 @@ __all__ = [
     "backward",
     "gradient_vector",
     "add",
-    "sine_activation",
     "gelu",
     "layer_norm",
     "affine",
+    "sine_layer",
     "attention",
     "output_head",
     "OptimizerState",
@@ -282,26 +287,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a.key, b.key), pull)
 
 
-def _scaled(x: np.ndarray, c: float) -> np.ndarray:
-    """c * x, with the same bits, as a new array that a ufunc may overwrite: numpy would
-    give a scalar for a 0-d x."""
-    return np.multiply(x, c, out=np.empty(x.shape))
-
-
-def sine_activation(a: Tensor, omega0: float) -> Tensor:
-    """Elementwise sin(omega0 * x); omega0 tunes the represented frequency band."""
-    omega0 = float(omega0)
-    x = a.data
-    out = _scaled(x, omega0)
-    np.sin(out, out=out)
-
-    def pull(g):  # omega0 * x again rather than kept: one multiply, the same bits
-        c = _scaled(x, omega0)
-        return (g * omega0 * np.cos(c, out=c),)
-
-    return _make(out, (a.key,), pull)
-
-
 # The normal CDF table: a grid of step 1/_CDF_STEPS over [-_CDF_EDGE, _CDF_EDGE], beyond which Phi is within
 # 1e-17 of 0 or 1, and _CDF_TERMS Taylor terms about each grid point.  Four terms at this step keep the truncation
 # under 2**-53; they also make a 32-byte row, which numpy's gather copies about 1.6 times as fast as a 40-byte one.
@@ -423,6 +408,37 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x.key, weight.key, bias.key), lambda g: _affine_pull(xs, wt, g))
 
 
+def _stack(a: np.ndarray):
+    """The 2-d operands of the products that np.matmul makes of `a` (a itself up to 2-d)."""
+    return (a,) if a.ndim <= 2 else a.reshape((-1,) + a.shape[-2:])
+
+
+def sine_layer(x: Tensor, weight: Tensor, bias: Tensor, omega0: float) -> Tensor:
+    """A sine stack's hidden layer, sin(omega0 * z) with z = x @ W^T + b as in `affine`: one
+    tape entry, computed in place; omega0 tunes the represented frequency band.
+
+    The entry keeps x and not z: the pull makes z again, one product of the stack at a time,
+    with the forward's operations, so with its bits (Chen et al., 2016)."""
+    _check_rows("sine_layer", x, weight, bias)
+    omega0 = float(omega0)
+    xs, b = x.data, bias.data
+    out, wt = _affine_rows(xs, weight.data, b)
+    np.sin(np.multiply(out, omega0, out=out), out=out)
+
+    def pull(g):  # g * omega0 * cos(omega0 * z), a factor at a time, as the plain formula
+        gz = g * omega0  # a new array: g may be another entry's too
+        c = None
+        for rows, g_rows in zip(_stack(xs), _stack(gz)):
+            c = np.matmul(rows, wt, out=c)
+            c += b
+            c *= omega0
+            g_rows *= np.cos(c, out=c)
+        del c  # before the affine pull makes its products
+        return _affine_pull(xs, wt, gz)
+
+    return _make(out, (x.key, weight.key, bias.key), pull)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention of (..., N, D) queries, keys and values, with the D
     features split into `num_heads` heads; the heads' outputs are concatenated back to D.
@@ -479,11 +495,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
 HEAD_FINALS = ("sine", "sigmoid")
 
 
-def _stack(a: np.ndarray):
-    """The 2-d operands of the products that np.matmul makes of `a` (a itself up to 2-d)."""
-    return (a,) if a.ndim <= 2 else a.reshape((-1,) + a.shape[-2:])
-
-
 def _activate(z: np.ndarray, omega0: float, final: str) -> np.ndarray:
     """The head's activation of z, written over z and returned."""
     if final == "sine":  # (sin(omega0 * z) + 1) / 2
@@ -496,25 +507,27 @@ def _activate(z: np.ndarray, omega0: float, final: str) -> np.ndarray:
 
 
 def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: str,
-                target: Sequence[np.ndarray] | None = None) -> Tensor:
+                target: Iterable[np.ndarray] | None = None) -> Tensor:
     """A decoder's last affine layer, its final activation and, given a target, the mean
     squared error against it: one tape entry, computed in place.
 
     z = x @ W^T + b as in `affine`.  final: "sine", (sin(omega0 * z) + 1) / 2, or "sigmoid",
     1 / (1 + exp(-z)) (omega0 unused).  Without a target the result is that activation, shape
     (..., out), and no entry is recorded.  With one it is the mean of (activation - target)^2
-    as a scalar: `target` is a sequence of arrays, read in this call only, whose sizes sum to
-    the activation's, not 0, and whose C-order elements, one part after the other, are the
-    activation's targets (one transposed view per image will do).  Its entry keeps x and the
-    residual, written over the activation: the pull makes z again, one product of the stack
-    at a time, and overwrites the residual.
+    as a scalar: `target` is an iterable of arrays whose sizes sum to the activation's, not
+    0, and whose C-order elements, one part after the other, are the activation's targets
+    (one transposed view per image will do).  The parts are taken one at a time, in this call
+    only, and each is dropped before the next is taken, so a generator that reads each part
+    as it is asked for holds one at a time.  Its entry keeps x and the residual, written over
+    the activation: the pull makes z again, one product of the stack at a time, and
+    overwrites the residual.
     """
     if final not in HEAD_FINALS:
         raise ValueError(f"final must be one of {HEAD_FINALS}, got {final!r}")
     _check_rows("output_head", x, weight, bias)
     out_shape = x.shape[:-1] + weight.shape[:1]
-    if target is not None and not 0 < sum(np.size(part) for part in target) == math.prod(out_shape):
-        raise ShapeError(f"output_head: output {out_shape}, target parts {[np.shape(part) for part in target]}")
+    if target is not None and math.prod(out_shape) == 0:
+        raise ShapeError(f"output_head: a loss over an output of shape {out_shape}, which has no values")
     omega0 = float(omega0)
     xs, b = x.data, bias.data
     z, wt = _affine_rows(xs, weight.data, b)
@@ -530,8 +543,12 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
     start = 0
     for part in target:
         end, shape = start + np.size(part), np.shape(part)
-        np.subtract(flat[start:end].reshape(shape), part, out=flat[start:end].reshape(shape))
+        if end <= flat.size:
+            np.subtract(flat[start:end].reshape(shape), part, out=flat[start:end].reshape(shape))
         start = end
+        del part  # before the next part is taken
+    if start != flat.size:
+        raise ShapeError(f"output_head: output {out_shape} of {flat.size} values, target parts of {start}")
 
     def pull(g):  # backward calls it once: the residual becomes the gradient at z
         gz = np.multiply(flat, g * (2.0 / flat.size), out=flat).reshape(out_shape)
@@ -555,13 +572,13 @@ def output_head(x: Tensor, weight: Tensor, bias: Tensor, omega0: float, final: s
 
 
 def _deleted(*args, **kwargs):
-    """Stands in for thirteen deleted primitives.  It exists only because perfbench/tracer.py
+    """Stands in for fourteen deleted primitives.  It exists only because perfbench/tracer.py
     looks their names up with getattr; the benchmark revision (ROADMAP item 1) deletes it."""
-    raise NotImplementedError("a deleted primitive: use affine, attention, output_head or numpy")
+    raise NotImplementedError("a deleted primitive: use affine, sine_layer, attention, output_head or numpy")
 
 
 sub = mul = neg = scale = matmul = transpose = reshape = _deleted
-narrow = concat = tensor_sum = mean = sigmoid = softmax = _deleted
+narrow = concat = tensor_sum = mean = sigmoid = softmax = sine_activation = _deleted
 
 
 # ---------------------------------------------------------------------------

@@ -701,10 +701,19 @@ def load_manifest(path) -> DatasetManifest:
     for key, size in sizes.items():
         if size < 1:
             raise ValueError(f"manifest key '{key}' must be >= 1, got {size}")
+    if sizes["tile_height"] % sizes["scale"] or sizes["tile_width"] % sizes["scale"]:
+        raise ValueError(f"manifest key 'scale' must divide tile_height {sizes['tile_height']} and tile_width "
+                         f"{sizes['tile_width']}, got {sizes['scale']}")
+    channels = _key(doc, "channels", list)
+    if channels != list(CHANNEL_NAMES):
+        raise ValueError(f"manifest key 'channels' must be {list(CHANNEL_NAMES)}, got {channels!r:.40}")
     entries = [ManifestEntry(**{name: _key(p, key, kind, f"pairs[{i}].") for key, name, kind in _PAIR_KEYS})
                for i, p in enumerate(_key(doc, "pairs", list))]
+    ranges_of = _key(doc, "normalization", dict)
     normalization = {}
-    for source, ranges in _key(doc, "normalization", dict).items():
+    # A source that a pair names needs its ranges too, as build_dataset writes them: missing, they read None.
+    for source in dict.fromkeys([*ranges_of, *(e.source_id for e in entries)]):
+        ranges = ranges_of.get(source)
         if not (isinstance(ranges, list) and len(ranges) == len(CHANNEL_NAMES) and all(map(_is_range, ranges))):
             raise ValueError(f"manifest key 'normalization.{source}' must be {len(CHANNEL_NAMES)} [min, max] pairs "
                              f"of finite numbers with min < max, got {ranges!r:.40}")
@@ -713,39 +722,64 @@ def load_manifest(path) -> DatasetManifest:
                            normalization=normalization, root=path.parent)
 
 
+class _FilePair:
+    """A pair of a split's two grid files, each read, and its values checked (finite, in the
+    unit interval), when its image is asked for: `hr` and `lr` read a file on every access."""
+
+    __slots__ = ("_paths", "_shapes", "scale", "tile_index")
+
+    def __init__(self, paths: tuple[Path, Path], shapes: tuple[tuple, tuple], scale: int, tile_index: int):
+        self._paths, self._shapes, self.scale, self.tile_index = paths, shapes, scale, tile_index
+
+    def _read(self, k: int, name: str) -> np.ndarray:
+        values, _ = read_grid(self._paths[k])
+        if values.shape != self._shapes[k]:  # the file changed since load_pairs checked its header
+            raise ValueError(f"{name} grid {self._paths[k]} has shape {values.shape}, the manifest's {self._shapes[k]}")
+        if not (values.min() >= 0.0 and values.max() <= 1.0):  # as SRPair checks
+            raise ValueError(f"{name} image leaves the unit interval")
+        return values
+
+    hr = property(lambda self: self._read(0, "hr"))
+    lr = property(lambda self: self._read(1, "lr"))
+
+
 class _SplitPairs:
-    """The pairs of manifest entries, each read from its two grid files when it is indexed.
-    A slice is another such sequence; iteration ends at the entries' IndexError."""
+    """The pairs of manifest entries, each a _FilePair.  A slice is another such sequence;
+    iteration ends at the entries' IndexError."""
 
-    __slots__ = ("_root", "_entries", "_scale")
+    __slots__ = ("_root", "_entries", "_shapes", "_scale")
 
-    def __init__(self, root: Path, entries: tuple[ManifestEntry, ...], scale: int):
-        self._root, self._entries, self._scale = root, entries, scale
+    def __init__(self, root: Path, entries: tuple[ManifestEntry, ...], shapes: tuple[tuple, tuple], scale: int):
+        self._root, self._entries, self._shapes, self._scale = root, entries, shapes, scale
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _SplitPairs(self._root, self._entries[index], self._scale)
+            return _SplitPairs(self._root, self._entries[index], self._shapes, self._scale)
         e = self._entries[index]
-        hr, _ = read_grid(self._root / e.hr_path)
-        lr, _ = read_grid(self._root / e.lr_path)
-        return SRPair(hr=hr, lr=lr, scale=self._scale, tile_index=e.tile_index)
+        return _FilePair((self._root / e.hr_path, self._root / e.lr_path), self._shapes, self._scale, e.tile_index)
 
 
 def load_pairs(manifest: DatasetManifest, split: str) -> Sequence[SRPair]:
-    """The pairs of `split`, as an immutable sequence that reads a pair when it is indexed.
+    """The pairs of `split`, as an immutable sequence of pairs with SRPair's attributes whose
+    `hr` and `lr` each read their grid file when asked for.
 
-    Here every pair file's header is checked against the file's size, so a missing,
-    foreign or truncated file fails now.  Indexing reads the pair's two grids and
-    checks their values (finite, in the unit interval) and shapes (HR `scale` times
-    the LR), so a file is read as it is at that moment, each time it is indexed."""
+    Here every pair file's header is checked against the file's size and against the
+    manifest's geometry (HR tile_height x tile_width, LR `scale` times smaller, one channel
+    per name), so a missing, foreign, truncated or misshapen file fails now.  Asking for an
+    image reads its grid and checks its values (finite, in the unit interval), so a file is
+    read as it is at that moment, each time it is asked for."""
     wanted = tuple(manifest.split(split))
     if not wanted:
         raise ValueError(f"split '{split}' is empty")
+    hr = (manifest.tile_height, manifest.tile_width, len(CHANNEL_NAMES))
+    shapes = (hr, (hr[0] // manifest.scale, hr[1] // manifest.scale, hr[2]))
     for e in wanted:
-        for path in (e.hr_path, e.lr_path):
+        for path, shape in zip((e.hr_path, e.lr_path), shapes):
             with open(manifest.root / path, "rb") as fh:
-                _grid_header(fh)
-    return _SplitPairs(manifest.root, wanted, manifest.scale)
+                found = _grid_header(fh)[:3]
+            if found != shape:
+                raise ValueError(f"grid {path} has shape {found}, the manifest's geometry {shape}")
+    return _SplitPairs(manifest.root, wanted, shapes, manifest.scale)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .autodiff import (
     layer_norm,
     no_grad,
     output_head,
-    sine_activation,
+    sine_layer,
 )
 
 __all__ = [
@@ -243,15 +243,15 @@ def mhsa(tokens: Tensor, params: dict[str, Tensor], prefix: str, num_heads: int)
 def _hidden_rows(x: Tensor, params: dict[str, Tensor], prefix: str, omega0: float,
                  hidden: str) -> tuple[Tensor, Tensor, Tensor]:
     """Every layer of the stack under `prefix` but the last, each followed by its
-    activation; and the last layer's weight and bias."""
+    activation (a sine layer is one entry); and the last layer's weight and bias."""
     if hidden not in ("sine", "gelu"):
         raise ValueError(f"hidden must be one of ('sine', 'gelu'), got {hidden!r}")
     depth = 0
     while f"{prefix}w{depth + 1}" in params:
         depth += 1
     for j in range(depth):
-        x = affine(x, params[f"{prefix}w{j}"], params[f"{prefix}b{j}"])
-        x = sine_activation(x, omega0) if hidden == "sine" else gelu(x)
+        w, b = params[f"{prefix}w{j}"], params[f"{prefix}b{j}"]
+        x = sine_layer(x, w, b, omega0) if hidden == "sine" else gelu(affine(x, w, b))
     return x, params[f"{prefix}w{depth}"], params[f"{prefix}b{depth}"]
 
 
@@ -301,10 +301,11 @@ def encode(img: np.ndarray, model: VisirModel) -> Tensor:
 
 
 def _hr_target(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
-               cfg: ModelConfig) -> list[np.ndarray]:
+               cfg: ModelConfig) -> Iterator[np.ndarray]:
     """The HR image of each token set of a lead-shaped batch, as a view in token order (not
-    extract_patches' copy): `hr` of shape lead + (H', W', C), or a sequence of that many
-    (H', W', C) images."""
+    extract_patches' copy), one image at a time: `hr` of shape lead + (H', W', C), or a
+    sequence of that many (H', W', C) images.  The shapes are checked here, from each image's
+    `shape`; an image's values are taken with np.asarray only when the generator reaches it."""
     image = (cfg.hr_height, cfg.hr_width, cfg.channels)
     if isinstance(hr, np.ndarray):
         if hr.shape != lead + image:
@@ -313,11 +314,11 @@ def _hr_target(hr: np.ndarray | Sequence[np.ndarray], lead: tuple[int, ...],
     elif len(hr) != math.prod(lead) or any(np.shape(img) != image for img in hr):
         raise ShapeError(f"HR images of shapes {[np.shape(img) for img in hr]}, model output {lead + image}")
     p = cfg.patch_size * cfg.scale
-    return [np.reshape(img, (cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels)).transpose(_grid_axes(0))
-            for img in hr]
+    return (np.asarray(img).reshape(cfg.grid_rows, p, cfg.grid_cols, p, cfg.channels).transpose(_grid_axes(0))
+            for img in hr)
 
 
-def _decode(tokens: Tensor, model: VisirModel, target: Sequence[np.ndarray] | None = None) -> Tensor:
+def _decode(tokens: Tensor, model: VisirModel, target: Iterator[np.ndarray] | None = None) -> Tensor:
     """The decoder's output in [0, 1] in token layout, (..., N, P'*P'*C); given the
     `target` of _hr_target, its MSE against it."""
     cfg = model.config
@@ -351,13 +352,16 @@ def predict(img: np.ndarray, model: VisirModel) -> Tensor:
 
 def predict_loss(img: np.ndarray, hr: np.ndarray | Sequence[np.ndarray], model: VisirModel) -> Tensor:
     """Mean squared error of predict(img, model) against `hr`, of predict's output shape or,
-    for a batch, a sequence of its (H', W', C) images.
+    for a batch, a sequence of its (H', W', C) images: arrays, or objects with a `shape`
+    whose values np.asarray reads (training.train passes its HR images so, still unread).
 
     The same encoder and decoder as predict, but the decoder's last layer, output and loss
-    are one autodiff.output_head entry, so the HR image is never made, and a batch's HR
-    images need not be stacked.  Both shapes are checked before the encoder records an entry."""
+    are one autodiff.output_head entry, so the HR image is never made, a batch's HR images
+    need not be stacked, and each is read only when the head subtracts it.  Both shapes are
+    checked before the encoder records an entry."""
     _check_lr(img, model.config)
-    return _decode(encode(img, model), model, _hr_target(hr, img.shape[:-3], model.config))
+    target = _hr_target(hr, img.shape[:-3], model.config)
+    return _decode(encode(img, model), model, target)
 
 
 # ---------------------------------------------------------------------------

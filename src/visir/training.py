@@ -130,12 +130,32 @@ def _adam_update(params: Parameters, opt, loss_fn, step: int) -> tuple[np.ndarra
         clear_tape()
 
 
+class _UnreadHR:
+    """A pair's HR image before it is read: its shape, the LR image's times the pair's scale,
+    as SRPair and load_pairs check, and its values when numpy asks for them, after which
+    `then`, if given, runs while they are held."""
+
+    __slots__ = ("_pair", "shape", "_then")
+
+    def __init__(self, pair: SRPair, lr_shape: tuple[int, int, int], then=None):
+        h, w, c = lr_shape
+        self._pair, self.shape, self._then = pair, (h * pair.scale, w * pair.scale, c), then
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        hr = np.array(self._pair.hr, dtype=dtype, copy=copy)
+        if self._then is not None:
+            self._then()
+        return hr
+
+
 def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
           eval_pairs: Sequence[SRPair] | None = None) -> TrainResult:
     """Adam on the MSE reconstruction loss over `pairs`, swapping `model.vector` once a step;
     mean PSNR on `eval_pairs` every `cfg.eval_interval` steps.
 
-    A step reads its batch inside the loss, so the batch's images are freed before the backward."""
+    A step reads its batch inside the loss: it stacks the LR images, and the loss reads each
+    HR image only when it subtracts it, then drops it.  So a split that reads a pair's image
+    when it is asked for (load_pairs) holds one HR image at a time, and none in the backward."""
     if not pairs:
         raise ValueError("no training pairs")
     rng = np.random.default_rng(cfg.seed)
@@ -145,10 +165,14 @@ def train(model: VisirModel, pairs: Sequence[SRPair], cfg: TrainConfig,
 
     def loss(indices) -> tuple[Tensor, np.ndarray]:
         batch = [pairs[i] for i in indices]
-        value = predict_loss(np.stack([p.lr for p in batch]), [p.hr for p in batch], model)  # HR not copied
-        # The gradient vector, made while the batch still holds its part of the heap, lands above the
-        # forward's memory, and each step's in the place of the last: malloc keeps that memory.
-        return value, gradient_vector(model.vector.size)
+        lr = np.stack([p.lr for p in batch])
+        # The gradient vector, made at the forward's peak, while the head holds the last HR image,
+        # lands above the forward's memory, and each step's in the place of the last: malloc keeps
+        # that memory, where a vector made once the image is freed can take the image's place.
+        grads = []
+        hr = [_UnreadHR(p, lr.shape[1:]) for p in batch[:-1]]
+        hr.append(_UnreadHR(batch[-1], lr.shape[1:], lambda: grads.append(gradient_vector(model.vector.size))))
+        return predict_loss(lr, hr, model), grads[0]
 
     for step in range(1, cfg.steps + 1):
         indices = rng.integers(0, len(pairs), size=cfg.batch_size)
@@ -203,7 +227,8 @@ def evaluate(model: VisirModel, pairs: Sequence[SRPair]) -> tuple[list[MetricsRe
     """
     if not pairs:
         raise ValueError("empty evaluation split")
-    reports = [evaluate_pair(pair.hr, predict(pair.lr, model).data) for pair in pairs]
+    # Keywords in this order: the prediction is made before the HR image is read, so inference does not hold it.
+    reports = [evaluate_pair(i_r=predict(pair.lr, model).data, i_o=pair.hr) for pair in pairs]
     return reports, _summarize(reports)
 
 

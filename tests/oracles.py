@@ -144,6 +144,16 @@ def mse_entry(out, target: np.ndarray):
     return ad._make((diff * diff).mean(), (out.key,), lambda g: (diff * (g * (2.0 / diff.size)),))
 
 
+def sine_entry(a, omega0: float):
+    """sin(omega0 * x) of a tensor as one tape entry in plain numpy, with the pull
+    g * omega0 * cos(omega0 * x): the elementwise sine the library runs only inside
+    `sine_layer`, after its affine."""
+    from visir import autodiff as ad
+
+    x = a.data
+    return ad._make(np.sin(omega0 * x), (a.key,), lambda g: (g * omega0 * np.cos(omega0 * x),))
+
+
 def normal_cdf_erfc(x: float) -> float:
     """The standard normal CDF from libm's erfc: NaN stays NaN, -inf and inf give 0 and 1."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))

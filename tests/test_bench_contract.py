@@ -1,11 +1,14 @@
 """The benchmark's layer tracer still fits the library.
 
 perfbench/tracer.py wraps visir's public functions by module attribute and
-reads some of their arguments and results.  It also looks up thirteen deleted
+reads some of their arguments and results.  It also looks up fourteen deleted
 autodiff primitives, which remain as names of one function that raises; no
-model calls them, so their figures read 0.  This runs a tiny train, evaluate
-and coordinate-net fit under the tracer and checks that every per-layer metric
-BENCHMARK.json declares comes out, finite.
+model calls them, so their figures read 0.  ``autodiff.sine_activation.*`` is
+among them: the sine stacks' hidden layers are ``sine_layer`` entries, which
+the tracer does not wrap until its revision (ROADMAP item 1) re-lists the
+primitives.  This runs a tiny train, evaluate and coordinate-net fit under the
+tracer and checks that every per-layer metric BENCHMARK.json declares comes
+out, finite.
 """
 
 import importlib.util

@@ -438,6 +438,10 @@ def test_train_missing_manifest_exits_3(tmp_path):
                  id="normalization-min-above-max"),
     pytest.param("scale", lambda doc: doc.update(scale="4"), id="scale-string"),
     pytest.param("tile_height", lambda doc: doc.update(tile_height=None), id="tile-height-null"),
+    pytest.param("channels", lambda doc: doc.update(channels=7), id="channels-int"),
+    pytest.param("channels", lambda doc: doc.pop("channels"), id="no-channels"),
+    pytest.param("normalization", lambda doc: doc.update(normalization={}), id="normalization-without-sources"),
+    pytest.param("'scale'", lambda doc: doc.update(scale=5), id="scale-off-tile"),
 ])
 def test_train_malformed_manifest_exits_2(tmp_path, capsys, key, edit):
     manifest = build_small_dataset(tmp_path)

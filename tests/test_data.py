@@ -747,7 +747,7 @@ def test_manifest_round_trip_and_pairs(tmp_path):
 def _manifest_with_ranges(tmp_path, ranges):
     path = tmp_path / "manifest.json"
     doc = {"format": "visir-manifest", "version": 1, "seed": 0, "scale": 4, "tile_height": 24, "tile_width": 24,
-           "pairs": [], "normalization": {"s000": ranges}}
+           "channels": list(CHANNEL_NAMES), "pairs": [], "normalization": {"s000": ranges}}
     path.write_text(json.dumps(doc))
     return path
 
@@ -777,6 +777,27 @@ def test_manifest_needs_one_finite_range_per_channel(tmp_path, ranges):
         load_manifest(_manifest_with_ranges(tmp_path, ranges))
 
 
+@pytest.mark.parametrize("key,edit,message", [
+    ("channels", lambda doc: doc.update(channels=7), "must be of type list, got 7"),
+    ("channels", lambda doc: doc.pop("channels"), "must be of type list, got None"),
+    ("channels", lambda doc: doc.update(channels=["r", "g", "b"]), r"must be \['surface_temperature', .*'r'"),
+    ("normalization.s001", lambda doc: doc["normalization"].pop("s001"), r"must be 3 \[min, max\] .*got None"),
+    ("scale", lambda doc: doc.update(scale=5), "must divide tile_height 24 and tile_width 24, got 5"),
+    ("scale", lambda doc: doc.update(tile_width=26), "must divide tile_height 24 and tile_width 26, got 4"),
+], ids=["channels-int", "no-channels", "other-channels", "pairs-source-without-ranges", "scale-off-tile",
+        "tile-off-scale"])
+def test_manifest_names_the_key_of_a_malformed_value(tmp_path, key, edit, message):
+    # Each case loaded before: the channels went unread, a pair's source needed no ranges and the
+    # scale only had to be >= 1, though load_pairs derives the LR tile from it.
+    build_dataset(SMALL_CFG, tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^manifest key '{re.escape(key)}' {message}"):
+        load_manifest(path)
+
+
 def test_load_pairs_reads_each_pair_when_it_is_indexed(tmp_path):
     manifest = build_dataset(SMALL_CFG, tmp_path / "d")
     pairs = load_pairs(manifest, "train")
@@ -795,17 +816,29 @@ def test_load_pairs_reads_each_pair_when_it_is_indexed(tmp_path):
 
 
 def test_load_pairs_checks_values_and_shapes_when_a_pair_is_read(tmp_path):
-    # A valid header with a bad value or a shape off the contract fails when the pair is read.
+    # A header whose shape is off the manifest's geometry fails at load_pairs.  A valid header
+    # with a bad value fails when that image is read, and the pair's other image still reads.
     manifest = build_dataset(SMALL_CFG, tmp_path / "d")
     entries = manifest.split("train")
+    for path, shape in ((entries[2].lr_path, (5, 6, 3)), (entries[2].lr_path, (6, 6, 1)),
+                        (entries[3].hr_path, (24, 25, 3))):
+        good = read_grid(manifest.root / path)[0]
+        write_grid(manifest.root / path, np.zeros(shape))
+        with pytest.raises(ValueError, match=rf"^grid {path} has shape {re.escape(str(shape))}, the manifest's"):
+            load_pairs(manifest, "train")
+        write_grid(manifest.root / path, good)
     write_grid(manifest.root / entries[0].hr_path, np.full((24, 24, 3), np.nan))
     write_grid(manifest.root / entries[1].lr_path, np.full((6, 6, 3), 1.5))
-    write_grid(manifest.root / entries[2].lr_path, np.zeros((5, 6, 3)))
     pairs = load_pairs(manifest, "train")
-    for i, message in enumerate(["non-finite", "unit interval", "is not 4x the lr"]):
+    for i, kind, message in [(0, "hr", "non-finite"), (1, "lr", "unit interval")]:
         with pytest.raises(ValueError, match=message):
-            pairs[i]
-    assert pairs[3].hr.shape == (24, 24, 3)
+            getattr(pairs[i], kind)
+    assert pairs[0].lr.shape == (6, 6, 3) and pairs[1].hr.shape == (24, 24, 3)
+    # A file rewritten in another shape after load_pairs fails when it is read.
+    write_grid(manifest.root / entries[3].hr_path, np.zeros((24, 12, 3)))
+    with pytest.raises(ValueError, match="has shape"):
+        pairs[3].hr
+    assert pairs[3].lr.shape == (6, 6, 3)
 
 
 def test_split_is_deterministic(tmp_path):

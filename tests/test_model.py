@@ -554,12 +554,12 @@ def _unfused(img, model, hr=None):
     """predict's output, or with `hr` the loss, with the decoder's last layer, output and MSE
     run as the separate numpy steps of oracles.output_chain_unfused (one tape entry)."""
     cfg = model.config
-    tokens = encode(img, model)
+    rows = encode(img, model)
     last = cfg.siren_hidden_layers
+    for j in range(last):
+        wj, bj = model.params[f"decoder.w{j}"], model.params[f"decoder.b{j}"]
+        rows = ad.sine_layer(rows, wj, bj, cfg.omega0) if cfg.variant == "visir" else ad.gelu(ad.affine(rows, wj, bj))
     w, b = model.params[f"decoder.w{last}"], model.params[f"decoder.b{last}"]
-    hidden = {name: p for name, p in model.params.items() if name.startswith("decoder.") and p not in (w, b)}
-    rows = apply_stack(tokens, hidden, "decoder.", cfg.omega0, "sine" if cfg.variant == "visir" else "gelu")
-    rows = ad.sine_activation(rows, cfg.omega0) if cfg.variant == "visir" else ad.gelu(rows)
     final = "sine" if cfg.variant == "visir" else "sigmoid"
     grid = (cfg.grid_rows, cfg.grid_cols, cfg.patch_size * cfg.scale, cfg.channels)
     if hr is None:
@@ -627,8 +627,8 @@ def test_coordinate_net_head_has_the_bits_of_the_unfused_chain():
     rng = np.random.default_rng(3)
     params = init_siren_stack([2, 8, 8, 3], omega0=20.0, seed=3)
     coords, target = coordinate_grid(5, 7), rng.uniform(0.0, 1.0, (5, 7, 3))
-    rows = ad.sine_activation(ad.affine(ad.sine_activation(
-        ad.affine(Tensor(coords.reshape(-1, 2)), params["w0"], params["b0"]), 20.0), params["w1"], params["b1"]), 20.0)
+    rows = ad.sine_layer(ad.sine_layer(Tensor(coords.reshape(-1, 2)), params["w0"], params["b0"], 20.0),
+                         params["w1"], params["b1"], 20.0)
     w, b = params["w2"], params["b2"]
     with ad.no_grad():
         out = siren_inr_forward(coords, params, 20.0).data
@@ -643,15 +643,16 @@ def test_coordinate_net_head_has_the_bits_of_the_unfused_chain():
 
 
 @pytest.mark.parametrize("batch", [1, 4])
-def test_cli_default_step_has_35_tape_entries(batch):
+def test_cli_default_step_has_29_tape_entries(batch):
     # One output_head entry for the decoder's last affine, its sine, the patch merge and the
-    # MSE, which would otherwise take six.
+    # MSE, which would otherwise take six, and one sine_layer entry for each of the six hidden
+    # sine layers' affine and sine (35 entries when they were two each).
     model = init_parameters(ModelConfig(), seed=0)
     rng = np.random.default_rng(0)
     ad.clear_tape()
     try:
         predict_loss(rng.uniform(0, 1, (batch, 60, 60, 3)), rng.uniform(0, 1, (batch, 240, 240, 3)), model)
-        assert ad.tape_length() == 35
+        assert ad.tape_length() == 29
     finally:
         ad.clear_tape()
 

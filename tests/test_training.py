@@ -102,14 +102,14 @@ def test_training_eval_probes():
 
 
 def test_pairs_read_at_each_step_train_and_evaluate_as_a_list_of_them(tmp_path):
-    # load_pairs reads a pair each time it is indexed; a list holds every pair read once.
-    # Training and evaluation see the same values either way.
+    # load_pairs reads an image each time it is asked for; a list of SRPairs holds every image
+    # read once.  Training and evaluation see the same values either way.
     manifest = build_dataset(DataConfig(sources=1, source_height=48, source_width=96, tile=24, scale=2, seed=3),
                              tmp_path / "d")
     cfg = replace(TINY, lr_height=12, lr_width=12, channels=3)
     tc = TrainConfig(learning_rate=1e-3, steps=6, seed=4, batch_size=3, eval_interval=3)
     runs = []
-    for wrap in (lambda pairs: pairs, list):
+    for wrap in (lambda pairs: pairs, lambda pairs: [SRPair(p.hr, p.lr, p.scale, p.tile_index) for p in pairs]):
         train_pairs, test_pairs = wrap(load_pairs(manifest, "train")), wrap(load_pairs(manifest, "test"))
         result = train(init_parameters(cfg, seed=0), train_pairs, tc, eval_pairs=test_pairs)
         save_checkpoint(result.model, tmp_path / "model.vsck")
@@ -165,6 +165,76 @@ def test_train_frees_the_batch_before_backward(monkeypatch):
     monkeypatch.setattr(training, "backward", checking_backward)
     train(init_parameters(TINY, seed=0), Split(), TrainConfig(steps=2, batch_size=3))
     assert len(refs) == 6 and alive == [0, 0]
+
+
+def test_a_step_holds_one_hr_image_and_reads_each_grid_once(tmp_path, monkeypatch):
+    # A load_pairs split reads an image when it is asked for.  train stacks the LR images and
+    # the head reads each HR image just before it subtracts it, then drops it: at most one is
+    # alive at a time (the whole batch, 4, when train read them all before the forward), and
+    # each of a step's grid files is read once for each time the batch names its pair.
+    from visir import autodiff, data, training
+
+    manifest = build_dataset(DataConfig(sources=1, source_height=48, source_width=96, tile=24, scale=2, seed=3),
+                             tmp_path / "d")
+    pairs = load_pairs(manifest, "train")
+    hr_files = {str(manifest.root / e.hr_path) for e in manifest.split("train")}
+    refs, alive, reads, steps = [], [], [], []
+    read_grid = data.read_grid
+
+    def counting_read_grid(path):
+        values, units = read_grid(path)
+        reads.append(str(path))
+        if str(path) in hr_files:
+            refs.append(weakref.ref(values))
+            alive.append(sum(ref() is not None for ref in refs))
+        return values, units
+
+    def counting_backward(loss, params, out=None):
+        steps.append(list(reads))
+        reads.clear()
+        return autodiff.backward(loss, params, out)
+
+    monkeypatch.setattr(data, "read_grid", counting_read_grid)
+    monkeypatch.setattr(training, "backward", counting_backward)
+    cfg = replace(TINY, lr_height=12, lr_width=12, channels=3)
+    train(init_parameters(cfg, seed=0), pairs, TrainConfig(steps=3, batch_size=4, seed=1))
+    assert len(alive) == 12 and max(alive) == 1, alive
+    rng = np.random.default_rng(1)
+    for step in steps:
+        batch = [manifest.split("train")[i] for i in rng.integers(0, len(pairs), size=4)]
+        expected = [str(manifest.root / e.lr_path) for e in batch] + [str(manifest.root / e.hr_path) for e in batch]
+        assert step == expected
+
+
+def test_evaluate_predicts_before_it_reads_the_hr_image(monkeypatch):
+    # With a split that reads a pair's images when they are asked for, inference holds no HR image.
+    from visir import training
+
+    refs, alive = [], []
+
+    class Pair:
+        def __init__(self, seed):
+            self.pair = make_pair(seed=seed)
+
+        @property
+        def lr(self):
+            return self.pair.lr.copy()
+
+        @property
+        def hr(self):
+            hr = self.pair.hr.copy()
+            refs.append(weakref.ref(hr))
+            return hr
+
+    def checking_predict(img, model):
+        alive.append(sum(ref() is not None for ref in refs))
+        return predict(img, model)
+
+    monkeypatch.setattr(training, "predict", checking_predict)
+    model = init_parameters(TINY, seed=0)
+    reports, _ = evaluate(model, [Pair(seed) for seed in range(3)])
+    assert alive == [0, 0, 0] and len(refs) == 3
+    assert reports == [evaluate_pair(p.hr, predict(p.lr, model).data) for p in make_pairs(3)]
 
 
 def test_tape_entries_per_step_do_not_grow_with_batch(monkeypatch):
